@@ -7,7 +7,7 @@ the RGB input (raw, feature-extracted, or band-pass filtered) as guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,30 +86,28 @@ def _kaiming(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 
 
 class Module:
-    """Minimal parameter container; traversal follows attribute assignment order."""
+    """Minimal parameter container; traversal is depth first in attribute
+    assignment order, a module's own parameters before its submodules'."""
 
-    def named_parameters(self, prefix: str = ""):
+    def named_modules(self, prefix: str = ""):
+        """(path, module) for this module and every module under it, depth first;
+        a path is the dotted attribute path from the root, such as "stages.0.se"."""
+        yield prefix, self
         for name, val in vars(self).items():
-            if isinstance(val, Tensor):
-                if val.requires_grad:
-                    yield prefix + name, val
-            elif isinstance(val, Module):
-                yield from val.named_parameters(f"{prefix}{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+            items = enumerate(val) if isinstance(val, (list, tuple)) else [(None, val)]
+            for i, item in items:
+                if isinstance(item, Module):
+                    sub = name if i is None else f"{name}.{i}"
+                    yield from item.named_modules(f"{prefix}.{sub}" if prefix else sub)
 
-    def named_batchnorms(self, prefix: str = ""):
-        for name, val in vars(self).items():
-            if isinstance(val, BatchNorm):
-                yield prefix + name, val
-            elif isinstance(val, Module):
-                yield from val.named_batchnorms(f"{prefix}{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_batchnorms(f"{prefix}{name}.{i}.")
+    def named_parameters(self):
+        for path, module in self.named_modules():
+            for name, val in vars(module).items():
+                if isinstance(val, Tensor) and val.requires_grad:
+                    yield (f"{path}.{name}" if path else name), val
+
+    def named_batchnorms(self):
+        return ((path, m) for path, m in self.named_modules() if path and isinstance(m, BatchNorm))
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -324,30 +322,35 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:
 _MANIFEST = "manifest.txt"
 
 
-def _config_lines(config: ModelConfig) -> list[str]:
-    return [
-        f"encoder_width = {config.encoder_width}",
-        f"encoder_out_channels = {config.encoder_out_channels}",
-        f"decoder_channels = {','.join(str(c) for c in config.decoder_channels)}",
-        f"guidance_type = {config.guidance_type}",
-        f"guidance_branch = {config.guidance_branch}",
-        f"se_reduction = {config.se_reduction}",
-        f"output_channels = {config.output_channels}",
-        f"laplacian_low_pass = {str(config.laplacian_low_pass).lower()}",
-    ]
+def _format_field(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
-def _parse_config_lines(pairs: dict[str, str]) -> ModelConfig:
-    return ModelConfig(
-        encoder_width=int(pairs["encoder_width"]),
-        encoder_out_channels=int(pairs["encoder_out_channels"]),
-        decoder_channels=tuple(int(c) for c in pairs["decoder_channels"].split(",")),
-        guidance_type=pairs["guidance_type"],
-        guidance_branch=pairs["guidance_branch"],
-        se_reduction=int(pairs["se_reduction"]),
-        output_channels=int(pairs["output_channels"]),
-        laplacian_low_pass=pairs.get("laplacian_low_pass", "false") == "true",
-    )
+def _parse_config(pairs: dict[str, str], manifest: Path) -> ModelConfig:
+    """ModelConfig from the manifest's [config] pairs; each field parses like its default."""
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    missing, unknown = defaults.keys() - pairs.keys(), pairs.keys() - defaults.keys()
+    if missing:
+        raise ValueError(f"{manifest}: missing config key(s) {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"{manifest}: unknown config key(s) {sorted(unknown)}")
+    values = {}
+    for key, default in defaults.items():
+        text = pairs[key]
+        try:
+            if isinstance(default, bool):
+                values[key] = {"true": True, "false": False}[text]
+            elif isinstance(default, tuple):
+                values[key] = tuple(int(v) for v in text.split(","))
+            else:
+                values[key] = type(default)(text)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{manifest}: bad value {text!r} for config key {key!r}") from exc
+    return ModelConfig(**values)
 
 
 def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
@@ -358,7 +361,8 @@ def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
         if bn.stats.initialized:
             entries.append((f"{name}.running_mean", bn.stats.mean))
             entries.append((f"{name}.running_var", bn.stats.var))
-    lines = ["[config]"] + _config_lines(model.config) + ["[tensors]"]
+    config = [f"{f.name} = {_format_field(getattr(model.config, f.name))}" for f in fields(ModelConfig)]
+    lines = ["[config]"] + config + ["[tensors]"]
     for i, (name, value) in enumerate(entries):
         filename = f"t{i:04d}.gdt"
         arr = value.data if isinstance(value, Tensor) else value
@@ -393,7 +397,7 @@ def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
         else:
             raise ValueError(f"manifest line outside a section: {raw!r}")
 
-    config = _parse_config_lines(config_pairs)
+    config = _parse_config(config_pairs, manifest)
     model = build_model(config, seed=0, dtype=dtype)
     params = dict(model.named_parameters())
     bns = dict(model.named_batchnorms())

@@ -1,15 +1,20 @@
-"""Rank-4 tensors (batch, channel, height, width) with tape-based reverse-mode autodiff.
+"""Rank-4 tensors (batch, channel, height, width) with graph-based reverse-mode autodiff.
 
 float32 is the working precision; float64 acts as a shadow mode for tight
-gradient checks. Every operation whose output participates in gradient
-tracking records a backward rule on a global tape, in execution order.
-``backward`` replays the tape in reverse and consumes it, so each forward
-pass supports exactly one backward pass.
+gradient checks. An operation whose output participates in gradient
+tracking gives that output a node: a creation sequence number, the inputs
+that require grad, and the backward rule. ``backward`` collects the nodes
+reachable from the loss, runs their rules newest first and releases each
+node once its rule has run, so each forward graph supports exactly one
+backward pass. Graphs share no state, and a graph nobody runs backward on
+is freed with its tensors.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -21,9 +26,7 @@ Shape4 = tuple[int, int, int, int]
 
 __all__ = [
     "Tensor",
-    "Tape",
     "RunningStats",
-    "MacCounter",
     "no_grad",
     "backward",
     "zeros",
@@ -48,7 +51,6 @@ __all__ = [
     "spatial_map",
     "global_avg_pool",
     "dense",
-    "count_macs_active",
 ]
 
 
@@ -61,7 +63,7 @@ class Tensor:
     dimensions must be positive.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -77,6 +79,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._node = None  # (sequence, parents, back) while recorded; _CONSUMED after backward
 
     @property
     def shape(self) -> Shape4:
@@ -108,50 +111,32 @@ def full(shape: Shape4, value: float, requires_grad: bool = False, dtype=np.floa
 
 
 # ---------------------------------------------------------------------------
-# Tape machinery
+# Autodiff graph
 # ---------------------------------------------------------------------------
 
 
-class Tape:
-    """Execution-ordered record of backward rules (a Wengert list)."""
-
-    def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
-
-
-_TAPE = Tape()
-_GRAD_ENABLED = True
-
-
-def tape() -> Tape:
-    """The global recording tape (exposed mainly for tests)."""
-    return _TAPE
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar("guidedepth_grad_enabled", default=True)
+_SEQ = itertools.count()  # creation order of nodes; backward runs them newest first
+_CONSUMED = object()  # replaces the node of a tensor whose backward rule has run
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable gradient recording; outputs created inside do not require grad."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    """Disable gradient recording in the current thread or task; outputs
+    created inside do not require grad."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
-def _wants_grad(*tensors: Tensor) -> bool:
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-
-
-def _track(out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
-    if out.requires_grad:
-        _TAPE._records.append((out, back))
+def _track(data: np.ndarray, back: Callable[[np.ndarray], None], *inputs: Tensor) -> Tensor:
+    """Wrap an op's output; while recording, give it a node when any input requires grad."""
+    parents = tuple(t for t in inputs if t.requires_grad) if _GRAD_ENABLED.get() else ()
+    out = Tensor(data, requires_grad=bool(parents))
+    if parents:
+        out._node = (next(_SEQ), parents, back)
     return out
 
 
@@ -163,49 +148,44 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _graph(loss: Tensor) -> list[Tensor]:
+    """Tensors with a node reachable from ``loss``, in ascending creation order."""
+    found, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        t = stack.pop()
+        if t._node is None:
+            continue
+        if t._node is _CONSUMED:
+            raise RuntimeError("backward through a graph that an earlier backward already consumed")
+        found.append(t)
+        for p in t._node[1]:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    found.sort(key=lambda t: t._node[0])
+    return found
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` for every tracked tensor reachable from ``loss``.
 
-    The tape is consumed: calling ``backward`` again without a fresh forward
-    pass raises. Leaf gradients accumulate across calls until reset.
+    The graph is consumed: each rule runs once and its node is released as
+    soon as it has run, so calling ``backward`` again on the same graph
+    raises. Leaf gradients accumulate across calls until reset.
     """
     if loss.shape != (1, 1, 1, 1):
         raise ValueError(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
     if not loss.requires_grad:
         raise RuntimeError("loss does not participate in gradient recording")
-    if not _TAPE._records:
-        raise RuntimeError("tape is empty: already consumed or nothing was recorded")
-    records, _TAPE._records = _TAPE._records, []
+    if loss._node is None:
+        raise RuntimeError("loss is a leaf: no operation was recorded")
+    nodes = _graph(loss)
     loss.grad = np.ones_like(loss.data)
-    for out, back in reversed(records):
-        g = out.grad
-        if g is not None:
-            back(g)
-
-
-# ---------------------------------------------------------------------------
-# MAC counting hook (conv2d and dense report their multiply-accumulates)
-# ---------------------------------------------------------------------------
-
-
-class MacCounter:
-    def __init__(self):
-        self.total = 0
-
-
-_MACS: MacCounter | None = None
-
-
-@contextlib.contextmanager
-def count_macs_active():
-    """Count multiply-accumulates of conv2d/dense calls executed inside."""
-    global _MACS
-    prev, counter = _MACS, MacCounter()
-    _MACS = counter
-    try:
-        yield counter
-    finally:
-        _MACS = prev
+    while nodes:
+        t = nodes.pop()
+        back, t._node = t._node[2], _CONSUMED
+        if t.grad is not None:
+            back(t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +202,22 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
 
     def back(g):
         _accum(a, g)
         _accum(b, g)
 
-    return _track(out, back)
+    return _track(a.data + b.data, back, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data, requires_grad=_wants_grad(a, b))
 
     def back(g):
         _accum(a, g)
         _accum(b, -g)
 
-    return _track(out, back)
+    return _track(a.data - b.data, back, a, b)
 
 
 def _unbroadcast(g: np.ndarray, shape: Shape4) -> np.ndarray:
@@ -255,7 +233,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    out = Tensor(data, requires_grad=_wants_grad(a, b))
 
     def back(g):
         if a.requires_grad:
@@ -263,7 +240,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _track(out, back)
+    return _track(data, back, a, b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -272,7 +249,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     if not np.isfinite(data).all():
         raise FloatingPointError("div produced non-finite values")
-    out = Tensor(data, requires_grad=_wants_grad(a, b))
 
     def back(g):
         if a.requires_grad:
@@ -280,46 +256,42 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accum(b, -g * data / b.data)
 
-    return _track(out, back)
+    return _track(data, back, a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = a.data.dtype.type(s)
-    out = Tensor(a.data * s, requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, g * s)
 
-    return _track(out, back)
+    return _track(a.data * s, back, a)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
-    out = Tensor(a.data + c, requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, g)
 
-    return _track(out, back)
+    return _track(a.data + c, back, a)
 
 
 def absolute(a: Tensor) -> Tensor:
     # subgradient at 0 is 0, via sign(0) == 0
-    out = Tensor(np.abs(a.data), requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, g * np.sign(a.data))
 
-    return _track(out, back)
+    return _track(np.abs(a.data), back, a)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0), requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, g * (a.data > 0))
 
-    return _track(out, back)
+    return _track(np.maximum(a.data, 0), back, a)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -327,38 +299,34 @@ def sigmoid(a: Tensor) -> Tensor:
     # split by sign to avoid exp overflow
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     s = s.astype(x.dtype)
-    out = Tensor(s, requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, g * s * (1.0 - s))
 
-    return _track(out, back)
+    return _track(s, back, a)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1), requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, np.broadcast_to(g.reshape(()), a.shape).astype(a.data.dtype))
 
-    return _track(out, back)
+    return _track(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1), back, a)
 
 
 def mean_all(a: Tensor) -> Tensor:
     count = a.data.size
-    out = Tensor((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), requires_grad=_wants_grad(a))
 
     def back(g):
         _accum(a, np.broadcast_to(g.reshape(()) / count, a.shape).astype(a.data.dtype))
 
-    return _track(out, back)
+    return _track((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), back, a)
 
 
 def diff_x(a: Tensor) -> Tensor:
     """Forward difference along width: out[..., j] = a[..., j+1] - a[..., j]."""
     if a.shape[3] < 2:
         raise ValueError("diff_x needs width >= 2")
-    out = Tensor(a.data[..., 1:] - a.data[..., :-1], requires_grad=_wants_grad(a))
 
     def back(g):
         if a.requires_grad:
@@ -367,14 +335,13 @@ def diff_x(a: Tensor) -> Tensor:
             da[..., :-1] -= g
             _accum(a, da)
 
-    return _track(out, back)
+    return _track(a.data[..., 1:] - a.data[..., :-1], back, a)
 
 
 def diff_y(a: Tensor) -> Tensor:
     """Forward difference along height: out[..., i, :] = a[..., i+1, :] - a[..., i, :]."""
     if a.shape[2] < 2:
         raise ValueError("diff_y needs height >= 2")
-    out = Tensor(a.data[:, :, 1:, :] - a.data[:, :, :-1, :], requires_grad=_wants_grad(a))
 
     def back(g):
         if a.requires_grad:
@@ -383,7 +350,7 @@ def diff_y(a: Tensor) -> Tensor:
             da[:, :, :-1, :] -= g
             _accum(a, da)
 
-    return _track(out, back)
+    return _track(a.data[:, :, 1:, :] - a.data[:, :, :-1, :], back, a)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -393,13 +360,12 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"concat_channels: spatial/batch mismatch {a.shape} vs {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ValueError("concat_channels: dtype mismatch")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), requires_grad=_wants_grad(a, b))
 
     def back(g):
         _accum(a, g[:, :ca])
         _accum(b, g[:, ca:])
 
-    return _track(out, back)
+    return _track(np.concatenate([a.data, b.data], axis=1), back, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +396,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: non-positive output dims ({oh}, {ow})")
 
-    if _MACS is not None:
-        _MACS.total += n * co * ci * kh * kw * oh * ow
-
     p = padding
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     out_data = np.einsum("nihwkl,oikl->nohw", win, weight.data, optimize=True)
     out_data = (out_data + bias.data).astype(x.data.dtype, copy=False)
-    out = Tensor(out_data, requires_grad=_wants_grad(x, weight, bias))
 
     def back(g):
         if bias.requires_grad:
@@ -455,7 +417,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             dxp = np.einsum("nohwkl,oikl->nihw", gwin, wflip, optimize=True)
             _accum(x, dxp[:, :, p : p + h, p : p + w])
 
-    return _track(out, back)
+    return _track(out_data, back, x, weight, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +471,6 @@ def batch_norm(
 
     inv = 1.0 / np.sqrt(v + x.data.dtype.type(eps))
     xhat = (x.data - m) * inv
-    out = Tensor((gamma.data * xhat + beta.data).astype(x.data.dtype, copy=False), requires_grad=_wants_grad(x, gamma, beta))
 
     count = n * h * w
 
@@ -528,7 +489,7 @@ def batch_norm(
                 dx = dxhat * inv
             _accum(x, dx.astype(x.data.dtype, copy=False))
 
-    return _track(out, back)
+    return _track((gamma.data * xhat + beta.data).astype(x.data.dtype, copy=False), back, x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +524,13 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
         )
     y = np.einsum("ah,nchw->ncaw", row_map, x.data, optimize=True)
     y = np.einsum("bw,ncaw->ncab", col_map, y, optimize=True)
-    out = Tensor(y.astype(x.data.dtype, copy=False), requires_grad=_wants_grad(x))
 
     def back(g):
         if x.requires_grad:
             gy = np.einsum("bw,ncab->ncaw", col_map, g, optimize=True)
             _accum(x, np.einsum("ah,ncaw->nchw", row_map, gy, optimize=True).astype(x.data.dtype, copy=False))
 
-    return _track(out, back)
+    return _track(y.astype(x.data.dtype, copy=False), back, x)
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -588,13 +548,12 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True), requires_grad=_wants_grad(x))
 
     def back(g):
         if x.requires_grad:
             _accum(x, np.broadcast_to(g / (h * w), x.shape).astype(x.data.dtype))
 
-    return _track(out, back)
+    return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -611,13 +570,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (1, co, 1, 1):
         raise ValueError(f"dense: bias shape {bias.shape} != (1, {co}, 1, 1)")
 
-    if _MACS is not None:
-        _MACS.total += n * co * ci
-
     w2 = weight.data.reshape(co, ci)
     xv = x.data.reshape(n, ci)
     out_data = (xv @ w2.T + bias.data.reshape(1, co)).reshape(n, co, 1, 1)
-    out = Tensor(out_data.astype(x.data.dtype, copy=False), requires_grad=_wants_grad(x, weight, bias))
 
     def back(g):
         g2 = g.reshape(n, co)
@@ -628,4 +583,4 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             _accum(x, (g2 @ w2).reshape(n, ci, 1, 1))
 
-    return _track(out, back)
+    return _track(out_data.astype(x.data.dtype, copy=False), back, x, weight, bias)

@@ -11,7 +11,7 @@ def finite_diff_grad(f, t: T.Tensor, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of scalar f() w.r.t. every entry of t.
 
     f must re-run the forward pass using t.data; evaluation happens under
-    no_grad so the tape stays untouched.
+    no_grad so the probes build no graph.
     """
     base = t.data.copy()
     g = np.zeros_like(base, dtype=np.float64)

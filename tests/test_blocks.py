@@ -1,5 +1,8 @@
 """Architecture blocks: shape contracts, guidance variants, init, checkpoints."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,7 +218,6 @@ class TestDepthNet:
         out = model.forward(x, train=True)
         assert out.shape == (2, 1, 48, 64)
         assert np.isfinite(out.data).all()
-        T.tape().clear()
 
     def test_each_stage_doubles_resolution(self):
         cfg = B.preset_config("guidedepth-tiny")
@@ -228,7 +230,35 @@ class TestDepthNet:
             h, w = z.shape[2], z.shape[3]
             z = stage.forward(z, guide, train=True)
             assert z.shape[2:] == (2 * h, 2 * w)
-        T.tape().clear()
+
+    def test_forwards_without_backward_do_not_accumulate_memory(self):
+        """An abandoned train-mode graph is freed by reference counting alone.
+
+        Only numpy's array buffers are counted: Python's object free lists
+        keep filling for dozens of calls and would hide or fake a trend.
+        """
+
+        def array_bytes():
+            only_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            snap = tracemalloc.take_snapshot().filter_traces([only_arrays])
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=7)
+        x = rand_image((1, 3, 16, 16), seed=32, dtype=np.float32)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            model.forward(x, train=True)  # warm caches such as the resize matrices
+            before = array_bytes()
+            for _ in range(100):
+                model.forward(x, train=True)
+            growth = array_bytes() - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert growth < 16 * 1024, f"array memory grew by {growth} bytes over 100 forwards"
 
     def test_indivisible_input_rejected(self):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=2)
@@ -355,6 +385,25 @@ class TestCheckpoints:
 
         with pytest.raises(GdtShapeError):
             B.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("se_reduction = 4\n", "", "se_reduction"),
+            ("[tensors]\n", "dropout = 0.1\n[tensors]\n", "dropout"),
+            ("laplacian_low_pass = false", "laplacian_low_pass = maybe", "laplacian_low_pass"),
+        ],
+        ids=["missing", "unknown", "bad-value"],
+    )
+    def test_config_key_errors_name_key_and_manifest(self, tmp_path, old, new, key):
+        B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            B.load_checkpoint(tmp_path / "ckpt")
+        assert key in str(info.value) and str(manifest) in str(info.value)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

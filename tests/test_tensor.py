@@ -1,4 +1,6 @@
-"""Tensor engine: forward semantics, gradient oracles, tape behavior, GDT1 files."""
+"""Tensor engine: forward semantics, gradient oracles, graph behavior, GDT1 files."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -364,11 +366,50 @@ class TestBackwardSemantics:
 
     def test_no_grad_suppresses_recording(self):
         x = randn((1, 1, 2, 2), seed=46)
-        before = len(T.tape())
         with T.no_grad():
             y = T.sum_all(T.mul(x, x))
-        assert len(T.tape()) == before
         assert not y.requires_grad
+        assert y._node is None
+
+    def test_backward_through_consumed_subgraph_rejected(self):
+        x = randn((1, 1, 2, 2), seed=49)
+        y = T.mul(x, x)
+        la, lb = T.sum_all(y), T.mean_all(y)
+        T.backward(la)
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.backward(lb)
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_independent_graphs_backward_in_either_order(self, a_first):
+        xa, xb = randn((1, 2, 3, 3), seed=50), randn((1, 2, 3, 3), seed=51)
+        la = T.sum_all(T.mul(xa, xa))
+        lb = T.sum_all(T.scale(xb, 3.0))
+        for loss in (la, lb) if a_first else (lb, la):
+            T.backward(loss)
+        np.testing.assert_allclose(xa.grad, 2 * xa.data, rtol=1e-12)
+        np.testing.assert_array_equal(xb.grad, np.full(xb.shape, 3.0))
+
+    def test_no_grad_is_per_thread(self):
+        x = randn((1, 1, 2, 2), seed=52)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert entered.wait(timeout=10)
+            y = T.sum_all(T.mul(x, x))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert y.requires_grad
+        T.backward(y)
+        np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
     def test_shared_subexpression_accumulates(self):
         x = randn((1, 1, 2, 2), seed=47)
