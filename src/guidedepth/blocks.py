@@ -7,6 +7,8 @@ the RGB input (raw, feature-extracted, or band-pass filtered) as guidance.
 
 from __future__ import annotations
 
+import shutil
+import uuid
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -49,8 +51,6 @@ class ModelConfig:
     guidance_type: str = "image"
     guidance_branch: str = "gub"
     se_reduction: int = 4
-    output_channels: int = 1
-    laplacian_low_pass: bool = False  # feed the low-pass image instead of the residual
 
     def __post_init__(self):
         if self.encoder_width < 1 or self.encoder_out_channels < 1:
@@ -63,8 +63,6 @@ class ModelConfig:
             raise ValueError(f"guidance_branch must be one of {GUIDANCE_BRANCHES}, got {self.guidance_branch!r}")
         if self.se_reduction < 1:
             raise ValueError("se_reduction must be >= 1")
-        if self.output_channels != 1:
-            raise ValueError("output_channels is fixed to 1 (a depth map)")
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:
@@ -132,15 +130,13 @@ class Conv(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
+    def __init__(self, channels, dtype=np.float32):
         self.gamma = Tensor(np.ones((1, channels, 1, 1), dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype), requires_grad=True)
         self.stats = RunningStats.for_channels(channels, dtype)
-        self.eps = eps
-        self.momentum = momentum
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.stats, train, self.eps, self.momentum)
+        return batch_norm(x, self.gamma, self.beta, self.stats, train)
 
 
 class DenseLayer(Module):
@@ -242,11 +238,10 @@ class Encoder(Module):
         return self.stage3.forward(self.stage2.forward(self.stage1.forward(x, train), train), train)
 
 
-def laplacian_guidance(x: Tensor, k: int, low_pass: bool = False) -> Tensor:
+def laplacian_guidance(x: Tensor, k: int) -> Tensor:
     """Band-pass guidance at scale 1/2^k: x_k minus its down/up low-pass.
 
-    With low_pass=True the smoothed image itself is returned. k selects the
-    decoder stage resolution; input dims must divide by 2^(k+1).
+    k selects the decoder stage resolution; input dims must divide by 2^(k+1).
     """
     if k not in (0, 1, 2):
         raise ValueError(f"laplacian scale k must be in {{0, 1, 2}}, got {k}")
@@ -256,8 +251,6 @@ def laplacian_guidance(x: Tensor, k: int, low_pass: bool = False) -> Tensor:
         raise ValueError(f"input dims ({h}, {w}) not divisible by {f}")
     hk, wk = h >> k, w >> k
     low = bilinear_resize(bilinear_resize(x, h >> (k + 1), w >> (k + 1)), hk, wk)
-    if low_pass:
-        return low
     return sub(bilinear_resize(x, hk, wk), low)
 
 
@@ -280,7 +273,7 @@ class DepthNet(Module):
             )
             for j in range(3)
         ]
-        self.head = Conv(config.decoder_channels[2], config.output_channels, 1, rng, dtype=dtype)
+        self.head = Conv(config.decoder_channels[2], 1, 1, rng, dtype=dtype)
 
     def guidance_pyramid(self, x: Tensor) -> list[Tensor | None]:
         """Guidance images for the three stages, at 1/4, 1/2 and full resolution."""
@@ -291,7 +284,7 @@ class DepthNet(Module):
             if self.config.guidance_type == "none":
                 guides.append(None)
             elif self.config.guidance_type == "laplacian":
-                guides.append(laplacian_guidance(x, k, self.config.laplacian_low_pass))
+                guides.append(laplacian_guidance(x, k))
             else:
                 guides.append(bilinear_resize(x, h >> k, w >> k))
         return guides
@@ -323,8 +316,6 @@ _MANIFEST = "manifest.txt"
 
 
 def _format_field(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -342,20 +333,43 @@ def _parse_config(pairs: dict[str, str], manifest: Path) -> ModelConfig:
     for key, default in defaults.items():
         text = pairs[key]
         try:
-            if isinstance(default, bool):
-                values[key] = {"true": True, "false": False}[text]
-            elif isinstance(default, tuple):
+            if isinstance(default, tuple):
                 values[key] = tuple(int(v) for v in text.split(","))
             else:
                 values[key] = type(default)(text)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{manifest}: bad value {text!r} for config key {key!r}") from exc
     return ModelConfig(**values)
 
 
 def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
+    """Write the model to ``directory``, replacing any checkpoint already there.
+
+    The files go into a fresh sibling directory that then takes the place of
+    ``directory``: a save that fails part way leaves the earlier checkpoint
+    as it was, and no file of an earlier save outlives a later one. A
+    non-empty directory without a manifest is not replaced.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    if directory.exists() and not (directory / _MANIFEST).is_file() and any(directory.iterdir()):
+        raise FileExistsError(f"{directory} is not empty and holds no checkpoint manifest")
+    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    staging.mkdir(parents=True)
+    try:
+        _write_checkpoint(staging, model)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if directory.exists():
+        retired = staging.with_name(staging.name + ".old")
+        directory.rename(retired)
+        staging.rename(directory)
+        shutil.rmtree(retired)
+    else:
+        staging.rename(directory)
+
+
+def _write_checkpoint(directory: Path, model: DepthNet) -> None:
     entries: list[tuple[str, np.ndarray]] = list(model.named_parameters())
     for name, bn in model.named_batchnorms():
         if bn.stats.initialized:
@@ -417,7 +431,6 @@ def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
                 bn.stats.mean = arr.astype(dtype, copy=False)
             else:
                 bn.stats.var = arr.astype(dtype, copy=False)
-            bn.stats.initialized = True
         else:
             raise ValueError(f"checkpoint references unknown tensor {name!r}")
         loaded.add(name)
@@ -425,4 +438,10 @@ def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
     missing = set(params) - loaded
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:5]} ...")
+    for bn_name, bn in bns.items():
+        keys = [f"{bn_name}.running_mean", f"{bn_name}.running_var"]
+        present = [key in loaded for key in keys]
+        if any(present) and not all(present):
+            raise ValueError(f"{manifest}: missing {keys[present.index(False)]!r}; BN statistics come in pairs")
+        bn.stats.initialized = all(present)
     return model

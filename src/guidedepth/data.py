@@ -9,7 +9,8 @@ discontinuities, which is what gives the guidance branch its signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,9 @@ class DepthSample:
             raise ValueError(f"depth {self.depth.shape} does not match image {self.image.shape}")
 
 
+PRIMITIVE_KINDS = ("sphere", "box", "plane")
+
+
 @dataclass
 class SceneSpec:
     """Deterministic recipe for one synthetic scene."""
@@ -43,7 +47,6 @@ class SceneSpec:
     n_primitives: int = 6
     d_min: float = 1.0
     d_max: float = 10.0
-    kinds: tuple[str, ...] = ("sphere", "box", "plane")
     z_range: tuple[float, float] = (0.18, 0.75)  # primitive anchors, as fractions of the depth span
     size_range: tuple[float, float] = (0.04, 0.14)
 
@@ -54,9 +57,6 @@ class SceneSpec:
             raise ValueError("n_primitives must be >= 0")
         if not 0 <= self.z_range[0] < self.z_range[1] <= 0.9:
             raise ValueError(f"z_range {self.z_range} must sit inside [0, 0.9)")
-        unknown = set(self.kinds) - {"sphere", "box", "plane"}
-        if unknown:
-            raise ValueError(f"unknown primitive kinds {unknown}")
 
 
 def _view_rays(h: int, w: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def generate_scene(spec: SceneSpec) -> DepthSample:
     normal_buf = np.broadcast_to(np.array([0.0, 0.0, -1.0]), (h, w, 3)).copy()
 
     for _ in range(spec.n_primitives):
-        kind = spec.kinds[rng.integers(len(spec.kinds))]
+        kind = PRIMITIVE_KINDS[rng.integers(len(PRIMITIVE_KINDS))]
         # anchor inside the view frustum
         cz = spec.d_min + span * rng.uniform(*spec.z_range)
         cu = rng.uniform(-0.55, 0.55) * 0.9 * (w / h)
@@ -233,16 +233,23 @@ def write_sample(directory: str | Path, sample: DepthSample) -> None:
 
 def read_sample(directory: str | Path) -> DepthSample:
     directory = Path(directory)
+    meta_path = directory / _META
     meta = {}
-    for line in (directory / _META).read_text().splitlines():
+    for line in meta_path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         meta[key.strip()] = value.strip()
+    try:
+        d_max = float(meta["d_max"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: no numeric d_max") from exc
+    if not (math.isfinite(d_max) and d_max > 0):
+        raise ValueError(f"{meta_path}: d_max must be finite and > 0, got {d_max}")
     image = gdt.read_array(directory / _IMAGE)
     depth = gdt.read_array(directory / _DEPTH, expect_shape=(1, 1, image.shape[2], image.shape[3]))
-    return DepthSample(image=Tensor(image), depth=Tensor(depth), d_max=float(meta["d_max"]))
+    return DepthSample(image=Tensor(image), depth=Tensor(depth), d_max=d_max)
 
 
 def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:

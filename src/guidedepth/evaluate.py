@@ -10,7 +10,7 @@ done on the mirrored image and the two per-image results are averaged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ def crop_for(kind: str, h: int, w: int) -> Crop:
 # ---------------------------------------------------------------------------
 
 
-def depth_to_normalized(depth: np.ndarray, d_max: float, floor: float = DEPTH_FLOOR) -> np.ndarray:
+def depth_to_normalized(depth: np.ndarray, d_max: float) -> np.ndarray:
     """Map metric depth to the network's working space: y = d_max / depth.
 
     Nonpositive inputs are an error; positive values below the floor are
@@ -86,14 +86,14 @@ def depth_to_normalized(depth: np.ndarray, d_max: float, floor: float = DEPTH_FL
     depth = np.asarray(depth)
     if (depth <= 0).any():
         raise ValueError("depth_to_normalized: nonpositive depth values")
-    return d_max / np.maximum(depth, floor)
+    return d_max / np.maximum(depth, DEPTH_FLOOR)
 
 
-def normalized_to_depth(norm: np.ndarray, d_max: float, floor: float = DEPTH_FLOOR) -> np.ndarray:
+def normalized_to_depth(norm: np.ndarray, d_max: float) -> np.ndarray:
     """Invert the normalization; predictions at or below the floor are clamped
     (an untrained network can emit anything)."""
     norm = np.asarray(norm)
-    return d_max / np.maximum(norm, floor)
+    return d_max / np.maximum(norm, DEPTH_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +112,12 @@ class MetricValues:
 
     @staticmethod
     def average(items: Sequence["MetricValues"]) -> "MetricValues":
+        """Per-metric mean; each sum runs over ``items`` in order."""
         if not items:
             raise ValueError("cannot average zero metric records")
         n = len(items)
         return MetricValues(
-            rmse=sum(m.rmse for m in items) / n,
-            rel=sum(m.rel for m in items) / n,
-            log10=sum(m.log10 for m in items) / n,
-            d1=sum(m.d1 for m in items) / n,
-            d2=sum(m.d2 for m in items) / n,
-            d3=sum(m.d3 for m in items) / n,
+            **{f.name: sum(getattr(m, f.name) for m in items) / n for f in fields(MetricValues)}
         )
 
 
@@ -161,34 +157,12 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
 
 
 @dataclass
-class EvalReport:
-    rmse: float
-    rel: float
-    log10: float
-    d1: float
-    d2: float
-    d3: float
+class EvalReport(MetricValues):
+    """Dataset means of the six metrics and how they were obtained."""
+
     n_images: int
     flip_averaged: bool
     crop_kind: str
-
-    @classmethod
-    def from_metrics(cls, m: MetricValues, n_images: int, flip_averaged: bool, crop_kind: str) -> "EvalReport":
-        return cls(m.rmse, m.rel, m.log10, m.d1, m.d2, m.d3, n_images, flip_averaged, crop_kind)
-
-    def as_text(self) -> str:
-        lines = [
-            f"rmse = {self.rmse:.6f}",
-            f"rel = {self.rel:.6f}",
-            f"log10 = {self.log10:.6f}",
-            f"delta1 = {self.d1:.6f}",
-            f"delta2 = {self.d2:.6f}",
-            f"delta3 = {self.d3:.6f}",
-            f"n_images = {self.n_images}",
-            f"flip_averaged = {str(self.flip_averaged).lower()}",
-            f"crop = {self.crop_kind}",
-        ]
-        return "\n".join(lines)
 
     def as_csv_row(self) -> str:
         return (
@@ -245,24 +219,16 @@ def _resize_np(arr: np.ndarray, h: int, w: int) -> np.ndarray:
         return bilinear_resize(Tensor(arr.copy()), h, w).data
 
 
-def _flip_np(arr: np.ndarray, axis_name: str) -> np.ndarray:
-    axis = 3 if axis_name == "mirror" else 2
-    return np.ascontiguousarray(np.flip(arr, axis=axis))
-
-
 def evaluate(
     predict: Predictor,
     samples: Sequence[DepthSample],
     resolution: tuple[int, int],
     crop_kind: str = "none",
     flip_average: bool = True,
-    flip_axis: str = "mirror",
 ) -> EvalReport:
     """Full protocol over a dataset; returns per-image means of the metrics."""
     if not samples:
         raise ValueError("evaluate: empty dataset")
-    if flip_axis not in ("mirror", "vertical"):
-        raise ValueError(f"flip_axis must be mirror or vertical, got {flip_axis!r}")
     mh, mw = resolution
 
     def run_one(sample: DepthSample) -> MetricValues:
@@ -286,13 +252,12 @@ def evaluate(
         plain = run_one(sample)
         if flip_average:
             mirrored = DepthSample(
-                image=Tensor(_flip_np(sample.image.data, flip_axis)),
-                depth=Tensor(_flip_np(sample.depth.data, flip_axis)),
+                image=Tensor(np.ascontiguousarray(sample.image.data[..., ::-1])),
+                depth=Tensor(np.ascontiguousarray(sample.depth.data[..., ::-1])),
                 d_max=sample.d_max,
             )
             plain = MetricValues.average([plain, run_one(mirrored)])
         per_image.append(plain)
 
-    return EvalReport.from_metrics(
-        MetricValues.average(per_image), len(samples), flip_average, crop_kind
-    )
+    return EvalReport(**vars(MetricValues.average(per_image)), n_images=len(samples),
+                      flip_averaged=flip_average, crop_kind=crop_kind)

@@ -33,25 +33,26 @@ class LossConfig:
     ssim_window: int = 11
     ssim_sigma: float = 1.5
     dynamic_range: float = 10.0
-    c1: float | None = None  # defaults to (0.01 * dynamic_range)^2
-    c2: float | None = None  # defaults to (0.03 * dynamic_range)^2
-    grad_norm: str = "l1"  # "l1" or "l2" (mean absolute vs mean squared differences)
 
     def __post_init__(self):
-        if self.c1 is None:
-            self.c1 = (0.01 * self.dynamic_range) ** 2
-        if self.c2 is None:
-            self.c2 = (0.03 * self.dynamic_range) ** 2
         if self.lambda_l1 <= 0:
             raise ValueError("lambda_l1 must be positive")
         if self.ssim_window < 1 or self.ssim_window % 2 == 0:
             raise ValueError("ssim_window must be odd and >= 1")
         if self.ssim_sigma <= 0:
             raise ValueError("ssim_sigma must be positive")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("stabilizers c1, c2 must be positive")
-        if self.grad_norm not in ("l1", "l2"):
-            raise ValueError(f"grad_norm must be 'l1' or 'l2', got {self.grad_norm!r}")
+        if not self.dynamic_range > 0:
+            raise ValueError("dynamic_range must be positive")
+
+    @property
+    def c1(self) -> float:
+        """SSIM mean stabilizer, (0.01 * dynamic_range)^2."""
+        return (0.01 * self.dynamic_range) ** 2
+
+    @property
+    def c2(self) -> float:
+        """SSIM variance stabilizer, (0.03 * dynamic_range)^2."""
+        return (0.03 * self.dynamic_range) ** 2
 
 
 @lru_cache(maxsize=128)
@@ -102,15 +103,13 @@ def dssim_loss(y: Tensor, yhat: Tensor, cfg: LossConfig) -> Tensor:
     return scale(add_scalar(scale(ssim(y, yhat, cfg), -1.0), 1.0), 0.5)
 
 
-def grad_loss(y: Tensor, yhat: Tensor, norm: str = "l1") -> Tensor:
-    """Mean mismatch of forward-difference partial derivatives along x and y."""
+def grad_loss(y: Tensor, yhat: Tensor) -> Tensor:
+    """Mean absolute mismatch of forward-difference partial derivatives along x and y."""
     if y.shape != yhat.shape:
         raise ValueError(f"grad_loss: shape mismatch {y.shape} vs {yhat.shape}")
     dx = sub(diff_x(y), diff_x(yhat))
     dy = sub(diff_y(y), diff_y(yhat))
-    if norm == "l1":
-        return add(mean_all(absolute(dx)), mean_all(absolute(dy)))
-    return add(mean_all(mul(dx, dx)), mean_all(mul(dy, dy)))
+    return add(mean_all(absolute(dx)), mean_all(absolute(dy)))
 
 
 def l1_loss(y: Tensor, yhat: Tensor) -> Tensor:
@@ -123,7 +122,7 @@ def loss_terms(y: Tensor, yhat: Tensor, cfg: LossConfig) -> dict[str, Tensor]:
     """The three objective terms plus their weighted total."""
     terms = {
         "dssim": dssim_loss(y, yhat, cfg),
-        "grad": grad_loss(y, yhat, cfg.grad_norm),
+        "grad": grad_loss(y, yhat),
         "l1": l1_loss(y, yhat),
     }
     terms["total"] = add(add(terms["dssim"], terms["grad"]), scale(terms["l1"], cfg.lambda_l1))

@@ -94,9 +94,6 @@ class Tensor:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -425,6 +422,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 # ---------------------------------------------------------------------------
 
 
+BN_EPS = 1e-5  # added to the variance before the square root
+BN_MOMENTUM = 0.1  # weight of the current batch in the running averages
+
+
 @dataclass
 class RunningStats:
     """Exponential moving averages of per-channel batch statistics."""
@@ -438,15 +439,7 @@ class RunningStats:
         return cls(np.zeros((1, c, 1, 1), dtype=dtype), np.ones((1, c, 1, 1), dtype=dtype))
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats,
-    train: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, train: bool) -> Tensor:
     """Per-channel normalization over (n, h, w); backward through batch stats is exact.
 
     Train mode normalizes with batch statistics (biased variance) and updates
@@ -460,8 +453,8 @@ def batch_norm(
     if train:
         m = x.data.mean(axis=(0, 2, 3), keepdims=True)
         v = x.data.var(axis=(0, 2, 3), keepdims=True)
-        stats.mean = ((1.0 - momentum) * stats.mean + momentum * m).astype(stats.mean.dtype)
-        stats.var = ((1.0 - momentum) * stats.var + momentum * v).astype(stats.var.dtype)
+        stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
+        stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
         stats.initialized = True
     else:
         if not stats.initialized:
@@ -469,7 +462,7 @@ def batch_norm(
         m = stats.mean.astype(x.data.dtype)
         v = stats.var.astype(x.data.dtype)
 
-    inv = 1.0 / np.sqrt(v + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(v + x.data.dtype.type(BN_EPS))
     xhat = (x.data - m) * inv
 
     count = n * h * w

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from guidedepth import blocks as B
+from guidedepth import gdt
 from guidedepth import tensor as T
 from helpers import check_grads, directional_grad_check, perturb_params
 
@@ -166,13 +167,6 @@ class TestLaplacianGuidance:
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ValueError):
             B.laplacian_guidance(T.zeros((1, 3, 10, 10)), 2)
-
-    def test_low_pass_flag(self):
-        x = rand_image((1, 3, 16, 16), seed=24)
-        low = B.laplacian_guidance(x, 1, low_pass=True)
-        band = B.laplacian_guidance(x, 1, low_pass=False)
-        xk = T.bilinear_resize(x, 8, 8)
-        np.testing.assert_allclose(band.data, xk.data - low.data, atol=1e-12)
 
 
 class TestEncoder:
@@ -391,7 +385,7 @@ class TestCheckpoints:
         [
             ("se_reduction = 4\n", "", "se_reduction"),
             ("[tensors]\n", "dropout = 0.1\n[tensors]\n", "dropout"),
-            ("laplacian_low_pass = false", "laplacian_low_pass = maybe", "laplacian_low_pass"),
+            ("encoder_width = 4\n", "encoder_width = 4.5\n", "encoder_width"),
         ],
         ids=["missing", "unknown", "bad-value"],
     )
@@ -404,6 +398,55 @@ class TestCheckpoints:
         with pytest.raises(ValueError) as info:
             B.load_checkpoint(tmp_path / "ckpt")
         assert key in str(info.value) and str(manifest) in str(info.value)
+
+    @pytest.mark.parametrize("stat", ["running_mean", "running_var"])
+    def test_partial_bn_statistics_rejected(self, tmp_path, stat):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        with T.no_grad():
+            model.forward(rand_image((2, 3, 16, 16), seed=34, dtype=np.float32), train=True)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        key = f"encoder.stage1.bn3.{stat}"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if not line.startswith(f"{key} =")))
+        with pytest.raises(ValueError, match=key):
+            B.load_checkpoint(tmp_path / "ckpt")
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg = B.preset_config("guidedepth-tiny")
+        B.save_checkpoint(tmp_path / "ckpt", B.build_model(cfg, seed=6))
+        write, calls = gdt.write_array, []
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write(path, arr)
+
+        monkeypatch.setattr(gdt, "write_array", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            B.save_checkpoint(tmp_path / "ckpt", B.build_model(cfg, seed=7))
+        monkeypatch.undo()
+        loaded = B.load_checkpoint(tmp_path / "ckpt")
+        for (_, pa), (_, pb) in zip(B.build_model(cfg, seed=6).named_parameters(), loaded.named_parameters()):
+            assert np.array_equal(pa.data, pb.data)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+    def test_save_leaves_no_file_of_an_earlier_save(self, tmp_path):
+        B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth"), seed=6))
+        B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
+        manifest = (tmp_path / "ckpt" / "manifest.txt").read_text()
+        listed = {line.partition("=")[2].strip() for line in manifest.split("[tensors]")[1].splitlines() if line}
+        assert {p.name for p in (tmp_path / "ckpt").iterdir()} == listed | {"manifest.txt"}
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        B.load_checkpoint(tmp_path / "ckpt")
+
+    def test_directory_without_manifest_not_replaced(self, tmp_path):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "notes.txt").write_text("keep me")
+        with pytest.raises(FileExistsError):
+            B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
+        assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -161,11 +161,6 @@ class TestEvaluatePipeline:
         for f in ("rmse", "rel", "log10", "d1", "d2", "d3"):
             assert abs(getattr(plain, f) - getattr(avg, f)) < 1e-6
 
-    def test_vertical_flip_axis_supported(self):
-        samples = flat_dataset(2, seed=70)
-        rep = E.evaluate(E.oracle_predictor(), samples, (48, 64), flip_average=True, flip_axis="vertical")
-        assert rep.d1 > 0.9
-
     def test_mean_predictor_is_exact_mean_and_mirror_invariant(self):
         """The mean predictor's constant is the correctly rounded float32 of
         the exact mean, and a mirrored image (same pixels, other order) gets
@@ -178,8 +173,8 @@ class TestEvaluatePipeline:
             norm = E.depth_to_normalized(sample.depth.data, sample.d_max)
             want = np.float32(math.fsum(norm.ravel().tolist()) / norm.size)
             mirrored = D.DepthSample(
-                image=Tensor(E._flip_np(sample.image.data, "mirror")),
-                depth=Tensor(E._flip_np(sample.depth.data, "mirror")),
+                image=Tensor(sample.image.data[..., ::-1].copy()),
+                depth=Tensor(sample.depth.data[..., ::-1].copy()),
                 d_max=sample.d_max,
             )
             for s in (sample, mirrored):

@@ -115,15 +115,6 @@ class TestGradLoss:
         shifted = T.add_scalar(p, 11.5)
         assert L.grad_loss(y, p).item() == L.grad_loss(y, shifted).item()
 
-    def test_l2_variant(self):
-        rng = np.random.default_rng(10)
-        y = T.Tensor(rng.uniform(0, 5, (1, 1, 5, 5)), dtype=np.float64)
-        p = T.Tensor(rng.uniform(0, 5, (1, 1, 5, 5)), dtype=np.float64)
-        dx = np.diff(y.data - p.data, axis=3)
-        dy = np.diff(y.data - p.data, axis=2)
-        want = (dx**2).mean() + (dy**2).mean()
-        assert abs(L.grad_loss(y, p, norm="l2").item() - want) < 1e-12
-
     def test_gradient(self):
         rng = np.random.default_rng(11)
         y = T.Tensor(rng.uniform(0, 5, (1, 1, 5, 6)), dtype=np.float64)
@@ -204,4 +195,4 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             L.LossConfig(ssim_window=10)
         with pytest.raises(ValueError):
-            L.LossConfig(grad_norm="linf")
+            L.LossConfig(dynamic_range=0.0)
