@@ -339,7 +339,10 @@ def _parse_config(pairs: dict[str, str], manifest: Path) -> ModelConfig:
                 values[key] = type(default)(text)
         except ValueError as exc:
             raise ValueError(f"{manifest}: bad value {text!r} for config key {key!r}") from exc
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from exc
 
 
 def save_checkpoint(directory: str | Path, model: DepthNet) -> None:

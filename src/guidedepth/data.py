@@ -260,8 +260,9 @@ def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:
 
 
 def read_dataset(directory: str | Path) -> list[DepthSample]:
+    """Every non-hidden subdirectory is a sample; hidden ones (``.name``) are skipped."""
     directory = Path(directory)
-    subdirs = sorted(d for d in directory.iterdir() if d.is_dir())
+    subdirs = sorted(d for d in directory.iterdir() if d.is_dir() and not d.name.startswith("."))
     if not subdirs:
         raise FileNotFoundError(f"no sample subdirectories in {directory}")
     return [read_sample(d) for d in subdirs]

@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 Shape4 = tuple[int, int, int, int]
 
@@ -374,45 +373,92 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int):
+    """Yield ``(k, l, flat[..., stride * q + k * row + l] for q < m)`` per kernel tap.
+
+    Each view is a basic strided slice, so it shares memory with ``flat``.
+    """
+    span = stride * (m - 1) + 1
+    for k in range(kh):
+        for l in range(kw):
+            o = k * row + l
+            yield k, l, flat[..., o : o + span : stride]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
     weight is (c_out, c_in, kh, kw); bias is broadcast as (1, c_out, 1, 1).
     Gradients are produced for the input, the weight and the bias.
+
+    Layout: the padded input, with rows of length ``wp``, is flattened to
+    ``(n, c_in, rows * wp)``. Output ``(i, j)`` then reads flat position
+    ``stride * (i * wp + j) + k * wp + l`` for tap ``(k, l)``, so on an output
+    grid of ``oh`` rows by ``wp`` columns every tap is one strided slice of
+    the flat input (see ``_taps``) and no window matrix is built:
+
+    - forward: ``grid = sum over taps of W[:, :, k, l] @ slice_kl``, then the
+      ``wp - ow`` junk columns of each grid row are cropped;
+    - weight gradient: ``dW[:, :, k, l] = sum over n of g_grid @ slice_kl.T``,
+      where ``g_grid`` is the output gradient on the grid, zero in the junk
+      columns, so what the junk columns read adds nothing;
+    - input gradient: ``dx_flat[slice_kl] += W[:, :, k, l].T @ g_grid``, then
+      the padding is cropped.
+
+    The junk columns of the last grid row can read past the bottom padding,
+    so the padded input gets as many extra zero rows as keep every slice in
+    bounds.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
+    shapes = f"input {x.shape}, weight {weight.shape}"
     if ci != ci_w:
-        raise ValueError(f"conv2d: input has {ci} channels, weight expects {ci_w}")
+        raise ValueError(f"conv2d: input has {ci} channels, weight expects {ci_w} ({shapes})")
     if bias.shape != (1, co, 1, 1):
-        raise ValueError(f"conv2d: bias shape {bias.shape} != (1, {co}, 1, 1)")
+        raise ValueError(f"conv2d: bias shape {bias.shape} != (1, {co}, 1, 1) ({shapes})")
     if stride < 1 or padding < 0:
-        raise ValueError("conv2d: stride must be >= 1 and padding >= 0")
+        raise ValueError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
     oh = conv_out_size(h, kh, stride, padding)
     ow = conv_out_size(w, kw, stride, padding)
     if oh < 1 or ow < 1:
-        raise ValueError(f"conv2d: non-positive output dims ({oh}, {ow})")
+        raise ValueError(
+            f"conv2d: non-positive output dims ({oh}, {ow}) ({shapes}, stride {stride}, padding {padding})"
+        )
 
     p = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_data = np.einsum("nihwkl,oikl->nohw", win, weight.data, optimize=True)
-    out_data = (out_data + bias.data).astype(x.data.dtype, copy=False)
+    hp, wp = h + 2 * p, w + 2 * p
+    m = oh * wp
+    # the last tap's slice ends (kh - 1) * wp + kw + stride * (m - 1) into the flat input
+    extra = max(0, -(-((kh - 1) * wp + kw + stride * (m - 1)) // wp) - hp)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + extra), (p, p))) if p or extra else x.data
+    xf = xp.reshape(n, ci, -1)
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, co, ci)
+
+    taps = _taps(xf, kh, kw, wp, stride, m)
+    grid = wt[0, 0] @ next(taps)[2]
+    tmp = np.empty_like(grid)
+    for k, l, xs in taps:
+        grid += np.matmul(wt[k, l], xs, out=tmp)
+    out_data = (grid.reshape(n, co, oh, wp)[..., :ow] + bias.data).astype(x.data.dtype, copy=False)
 
     def back(g):
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+        gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))) if wp > ow else g
+        gg = gg.reshape(n, co, m)
         if weight.requires_grad:
-            _accum(weight, np.einsum("nihwkl,nohw->oikl", win, g, optimize=True))
+            dw = np.empty((kh, kw, co, ci), dtype=np.result_type(g, xf))
+            for k, l, xs in _taps(xf, kh, kw, wp, stride, m):
+                dw[k, l] = (gg @ xs.swapaxes(1, 2)).sum(axis=0)
+            _accum(weight, dw.transpose(2, 3, 0, 1))
         if x.requires_grad:
-            hp, wp = h + 2 * p, w + 2 * p
-            gd = np.zeros((n, co, hp - kh + 1, wp - kw + 1), dtype=g.dtype)
-            gd[:, :, ::stride, ::stride] = g
-            gp = np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-            wflip = weight.data[:, :, ::-1, ::-1]
-            dxp = np.einsum("nohwkl,oikl->nihw", gwin, wflip, optimize=True)
-            _accum(x, dxp[:, :, p : p + h, p : p + w])
+            dxf = np.zeros(xf.shape, dtype=np.result_type(g, wt))
+            taps = _taps(dxf, kh, kw, wp, stride, m)
+            np.matmul(wt[0, 0].T, gg, out=next(taps)[2])
+            tmp = np.empty((n, ci, m), dtype=dxf.dtype)
+            for k, l, ds in taps:
+                ds += np.matmul(wt[k, l].T, gg, out=tmp)
+            _accum(x, dxf.reshape(xp.shape)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
 

@@ -29,6 +29,33 @@ def finite_diff_grad(f, t: T.Tensor, step: float = 1e-3) -> np.ndarray:
     return g
 
 
+def conv2d_reference(x, w, b, stride, padding, g):
+    """Plain-loop float64 cross-correlation and its gradients, for parity tests.
+
+    Loops over every output position and kernel tap. Returns
+    ``(y, dx, dw, db)`` where the gradients are those of ``sum(y * g)``.
+    """
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    s, p = stride, padding
+    xp = np.zeros((n, ci, h + 2 * p, wd + 2 * p))
+    xp[:, :, p : p + h, p : p + wd] = x
+    oh, ow = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    y = np.zeros((n, co, oh, ow)) + b
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            for k in range(kh):
+                for l in range(kw):
+                    r, c = s * i + k, s * j + l
+                    y[:, :, i, j] += xp[:, :, r, c] @ w[:, :, k, l].T
+                    dw[:, :, k, l] += g[:, :, i, j].T @ xp[:, :, r, c]
+                    dxp[:, :, r, c] += g[:, :, i, j] @ w[:, :, k, l]
+    db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1)
+    return y, dxp[:, :, p : p + h, p : p + wd], dw, db
+
+
 def perturb_params(module, rng, scale: float = 0.05) -> None:
     """Nudge every parameter off its init so FD probes avoid ReLU/abs kinks."""
     for _, p in module.named_parameters():

@@ -386,8 +386,10 @@ class TestCheckpoints:
             ("se_reduction = 4\n", "", "se_reduction"),
             ("[tensors]\n", "dropout = 0.1\n[tensors]\n", "dropout"),
             ("encoder_width = 4\n", "encoder_width = 4.5\n", "encoder_width"),
+            ("se_reduction = 4\n", "se_reduction = 0\n", "se_reduction"),
+            ("guidance_type = image\n", "guidance_type = sobel\n", "guidance_type"),
         ],
-        ids=["missing", "unknown", "bad-value"],
+        ids=["missing", "unknown", "bad-value", "rejected-se-reduction", "rejected-guidance-type"],
     )
     def test_config_key_errors_name_key_and_manifest(self, tmp_path, old, new, key):
         B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))

@@ -1,13 +1,14 @@
 """Tensor engine: forward semantics, gradient oracles, graph behavior, GDT1 files."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from guidedepth import gdt
 from guidedepth import tensor as T
-from helpers import check_grads, finite_diff_grad, rel_err
+from helpers import check_grads, conv2d_reference, finite_diff_grad, rel_err
 
 
 def randn(shape, seed=0, dtype=np.float64, requires_grad=True):
@@ -66,6 +67,20 @@ class TestConv2d:
         with pytest.raises(ValueError):
             T.conv2d(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 5, 5)), T.zeros((1, 1, 1, 1)))
 
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,b_shape",
+        [
+            ((1, 3, 4, 4), (2, 2, 3, 3), (1, 2, 1, 1)),
+            ((1, 2, 4, 4), (2, 2, 3, 3), (1, 3, 1, 1)),
+            ((1, 1, 2, 2), (1, 1, 5, 5), (1, 1, 1, 1)),
+        ],
+        ids=["channels", "bias", "output"],
+    )
+    def test_errors_name_input_and_weight_shapes(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ValueError) as info:
+            T.conv2d(T.zeros(x_shape), T.zeros(w_shape), T.zeros(b_shape))
+        assert str(x_shape) in str(info.value) and str(w_shape) in str(info.value)
+
     def test_weight_gradient_matches_finite_differences(self):
         """Analytic grad of sum(conv(x)) w.r.t. weights vs central differences."""
         x = randn((1, 2, 5, 5), seed=2, requires_grad=False)
@@ -89,6 +104,55 @@ class TestConv2d:
             tol=1e-3,
         )
         assert y.shape[2] >= 1
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_weight_and_bias_gradients_match_finite_differences(self, stride):
+        x = randn((2, 3, 9, 8), seed=20, requires_grad=False)
+        w = randn((4, 3, 3, 3), seed=21)
+        b = randn((1, 4, 1, 1), seed=22)
+        check_grads(
+            lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride, 1), T.conv2d(x, w, b, stride, 1))),
+            {"w": w, "b": b},
+            tol=1e-3,
+        )
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 1), (1, 3)], ids=["1x1", "3x3", "3x1", "1x3"])
+    def test_matches_naive_loop_reference(self, kernel, stride, padding):
+        """Forward, dx, dW and db against plain loops, to 1e-12 of each result's largest entry.
+
+        At stride 2 or 3 the shapes leave trailing input rows or columns unread,
+        e.g. column 7 of (2, 3, 9, 8) at stride 2, padding 0.
+        """
+        for seed, shape, co in [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2)]:
+            x = randn(shape, seed=seed)
+            w = randn((co, shape[1], *kernel), seed=seed + 100)
+            b = randn((1, co, 1, 1), seed=seed + 200)
+            y = T.conv2d(x, w, b, stride, padding)
+            g = np.random.default_rng(seed + 300).standard_normal(y.shape)
+            T.backward(T.sum_all(T.mul(y, T.Tensor(g, dtype=np.float64))))
+            want = conv2d_reference(x.data, w.data, b.data, stride, padding, g)
+            for name, got, ref in zip(("y", "dx", "dw", "db"), (y.data, x.grad, w.grad, b.grad), want):
+                assert got.shape == ref.shape, name
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err < 1e-12, f"{name} {shape}: relative error {err:.2e}"
+
+    def test_forward_builds_no_window_matrix(self):
+        """A 3x3 window matrix of the input alone would be 9x its bytes."""
+        rng = np.random.default_rng(25)
+        x = T.Tensor(rng.standard_normal((4, 64, 48, 64)).astype(np.float32))
+        w = T.Tensor(0.1 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
+        b = T.zeros((1, 64, 1, 1))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                base = tracemalloc.get_traced_memory()[0]
+                T.conv2d(x, w, b, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
     def test_linearity_in_input(self):
         """conv(a*x + b*y) == a*conv(x) + b*conv(y) for zero bias."""
