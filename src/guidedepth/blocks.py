@@ -23,7 +23,6 @@ from guidedepth.tensor import (
     bilinear_resize,
     concat_channels,
     conv2d,
-    dense,
     global_avg_pool,
     mul,
     relu,
@@ -139,15 +138,6 @@ class BatchNorm(Module):
         return batch_norm(x, self.gamma, self.beta, self.stats, train)
 
 
-class DenseLayer(Module):
-    def __init__(self, c_in, c_out, rng, dtype=np.float32):
-        self.weight = Tensor(_kaiming(rng, (c_out, c_in, 1, 1), c_in, dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return dense(x, self.weight, self.bias)
-
-
 class StackedConv(Module):
     """conv3x3 -> BN -> ReLU -> conv1x1 -> BN -> ReLU.
 
@@ -167,14 +157,14 @@ class StackedConv(Module):
 
 
 class SqueezeExcite(Module):
-    """Channel gate: global pool -> bottleneck dense pair -> sigmoid -> scale."""
+    """Channel gate: global pool -> bottleneck pair of 1x1 convs -> sigmoid -> scale."""
 
     def __init__(self, channels, reduction, rng, dtype=np.float32):
         if channels % reduction != 0:
             raise ValueError(f"SE: {channels} channels not divisible by reduction {reduction}")
         hidden = channels // reduction
-        self.squeeze = DenseLayer(channels, hidden, rng, dtype)
-        self.excite = DenseLayer(hidden, channels, rng, dtype)
+        self.squeeze = Conv(channels, hidden, 1, rng, dtype=dtype)
+        self.excite = Conv(hidden, channels, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         gate = sigmoid(self.excite.forward(relu(self.squeeze.forward(global_avg_pool(x)))))
@@ -303,7 +293,7 @@ class DepthNet(Module):
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:
-    """Seed-deterministic model construction (Kaiming fan-in conv/dense weights,
+    """Seed-deterministic model construction (Kaiming fan-in conv weights,
     unit BN gammas, zero biases)."""
     return DepthNet(config, np.random.default_rng(seed), dtype)
 

@@ -20,8 +20,6 @@ from guidedepth.tensor import Tensor, bilinear_resize, no_grad
 
 DEPTH_FLOOR = 1e-3  # clamp floor for the inverse depth transform
 
-CSV_HEADER = "rmse,rel,log10,d1,d2,d3,n,flip,crop"
-
 
 @dataclass(frozen=True)
 class Crop:
@@ -163,13 +161,6 @@ class EvalReport(MetricValues):
     n_images: int
     flip_averaged: bool
     crop_kind: str
-
-    def as_csv_row(self) -> str:
-        return (
-            f"{self.rmse:.9g},{self.rel:.9g},{self.log10:.9g},"
-            f"{self.d1:.9g},{self.d2:.9g},{self.d3:.9g},"
-            f"{self.n_images},{str(self.flip_averaged).lower()},{self.crop_kind}"
-        )
 
 
 # Predictors take the resized input image plus the originating sample (so

@@ -127,7 +127,3 @@ def loss_terms(y: Tensor, yhat: Tensor, cfg: LossConfig) -> dict[str, Tensor]:
     }
     terms["total"] = add(add(terms["dssim"], terms["grad"]), scale(terms["l1"], cfg.lambda_l1))
     return terms
-
-
-def combined_loss(y: Tensor, yhat: Tensor, cfg: LossConfig) -> Tensor:
-    return loss_terms(y, yhat, cfg)["total"]

@@ -8,6 +8,12 @@ reachable from the loss, runs their rules newest first and releases each
 node once its rule has run, so each forward graph supports exactly one
 backward pass. Graphs share no state, and a graph nobody runs backward on
 is freed with its tensors.
+
+Gradient arrays are shared, never copied: a rule may hand its incoming
+gradient ``g``, or a view of it, to several inputs, and ``_accum`` keeps the
+first gradient a tensor receives by reference. So no backward rule and no
+``_accum`` writes into ``g`` or into a stored ``.grad``; each builds any array
+it changes itself.
 """
 
 from __future__ import annotations
@@ -49,15 +55,15 @@ __all__ = [
     "bilinear_resize",
     "spatial_map",
     "global_avg_pool",
-    "dense",
 ]
 
 
 class Tensor:
     """Dense (n, c, h, w) float array, optionally participating in gradient recording.
 
-    ``grad`` is lazily allocated the first time a gradient is accumulated and
-    has the same shape and dtype as ``data``. A zero channel count is allowed
+    ``grad`` is ``None`` until a gradient reaches the tensor; it then has the
+    same shape and dtype as ``data`` and may share memory with other
+    gradients, so it is never written in place. A zero channel count is allowed
     so that channel concatenation has an identity element; all other
     dimensions must be positive.
     """
@@ -137,11 +143,10 @@ def _track(data: np.ndarray, back: Callable[[np.ndarray], None], *inputs: Tensor
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add ``g`` to ``t.grad``; the first gradient is stored by reference, so
+    neither array may be written to afterwards (see the module docstring)."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _graph(loss: Tensor) -> list[Tensor]:
@@ -283,18 +288,19 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0)
 
     def back(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, np.multiply(g, out > 0, dtype=g.dtype))
 
-    return _track(np.maximum(a.data, 0), back, a)
+    return _track(out, back, a)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    # split by sign to avoid exp overflow
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    s = s.astype(x.dtype)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def back(g):
         _accum(a, g * s * (1.0 - s))
@@ -491,44 +497,61 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, trai
     Train mode normalizes with batch statistics (biased variance) and updates
     the running averages in place. Eval mode uses the running statistics and
     raises if they were never updated.
+
+    With ``d = x - mean``, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv``
+    the output is ``d * a + beta``. In train mode the mean and variance depend
+    on ``x`` (Ioffe & Szegedy, arXiv 1502.03167), and the backward needs only
+    two per-channel sums over the N = n * h * w positions:
+    ``dx = g * a - d * (a * inv**2 * sum(g * d) / N) - a * sum(g) / N``,
+    ``dgamma = inv * sum(g * d)`` and ``dbeta = sum(g)``. In eval mode the
+    statistics are constants, so ``dx = g * a``.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
         raise ValueError(f"batch_norm: gamma/beta must be (1, {c}, 1, 1)")
+    axes = (0, 2, 3)
+    dt = x.data.dtype
 
     if train:
-        m = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        v = x.data.var(axis=(0, 2, 3), keepdims=True)
+        m = x.data.mean(axis=axes, keepdims=True)
+        d = x.data - m
+        out = np.square(d)
+        v = out.mean(axis=axes, keepdims=True)
         stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
         stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
         stats.initialized = True
     else:
         if not stats.initialized:
             raise RuntimeError("batch_norm: eval mode before any running-stat update")
-        m = stats.mean.astype(x.data.dtype)
-        v = stats.var.astype(x.data.dtype)
+        m = stats.mean.astype(dt)
+        v = stats.var.astype(dt)
+        d = None  # the backward recomputes x - m only for the gamma gradient
 
-    inv = 1.0 / np.sqrt(v + x.data.dtype.type(BN_EPS))
-    xhat = (x.data - m) * inv
-
+    inv = 1.0 / np.sqrt(v + dt.type(BN_EPS))
+    a = (gamma.data * inv).astype(dt, copy=False)
+    if train:
+        np.multiply(d, a, out=out)
+        out += beta.data
+    else:
+        out = x.data * a
+        out += beta.data - m * a
     count = n * h * w
 
     def back(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), keepdims=True))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=(0, 2, 3), keepdims=True))
+        s1 = g.sum(axis=axes, keepdims=True)
+        _accum(beta, s1)
+        if train or gamma.requires_grad:
+            gd = g * (d if train else x.data - m)
+            s2 = gd.sum(axis=axes, keepdims=True)
+            _accum(gamma, inv * s2)
         if x.requires_grad:
-            dxhat = g * gamma.data
+            dx = g * a
             if train:
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = inv / count * (count * dxhat - s1 - xhat * s2)
-            else:
-                dx = dxhat * inv
-            _accum(x, dx.astype(x.data.dtype, copy=False))
+                dx -= np.multiply(d, a * inv * inv * s2 / count, out=gd)
+                dx -= a * s1 / count
+            _accum(x, dx)
 
-    return _track((gamma.data * xhat + beta.data).astype(x.data.dtype, copy=False), back, x, gamma, beta)
+    return _track(out, back, x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +590,10 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     def back(g):
         if x.requires_grad:
             gy = np.einsum("bw,ncab->ncaw", col_map, g, optimize=True)
-            _accum(x, np.einsum("ah,ncaw->nchw", row_map, gy, optimize=True).astype(x.data.dtype, copy=False))
+            # einsum returns h and w transposed in memory; _accum keeps this array,
+            # so make it C-ordered like every other gradient
+            dx = np.einsum("ah,ncaw->nchw", row_map, gy, optimize=True)
+            _accum(x, np.ascontiguousarray(dx, dtype=x.data.dtype))
 
     return _track(y.astype(x.data.dtype, copy=False), back, x)
 
@@ -581,7 +607,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Pooling and dense
+# Pooling
 # ---------------------------------------------------------------------------
 
 
@@ -593,33 +619,3 @@ def global_avg_pool(x: Tensor) -> Tensor:
             _accum(x, np.broadcast_to(g / (h * w), x.shape).astype(x.data.dtype))
 
     return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)
-
-
-def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map on the channel vector of a (n, c, 1, 1) tensor.
-
-    weight is stored rank-4 as (c_out, c_in, 1, 1); bias as (1, c_out, 1, 1).
-    """
-    n, ci, h, w = x.shape
-    if (h, w) != (1, 1):
-        raise ValueError(f"dense: input must be (n, c, 1, 1), got {x.shape}")
-    co, ci_w, kh, kw = weight.shape
-    if (kh, kw) != (1, 1) or ci_w != ci:
-        raise ValueError(f"dense: weight {weight.shape} incompatible with input {x.shape}")
-    if bias.shape != (1, co, 1, 1):
-        raise ValueError(f"dense: bias shape {bias.shape} != (1, {co}, 1, 1)")
-
-    w2 = weight.data.reshape(co, ci)
-    xv = x.data.reshape(n, ci)
-    out_data = (xv @ w2.T + bias.data.reshape(1, co)).reshape(n, co, 1, 1)
-
-    def back(g):
-        g2 = g.reshape(n, co)
-        if bias.requires_grad:
-            _accum(bias, g2.sum(axis=0).reshape(1, co, 1, 1))
-        if weight.requires_grad:
-            _accum(weight, (g2.T @ xv).reshape(co, ci, 1, 1))
-        if x.requires_grad:
-            _accum(x, (g2 @ w2).reshape(n, ci, 1, 1))
-
-    return _track(out_data.astype(x.data.dtype, copy=False), back, x, weight, bias)

@@ -1,14 +1,18 @@
 """Architecture blocks: shape contracts, guidance variants, init, checkpoints."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from guidedepth import blocks as B
+from guidedepth import data as D
 from guidedepth import gdt
+from guidedepth import losses as L
 from guidedepth import tensor as T
+from guidedepth.evaluate import depth_to_normalized
 from helpers import check_grads, directional_grad_check, perturb_params
 
 
@@ -72,6 +76,27 @@ class TestSqueezeExcite:
             x = T.Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
             out = se.forward(x)
             assert np.all(np.abs(out.data) <= np.abs(x.data) + 1e-12)
+
+    def test_seeded_parameters_unchanged(self):
+        """Names, shapes and values of a seeded model's SE parameters.
+
+        They are pinned to the model as built when SE held dense layers of its
+        own: a 1x1 conv draws the same Kaiming weights (fan-in = input
+        channels) in the same RNG order, so checkpoints stay valid.
+        """
+        model = B.build_model(B.preset_config("guidedepth"), seed=0)
+        se = [(name, p) for name, p in model.named_parameters() if ".se." in name]
+        want = []
+        for j, (c, hidden) in enumerate([(128, 32), (128, 32), (64, 16)]):
+            want += [
+                (f"stages.{j}.se.squeeze.weight", (hidden, c, 1, 1)),
+                (f"stages.{j}.se.squeeze.bias", (1, hidden, 1, 1)),
+                (f"stages.{j}.se.excite.weight", (c, hidden, 1, 1)),
+                (f"stages.{j}.se.excite.bias", (1, c, 1, 1)),
+            ]
+        assert [(name, p.shape) for name, p in se] == want
+        digest = hashlib.sha256(b"".join(p.data.tobytes() for _, p in se)).hexdigest()
+        assert digest == "804f07837bc9ca620328a35f65a5b38ef291a30d71fb506e2fb8349ec78c6010"
 
     def test_largest_divisor_fallback(self):
         assert B.largest_divisor_upto(67, 4) == 1
@@ -281,6 +306,28 @@ class TestDepthNet:
         enc = lambda m: sum(p.data.size for n, p in m.named_parameters() if n.startswith("encoder."))
         assert enc(full) == enc(small)
         assert count(small) < count(full)
+
+    def test_float32_step_gradients_match_float64_shadow(self):
+        """One train step (batch 4, 96x128) in float32 against the same step in float64.
+
+        The relative L2 error of all parameter gradients is 2.4e-6 here; with
+        batch-norm reductions that accumulate sequentially instead of
+        pairwise (an einsum), it is 4.7e-4. guidedepth-s is used because on
+        these scenes float32 rounding puts no pre-activation on the other
+        side of a ReLU; such a flip switches a unit's whole gradient path and
+        costs about 1e-4 on its own, as it does for guidedepth here.
+        """
+        samples = D.generate_dataset(4, base_seed=0, height=96, width=128)
+        x = np.concatenate([s.image.data for s in samples])
+        y = np.concatenate([depth_to_normalized(s.depth.data, s.d_max) for s in samples]).astype(np.float32)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            model = B.build_model(B.preset_config("guidedepth-s"), seed=0, dtype=dtype)
+            pred = model.forward(T.Tensor(x, dtype=dtype), train=True)
+            T.backward(L.loss_terms(T.Tensor(y, dtype=dtype), pred, L.LossConfig())["total"])
+            grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]).astype(np.float64))
+        err = np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1])
+        assert err <= 1e-4, f"float32 gradients off the float64 shadow by {err:.2e}"
 
     def test_full_model_gradients_directional(self):
         cfg = B.preset_config("guidedepth-tiny")

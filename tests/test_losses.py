@@ -145,20 +145,20 @@ class TestL1Loss:
 class TestCombinedLoss:
     def test_identical_maps_zero(self):
         x = T.Tensor(np.random.default_rng(14).uniform(1, 9, (1, 1, 8, 8)), dtype=np.float64)
-        assert L.combined_loss(x, x, CFG).item() == 0.0
+        assert L.loss_terms(x, x, CFG)["total"].item() == 0.0
 
     def test_positive_otherwise(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
             y = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 6)), dtype=np.float64)
             p = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 6)), dtype=np.float64)
-            assert L.combined_loss(y, p, CFG).item() > 0.0
+            assert L.loss_terms(y, p, CFG)["total"].item() > 0.0
 
     def test_decomposes_into_terms(self):
         rng = np.random.default_rng(16)
         y = T.Tensor(rng.uniform(1, 9, (1, 1, 7, 7)), dtype=np.float64)
         p = T.Tensor(rng.uniform(1, 9, (1, 1, 7, 7)), dtype=np.float64)
-        total = L.combined_loss(y, p, CFG).item()
+        total = L.loss_terms(y, p, CFG)["total"].item()
         parts = (
             L.dssim_loss(y, p, CFG).item()
             + L.grad_loss(y, p).item()
@@ -172,15 +172,15 @@ class TestCombinedLoss:
         y = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 8)), dtype=np.float64)
         p = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 8)), dtype=np.float64)
         l1 = L.l1_loss(y, p).item()
-        a = L.combined_loss(y, p, L.LossConfig(lambda_l1=0.1)).item()
-        b = L.combined_loss(y, p, L.LossConfig(lambda_l1=0.7)).item()
+        a = L.loss_terms(y, p, L.LossConfig(lambda_l1=0.1))["total"].item()
+        b = L.loss_terms(y, p, L.LossConfig(lambda_l1=0.7))["total"].item()
         assert abs((b - a) - (0.7 - 0.1) * l1) < 1e-6
 
     def test_full_gradient(self):
         rng = np.random.default_rng(18)
         y = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 6)), dtype=np.float64)
         p = T.Tensor(rng.uniform(1, 9, (1, 1, 6, 6)), requires_grad=True, dtype=np.float64)
-        check_grads(lambda: L.combined_loss(y, p, CFG), {"p": p}, tol=1e-3, step=1e-5)
+        check_grads(lambda: L.loss_terms(y, p, CFG)["total"], {"p": p}, tol=1e-3, step=1e-5)
 
 
 class TestLossConfig:

@@ -371,27 +371,22 @@ class TestConcatAndArithmetic:
 
 
 class TestPoolAndDense:
+    """Global average pooling and the dense layer it feeds in squeeze-excite,
+    which is a 1x1 conv on the pooled (n, c, 1, 1) tensor."""
+
     def test_pool_of_constant(self):
         assert T.global_avg_pool(T.full((2, 3, 5, 5), 7.0)).data.ravel().tolist() == [7.0] * 6
 
-    def test_dense_identity(self):
-        x = randn((2, 3, 1, 1), seed=36, requires_grad=False)
-        w = T.Tensor(np.eye(3).reshape(3, 3, 1, 1), dtype=np.float64)
-        b = T.zeros((1, 3, 1, 1), dtype=np.float64)
-        np.testing.assert_allclose(T.dense(x, w, b).data, x.data)
-
-    def test_dense_shape_validation(self):
-        with pytest.raises(ValueError):
-            T.dense(T.zeros((1, 3, 2, 2)), T.zeros((2, 3, 1, 1)), T.zeros((1, 2, 1, 1)))
-        with pytest.raises(ValueError):
-            T.dense(T.zeros((1, 3, 1, 1)), T.zeros((2, 4, 1, 1)), T.zeros((1, 2, 1, 1)))
-
     def test_gradients(self):
-        x = randn((3, 4, 1, 1), seed=37)
+        x = randn((3, 4, 2, 3), seed=37)
         w = randn((2, 4, 1, 1), seed=38)
         b = randn((1, 2, 1, 1), seed=39)
+
+        def dense_of_pool():
+            return T.conv2d(T.global_avg_pool(x), w, b)
+
         check_grads(
-            lambda: T.sum_all(T.mul(T.dense(x, w, b), T.dense(x, w, b))),
+            lambda: T.sum_all(T.mul(dense_of_pool(), dense_of_pool())),
             {"x": x, "w": w, "b": b},
             tol=1e-3,
         )
@@ -480,6 +475,74 @@ class TestBackwardSemantics:
         y = T.scale(x, 3.0)
         T.backward(T.sum_all(T.add(y, y)))
         np.testing.assert_allclose(x.grad, 6 * np.ones_like(x.data))
+
+
+def _signed(rng, shape=(2, 3, 4, 5)):
+    return T.Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True, dtype=np.float64)
+
+
+def _positive(rng, shape=(2, 3, 4, 5)):
+    return T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True, dtype=np.float64)
+
+
+def _batch_norm(rng, train):
+    gamma, beta = _signed(rng, (1, 3, 1, 1)), _signed(rng, (1, 3, 1, 1))
+    stats = T.RunningStats.for_channels(3, np.float64)
+    with T.no_grad():
+        T.batch_norm(_signed(rng, (4, 3, 3, 3)), gamma, beta, stats, train=True)
+    return T.batch_norm(_signed(rng), gamma, beta, stats, train)
+
+
+# one recorded output per op with a backward rule; every input requires grad
+_RULE_CASES = {
+    "add": lambda r: T.add(_signed(r), _signed(r)),
+    "sub": lambda r: T.sub(_signed(r), _signed(r)),
+    "mul": lambda r: T.mul(_signed(r), _signed(r)),
+    "mul-broadcast": lambda r: T.mul(_signed(r), _signed(r, (1, 3, 1, 1))),
+    "div": lambda r: T.div(_signed(r), _positive(r)),
+    "scale": lambda r: T.scale(_signed(r), -1.5),
+    "add_scalar": lambda r: T.add_scalar(_signed(r), 2.0),
+    "absolute": lambda r: T.absolute(_signed(r)),
+    "relu": lambda r: T.relu(_signed(r)),
+    "sigmoid": lambda r: T.sigmoid(_signed(r)),
+    "sum_all": lambda r: T.sum_all(_signed(r)),
+    "mean_all": lambda r: T.mean_all(_signed(r)),
+    "diff_x": lambda r: T.diff_x(_signed(r)),
+    "diff_y": lambda r: T.diff_y(_signed(r)),
+    "concat_channels": lambda r: T.concat_channels(_signed(r), _signed(r, (2, 1, 4, 5))),
+    "conv2d-3x3": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 3, 3)), _signed(r, (1, 2, 1, 1)), 1, 1),
+    "conv2d-1x1": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 1, 1)), _signed(r, (1, 2, 1, 1))),
+    "batch_norm-train": lambda r: _batch_norm(r, train=True),
+    "batch_norm-eval": lambda r: _batch_norm(r, train=False),
+    "spatial_map": lambda r: T.bilinear_resize(_signed(r), 7, 3),
+    "global_avg_pool": lambda r: T.global_avg_pool(_signed(r)),
+}
+
+
+class TestGradientOwnership:
+    """Rules and ``_accum`` share gradient arrays instead of copying them, so
+    none of them may write into ``g`` or into a stored ``.grad``."""
+
+    @pytest.mark.parametrize("op", list(_RULE_CASES))
+    def test_rule_leaves_g_unchanged(self, op):
+        rng = np.random.default_rng(60)
+        out = _RULE_CASES[op](rng)
+        g = rng.standard_normal(out.shape)
+        want = g.copy()
+        g.flags.writeable = False
+        back = out._node[2]
+        back(g)
+        back(g)  # as a second consumer would: adds onto the gradients the first call stored
+        np.testing.assert_array_equal(g, want)
+
+    def test_later_backward_leaves_shared_gradient_alone(self):
+        """add hands the same array to both leaves; a later backward that
+        reaches only one of them must not change the other's gradient."""
+        a, b = randn((1, 2, 3, 3), seed=61), randn((1, 2, 3, 3), seed=62)
+        T.backward(T.sum_all(T.add(a, b)))
+        T.backward(T.sum_all(a))
+        np.testing.assert_array_equal(a.grad, np.full(a.shape, 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones(b.shape))
 
 
 class TestFiniteness:
