@@ -23,6 +23,7 @@ from guidedepth.tensor import (
     bilinear_resize,
     concat_channels,
     conv2d,
+    fold_batch_norm,
     global_avg_pool,
     mul,
     relu,
@@ -134,15 +135,18 @@ class BatchNorm(Module):
         self.beta = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype), requires_grad=True)
         self.stats = RunningStats.for_channels(channels, dtype)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.stats, train)
+    def forward(self, x: Tensor) -> Tensor:
+        """Train mode only; eval mode folds into the conv before (see ``StackedConv``)."""
+        return batch_norm(x, self.gamma, self.beta, self.stats)
 
 
 class StackedConv(Module):
     """conv3x3 -> BN -> ReLU -> conv1x1 -> BN -> ReLU.
 
     Spatial dims are preserved at stride 1; the encoder uses stride 2 on the
-    3x3 convolution to halve them.
+    3x3 convolution to halve them. In eval mode each BN is folded into the
+    conv before it, on every forward, so the folded weights always follow
+    the current parameters.
     """
 
     def __init__(self, c_in, c_out, rng, stride=1, dtype=np.float32):
@@ -152,8 +156,13 @@ class StackedConv(Module):
         self.bn1 = BatchNorm(c_out, dtype)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        x = relu(self.bn3.forward(self.conv3.forward(x), train))
-        return relu(self.bn1.forward(self.conv1.forward(x), train))
+        for conv, bn in ((self.conv3, self.bn3), (self.conv1, self.bn1)):
+            if train:
+                x = relu(bn.forward(conv.forward(x)))
+            else:
+                folded = fold_batch_norm(conv.weight, conv.bias, bn.gamma, bn.beta, bn.stats)
+                x = relu(conv2d(x, *folded, conv.stride, conv.padding))
+        return x
 
 
 class SqueezeExcite(Module):

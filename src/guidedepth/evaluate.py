@@ -207,7 +207,7 @@ def mean_predictor() -> Predictor:
 
 def _resize_np(arr: np.ndarray, h: int, w: int) -> np.ndarray:
     with no_grad():
-        return bilinear_resize(Tensor(arr.copy()), h, w).data
+        return bilinear_resize(Tensor(arr), h, w).data
 
 
 def evaluate(

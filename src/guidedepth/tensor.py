@@ -52,6 +52,7 @@ __all__ = [
     "concat_channels",
     "conv2d",
     "batch_norm",
+    "fold_batch_norm",
     "bilinear_resize",
     "spatial_map",
     "global_avg_pool",
@@ -379,16 +380,35 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int):
-    """Yield ``(k, l, flat[..., stride * q + k * row + l] for q < m)`` per kernel tap.
+TAP_GROUP_MIN_K = 32  # conv2d stacks kernel taps until a matmul sums over at least this many inputs
+
+
+def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
+    """``flat[..., stride * q + k * row + l] for q < m`` for each kernel tap ``(k, l)``, row-major.
 
     Each view is a basic strided slice, so it shares memory with ``flat``.
     """
     span = stride * (m - 1) + 1
-    for k in range(kh):
-        for l in range(kw):
-            o = k * row + l
-            yield k, l, flat[..., o : o + span : stride]
+    offsets = (k * row + l for k in range(kh) for l in range(kw))
+    return [flat[..., o : o + span : stride] for o in offsets]
+
+
+def _tap_groups(n_taps: int, ci: int) -> list[tuple[int, int]]:
+    """Consecutive tap ranges ``[t0, t1)`` of ``min(n_taps, ceil(TAP_GROUP_MIN_K / ci))`` taps each."""
+    size = min(n_taps, -(-TAP_GROUP_MIN_K // ci))
+    return [(t, min(t + size, n_taps)) for t in range(0, n_taps, size)]
+
+
+def _stack(views: list[np.ndarray], t0: int, t1: int, buf: np.ndarray | None) -> np.ndarray:
+    """Taps ``t0 .. t1 - 1`` as one ``(n, (t1 - t0) * ci, m)`` operand: the view
+    itself for a single tap, else the views copied one after another into ``buf``."""
+    if t1 - t0 == 1:
+        return views[t0]
+    ci = views[t0].shape[1]
+    out = buf[:, : (t1 - t0) * ci]
+    for j, t in enumerate(range(t0, t1)):
+        out[:, j * ci : (j + 1) * ci] = views[t]
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -401,15 +421,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     ``(n, c_in, rows * wp)``. Output ``(i, j)`` then reads flat position
     ``stride * (i * wp + j) + k * wp + l`` for tap ``(k, l)``, so on an output
     grid of ``oh`` rows by ``wp`` columns every tap is one strided slice of
-    the flat input (see ``_taps``) and no window matrix is built:
+    the flat input (see ``_taps``) and no window matrix is built.
 
-    - forward: ``grid = sum over taps of W[:, :, k, l] @ slice_kl``, then the
-      ``wp - ow`` junk columns of each grid row are cropped;
-    - weight gradient: ``dW[:, :, k, l] = sum over n of g_grid @ slice_kl.T``,
-      where ``g_grid`` is the output gradient on the grid, zero in the junk
+    Taps are taken in groups of ``g = min(kh * kw, ceil(TAP_GROUP_MIN_K / c_in))``
+    consecutive taps, and each group is one matmul with an inner dimension of
+    ``g * c_in``: a 3-channel input stacks all 9 taps of a 3x3 kernel, 16
+    channels take 2, and 32 or more take 1. A group of one tap uses its slice
+    as it is; a larger group copies its slices into one ``(n, g * c_in, m)``
+    buffer, since a matmul over 3 channels costs about as much as one over 32.
+    With ``W_G`` the weight columns of group ``G`` and ``X_G`` its stacked slices:
+
+    - forward: ``grid = sum over groups of W_G @ X_G``, then the ``wp - ow``
+      junk columns of each grid row are cropped;
+    - weight gradient: ``dW_G = sum over n of g_grid @ X_G.T``, where
+      ``g_grid`` is the output gradient on the grid, zero in the junk
       columns, so what the junk columns read adds nothing;
-    - input gradient: ``dx_flat[slice_kl] += W[:, :, k, l].T @ g_grid``, then
-      the padding is cropped.
+    - input gradient: ``W_G.T @ g_grid`` is computed per group, and each tap's
+      rows of it are added into that tap's slice of ``dx_flat``; then the
+      padding is cropped.
 
     The junk columns of the last grid row can read past the bottom padding,
     so the padded input gets as many extra zero rows as keep every slice in
@@ -438,13 +467,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     extra = max(0, -(-((kh - 1) * wp + kw + stride * (m - 1)) // wp) - hp)
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + extra), (p, p))) if p or extra else x.data
     xf = xp.reshape(n, ci, -1)
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, co, ci)
+    wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
+    groups = _tap_groups(kh * kw, ci)
+    k_max = (groups[0][1] - groups[0][0]) * ci  # inner dimension of the largest group
 
-    taps = _taps(xf, kh, kw, wp, stride, m)
-    grid = wt[0, 0] @ next(taps)[2]
+    def stack_buffer():  # made anew by the backward, so the graph does not hold it
+        return np.empty((n, k_max, m), dtype=xf.dtype) if k_max > ci else None
+
+    views = _taps(xf, kh, kw, wp, stride, m)
+    buf = stack_buffer()
+    (t0, t1), *rest = groups
+    grid = wt[:, t0 * ci : t1 * ci] @ _stack(views, t0, t1, buf)
     tmp = np.empty_like(grid)
-    for k, l, xs in taps:
-        grid += np.matmul(wt[k, l], xs, out=tmp)
+    for t0, t1 in rest:
+        grid += np.matmul(wt[:, t0 * ci : t1 * ci], _stack(views, t0, t1, buf), out=tmp)
     out_data = (grid.reshape(n, co, oh, wp)[..., :ow] + bias.data).astype(x.data.dtype, copy=False)
 
     def back(g):
@@ -453,17 +489,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))) if wp > ow else g
         gg = gg.reshape(n, co, m)
         if weight.requires_grad:
-            dw = np.empty((kh, kw, co, ci), dtype=np.result_type(g, xf))
-            for k, l, xs in _taps(xf, kh, kw, wp, stride, m):
-                dw[k, l] = (gg @ xs.swapaxes(1, 2)).sum(axis=0)
-            _accum(weight, dw.transpose(2, 3, 0, 1))
+            dw = np.empty(wt.shape, dtype=np.result_type(g, xf))
+            buf = stack_buffer()
+            for t0, t1 in groups:
+                dw[:, t0 * ci : t1 * ci] = (gg @ _stack(views, t0, t1, buf).swapaxes(1, 2)).sum(axis=0)
+            _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         if x.requires_grad:
             dxf = np.zeros(xf.shape, dtype=np.result_type(g, wt))
-            taps = _taps(dxf, kh, kw, wp, stride, m)
-            np.matmul(wt[0, 0].T, gg, out=next(taps)[2])
-            tmp = np.empty((n, ci, m), dtype=dxf.dtype)
-            for k, l, ds in taps:
-                ds += np.matmul(wt[k, l].T, gg, out=tmp)
+            dviews = _taps(dxf, kh, kw, wp, stride, m)
+            tmp = np.empty((n, k_max, m), dtype=dxf.dtype)
+            for t0, t1 in groups:
+                # a first group of one tap writes straight into its zero-filled slice
+                out = dviews[0] if t1 == 1 else tmp[:, : (t1 - t0) * ci]
+                prod = np.matmul(wt[:, t0 * ci : t1 * ci].T, gg, out=out)
+                if t1 > 1:
+                    for j, t in enumerate(range(t0, t1)):
+                        dviews[t] += prod[:, j * ci : (j + 1) * ci]
             _accum(x, dxf.reshape(xp.shape)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
@@ -491,20 +532,19 @@ class RunningStats:
         return cls(np.zeros((1, c, 1, 1), dtype=dtype), np.ones((1, c, 1, 1), dtype=dtype))
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, train: bool) -> Tensor:
-    """Per-channel normalization over (n, h, w); backward through batch stats is exact.
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats) -> Tensor:
+    """Train-mode per-channel normalization over (n, h, w); backward through batch stats is exact.
 
-    Train mode normalizes with batch statistics (biased variance) and updates
-    the running averages in place. Eval mode uses the running statistics and
-    raises if they were never updated.
+    Normalizes with batch statistics (biased variance) and updates the running
+    averages in place. Eval mode has no batch norm op: ``fold_batch_norm``
+    folds the running statistics into the conv before it.
 
     With ``d = x - mean``, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv``
-    the output is ``d * a + beta``. In train mode the mean and variance depend
-    on ``x`` (Ioffe & Szegedy, arXiv 1502.03167), and the backward needs only
-    two per-channel sums over the N = n * h * w positions:
+    the output is ``d * a + beta``. The mean and variance depend on ``x``
+    (Ioffe & Szegedy, arXiv 1502.03167), and the backward needs only two
+    per-channel sums over the N = n * h * w positions:
     ``dx = g * a - d * (a * inv**2 * sum(g * d) / N) - a * sum(g) / N``,
-    ``dgamma = inv * sum(g * d)`` and ``dbeta = sum(g)``. In eval mode the
-    statistics are constants, so ``dx = g * a``.
+    ``dgamma = inv * sum(g * d)`` and ``dbeta = sum(g)``.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
@@ -512,46 +552,76 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, trai
     axes = (0, 2, 3)
     dt = x.data.dtype
 
-    if train:
-        m = x.data.mean(axis=axes, keepdims=True)
-        d = x.data - m
-        out = np.square(d)
-        v = out.mean(axis=axes, keepdims=True)
-        stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
-        stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
-        stats.initialized = True
-    else:
-        if not stats.initialized:
-            raise RuntimeError("batch_norm: eval mode before any running-stat update")
-        m = stats.mean.astype(dt)
-        v = stats.var.astype(dt)
-        d = None  # the backward recomputes x - m only for the gamma gradient
+    m = x.data.mean(axis=axes, keepdims=True)
+    d = x.data - m
+    out = np.square(d)
+    v = out.mean(axis=axes, keepdims=True)
+    stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
+    stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
+    stats.initialized = True
 
     inv = 1.0 / np.sqrt(v + dt.type(BN_EPS))
     a = (gamma.data * inv).astype(dt, copy=False)
-    if train:
-        np.multiply(d, a, out=out)
-        out += beta.data
-    else:
-        out = x.data * a
-        out += beta.data - m * a
+    np.multiply(d, a, out=out)
+    out += beta.data
     count = n * h * w
 
     def back(g):
         s1 = g.sum(axis=axes, keepdims=True)
         _accum(beta, s1)
-        if train or gamma.requires_grad:
-            gd = g * (d if train else x.data - m)
-            s2 = gd.sum(axis=axes, keepdims=True)
-            _accum(gamma, inv * s2)
+        gd = g * d
+        s2 = gd.sum(axis=axes, keepdims=True)
+        _accum(gamma, inv * s2)
         if x.requires_grad:
             dx = g * a
-            if train:
-                dx -= np.multiply(d, a * inv * inv * s2 / count, out=gd)
-                dx -= a * s1 / count
+            dx -= np.multiply(d, a * inv * inv * s2 / count, out=gd)
+            dx -= a * s1 / count
             _accum(x, dx)
 
     return _track(out, back, x, gamma, beta)
+
+
+def fold_batch_norm(
+    weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats
+) -> tuple[Tensor, Tensor]:
+    """Weight and bias of one conv that computes eval-mode batch norm of the conv ``(weight, bias)``.
+
+    Eval-mode batch norm normalizes with the running statistics, which are
+    constants, so it is a per-channel affine map and folds into the conv
+    before it (Jacob et al., arXiv 1712.05877). With
+    ``a = gamma / sqrt(var + eps)`` per output channel:
+    ``weight' = weight * a`` and ``bias' = (bias - mean) * a + beta``.
+    Both outputs pass gradients on: from ``g_w`` and ``g_b``,
+    ``dweight = g_w * a``, ``dbias = g_b * a``, ``dbeta = g_b`` and
+    ``dgamma = inv * sum(g_w * weight)`` over (c_in, kh, kw) plus
+    ``g_b * (bias - mean) * inv``, where ``inv = 1 / sqrt(var + eps)``.
+    Raises if the running statistics were never updated.
+    """
+    co = weight.shape[0]
+    if bias.shape != (1, co, 1, 1) or gamma.shape != (1, co, 1, 1) or beta.shape != (1, co, 1, 1):
+        raise ValueError(f"fold_batch_norm: bias, gamma and beta must be (1, {co}, 1, 1)")
+    if not stats.initialized:
+        raise RuntimeError("fold_batch_norm: eval mode before any running-stat update")
+    dt = weight.data.dtype
+    inv = (1.0 / np.sqrt(stats.var + BN_EPS)).astype(dt, copy=False)
+    a = gamma.data * inv
+    a_w = a.reshape(co, 1, 1, 1)
+    centered = bias.data - stats.mean.astype(dt, copy=False)
+
+    def back_weight(g):
+        _accum(weight, g * a_w)
+        if gamma.requires_grad:
+            _accum(gamma, inv * (g * weight.data).sum(axis=(1, 2, 3)).reshape(1, co, 1, 1))
+
+    def back_bias(g):
+        _accum(bias, g * a)
+        _accum(gamma, g * centered * inv)
+        _accum(beta, g)
+
+    return (
+        _track(weight.data * a_w, back_weight, weight, gamma),
+        _track(centered * a + beta.data, back_bias, bias, gamma, beta),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +654,14 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
         raise ValueError(
             f"spatial_map: maps {row_map.shape}/{col_map.shape} do not fit input {x.shape}"
         )
-    y = np.einsum("ah,nchw->ncaw", row_map, x.data, optimize=True)
-    y = np.einsum("bw,ncaw->ncab", col_map, y, optimize=True)
+    n, c, h, w = x.shape
+    a, b = row_map.shape[0], col_map.shape[0]
+    y = row_map @ (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
 
     def back(g):
         if x.requires_grad:
-            gy = np.einsum("bw,ncab->ncaw", col_map, g, optimize=True)
-            # einsum returns h and w transposed in memory; _accum keeps this array,
-            # so make it C-ordered like every other gradient
-            dx = np.einsum("ah,ncaw->nchw", row_map, gy, optimize=True)
-            _accum(x, np.ascontiguousarray(dx, dtype=x.data.dtype))
+            dx = row_map.T @ (g.reshape(-1, b) @ col_map).reshape(n, c, a, w)
+            _accum(x, dx.astype(x.data.dtype, copy=False))
 
     return _track(y.astype(x.data.dtype, copy=False), back, x)
 

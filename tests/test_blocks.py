@@ -49,6 +49,40 @@ class TestStackedConv:
 
         check_grads(f, params, tol=1e-2, step=1e-4)
 
+    def test_eval_gradient_over_all_params(self):
+        """The folded eval forward still passes gradients to every conv and BN parameter."""
+        sc = B.StackedConv(2, 2, np.random.default_rng(3), dtype=np.float64)
+        perturb_params(sc, np.random.default_rng(6), scale=0.3)
+        with T.no_grad():
+            sc.forward(rand_image((3, 2, 4, 4), seed=7), train=True)
+        x = rand_image((1, 2, 4, 4), seed=4)
+
+        def f():
+            out = sc.forward(x, train=False)
+            return T.sum_all(T.mul(out, out))
+
+        check_grads(f, dict(sc.named_parameters()), tol=1e-2, step=1e-4)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_eval_forward_matches_conv_then_normalize(self, dtype, tol):
+        """The folded eval forward against each conv followed by an explicit
+        ``(y - mean) * gamma / sqrt(var + eps) + beta``, to ``tol`` of the largest entry."""
+        rng = np.random.default_rng(5)
+        sc = B.StackedConv(5, 6, rng, stride=2, dtype=dtype)
+        perturb_params(sc, rng, scale=0.5)
+        with T.no_grad():
+            sc.forward(T.Tensor(rng.standard_normal((4, 5, 12, 10)), dtype=dtype), train=True)
+            x = T.Tensor(rng.standard_normal((2, 5, 12, 10)), dtype=dtype)
+            got = sc.forward(x, train=False).data
+            want = x
+            for conv, bn in ((sc.conv3, sc.bn3), (sc.conv1, sc.bn1)):
+                y = T.conv2d(want, conv.weight, conv.bias, conv.stride, conv.padding).data
+                norm = (y - bn.stats.mean) * bn.gamma.data / np.sqrt(bn.stats.var + T.BN_EPS) + bn.beta.data
+                want = T.relu(T.Tensor(norm, dtype=dtype))
+        assert got.dtype == dtype
+        err = np.max(np.abs(got - want.data)) / np.max(np.abs(want.data))
+        assert err < tol, f"folded eval forward off by {err:.2e}"
+
 
 class TestSqueezeExcite:
     def test_forced_half_gate(self):
@@ -307,25 +341,56 @@ class TestDepthNet:
         assert enc(full) == enc(small)
         assert count(small) < count(full)
 
-    def test_float32_step_gradients_match_float64_shadow(self):
+    def test_eval_forward_runs_no_batch_norm(self, monkeypatch):
+        """Eval mode folds every BN into its conv, so the BN op never runs."""
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=5)
+        x = rand_image((1, 3, 48, 64), seed=6, dtype=np.float32)
+        with T.no_grad():
+            model.forward(x, train=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return T.batch_norm(*args)
+
+        monkeypatch.setattr(B, "batch_norm", counted)
+        out = model.forward(x, train=False)
+        assert calls == [] and out.shape == (1, 1, 48, 64)
+        model.forward(x, train=True)
+        assert len(calls) == 2 * 4 * 3  # two BNs per stacked conv: 3 in the encoder, 3 per stage
+
+    def test_float32_step_gradients_match_float64_shadow(self, monkeypatch):
         """One train step (batch 4, 96x128) in float32 against the same step in float64.
 
-        The relative L2 error of all parameter gradients is 2.4e-6 here; with
-        batch-norm reductions that accumulate sequentially instead of
-        pairwise (an einsum), it is 4.7e-4. guidedepth-s is used because on
-        these scenes float32 rounding puts no pre-activation on the other
-        side of a ReLU; such a flip switches a unit's whole gradient path and
-        costs about 1e-4 on its own, as it does for guidedepth here.
+        The float64 step replays the ReLU masks of the float32 step. Without
+        that, float32 rounding can put a pre-activation near zero on the other
+        side of a ReLU than float64 does; the flip switches a unit's whole
+        gradient path, and a handful of flips cost about 1e-4 whatever the
+        precision of the ops. With the masks matched, the relative L2 error of
+        all parameter gradients is 4.1e-6 here, and rounding every conv
+        output through float16 makes it 9.2e-3.
         """
         samples = D.generate_dataset(4, base_seed=0, height=96, width=128)
         x = np.concatenate([s.image.data for s in samples])
         y = np.concatenate([depth_to_normalized(s.depth.data, s.d_max) for s in samples]).astype(np.float32)
+        masks = []
+
+        def recording_relu(a):
+            out = T.relu(a)
+            masks.append(out.data > 0)
+            return out
+
+        def replaying_relu(a):
+            return T.mul(a, T.Tensor(masks.pop(0), dtype=a.dtype))
+
         grads = []
-        for dtype in (np.float32, np.float64):
+        for dtype, relu in ((np.float32, recording_relu), (np.float64, replaying_relu)):
+            monkeypatch.setattr(B, "relu", relu)
             model = B.build_model(B.preset_config("guidedepth-s"), seed=0, dtype=dtype)
             pred = model.forward(T.Tensor(x, dtype=dtype), train=True)
             T.backward(L.loss_terms(T.Tensor(y, dtype=dtype), pred, L.LossConfig())["total"])
             grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]).astype(np.float64))
+        assert masks == []
         err = np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1])
         assert err <= 1e-4, f"float32 gradients off the float64 shadow by {err:.2e}"
 

@@ -122,10 +122,13 @@ class TestConv2d:
     def test_matches_naive_loop_reference(self, kernel, stride, padding):
         """Forward, dx, dW and db against plain loops, to 1e-12 of each result's largest entry.
 
+        With 3 and 5 input channels the taps go in groups (all 9 of a 3x3
+        kernel; 7 and then 2 taps for 5 channels); with 40, one tap at a time.
+
         At stride 2 or 3 the shapes leave trailing input rows or columns unread,
         e.g. column 7 of (2, 3, 9, 8) at stride 2, padding 0.
         """
-        for seed, shape, co in [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2)]:
+        for seed, shape, co in [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2), (26, (2, 40, 7, 6), 3)]:
             x = randn(shape, seed=seed)
             w = randn((co, shape[1], *kernel), seed=seed + 100)
             b = randn((1, co, 1, 1), seed=seed + 200)
@@ -183,7 +186,7 @@ class TestBatchNorm:
         g = T.Tensor(np.ones((1, 3, 1, 1), np.float32))
         b = T.zeros((1, 3, 1, 1))
         stats = T.RunningStats.for_channels(3)
-        out = T.batch_norm(x, g, b, stats, train=True)
+        out = T.batch_norm(x, g, b, stats)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_zero_gamma_yields_beta_and_kills_input_grad(self):
@@ -191,7 +194,7 @@ class TestBatchNorm:
         g = T.zeros((1, 3, 1, 1), dtype=np.float64)
         b = T.Tensor(np.arange(3, dtype=np.float64).reshape(1, 3, 1, 1))
         stats = T.RunningStats.for_channels(3, np.float64)
-        out = T.batch_norm(x, g, b, stats, train=True)
+        out = T.batch_norm(x, g, b, stats)
         expect = np.broadcast_to(b.data, out.shape)
         np.testing.assert_allclose(out.data, expect)
         T.backward(T.sum_all(out))
@@ -201,7 +204,7 @@ class TestBatchNorm:
         x = randn((4, 2, 6, 6), seed=11, requires_grad=False)
         g = T.full((1, 2, 1, 1), 3.0, dtype=np.float64)
         b = T.full((1, 2, 1, 1), -1.0, dtype=np.float64)
-        out = T.batch_norm(x, g, b, T.RunningStats.for_channels(2, np.float64), train=True)
+        out = T.batch_norm(x, g, b, T.RunningStats.for_channels(2, np.float64))
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, [-1.0, -1.0], atol=1e-10)
@@ -209,11 +212,12 @@ class TestBatchNorm:
         np.testing.assert_allclose(var, [9.0, 9.0], rtol=1e-4)
 
     def test_eval_before_update_raises(self):
-        x = T.zeros((1, 2, 3, 3))
-        g = T.full((1, 2, 1, 1), 1.0)
+        """Eval mode folds into the conv, and needs running statistics to fold."""
+        w = T.zeros((2, 3, 3, 3))
         b = T.zeros((1, 2, 1, 1))
-        with pytest.raises(RuntimeError):
-            T.batch_norm(x, g, b, T.RunningStats.for_channels(2), train=False)
+        g = T.full((1, 2, 1, 1), 1.0)
+        with pytest.raises(RuntimeError, match="running-stat"):
+            T.fold_batch_norm(w, b, g, b, T.RunningStats.for_channels(2))
 
     def test_running_stats_converge_to_input_stats(self):
         rng = np.random.default_rng(12)
@@ -222,7 +226,7 @@ class TestBatchNorm:
         b = T.zeros((1, 1, 1, 1), dtype=np.float64)
         for _ in range(200):
             x = T.Tensor(2.0 + 0.5 * rng.standard_normal((8, 1, 8, 8)), dtype=np.float64)
-            T.batch_norm(x, g, b, stats, train=True)
+            T.batch_norm(x, g, b, stats)
         assert abs(stats.mean.ravel()[0] - 2.0) < 0.05
         assert abs(stats.var.ravel()[0] - 0.25) < 0.05
 
@@ -234,23 +238,27 @@ class TestBatchNorm:
 
         def f():
             stats = T.RunningStats.for_channels(3, np.float64)
-            out = T.batch_norm(x, g, b, stats, train=True)
+            out = T.batch_norm(x, g, b, stats)
             return T.sum_all(T.mul(out, out))
 
         check_grads(f, {"x": x, "gamma": g, "beta": b}, tol=1e-3)
 
     def test_eval_mode_gradient(self):
-        x = randn((2, 2, 3, 3), seed=16)
+        """Eval mode is ``fold_batch_norm``; each of its two outputs against finite differences."""
+        w = randn((2, 3, 3, 3), seed=16)
+        cb = randn((1, 2, 1, 1), seed=161)
         g = randn((1, 2, 1, 1), seed=17)
         b = randn((1, 2, 1, 1), seed=18)
         stats = T.RunningStats.for_channels(2, np.float64)
         with T.no_grad():
-            T.batch_norm(randn((4, 2, 5, 5), seed=19, requires_grad=False), g, b, stats, train=True)
-        check_grads(
-            lambda: T.sum_all(T.mul(T.batch_norm(x, g, b, stats, train=False), T.batch_norm(x, g, b, stats, train=False))),
-            {"x": x, "gamma": g, "beta": b},
-            tol=1e-3,
-        )
+            T.batch_norm(randn((4, 2, 5, 5), seed=19, requires_grad=False), g, b, stats)
+
+        def folded(i):
+            out = T.fold_batch_norm(w, cb, g, b, stats)[i]
+            return T.sum_all(T.mul(out, out))
+
+        check_grads(lambda: folded(0), {"weight": w, "gamma": g}, tol=1e-3)
+        check_grads(lambda: folded(1), {"bias": cb, "gamma": g, "beta": b}, tol=1e-3)
 
 
 class TestActivations:
@@ -317,6 +325,15 @@ class TestBilinearResize:
             {"x": x},
             tol=1e-3,
         )
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_is_c_ordered_in_input_dtype(self, dtype):
+        """Gradients are stored by reference, so this one must look like every other."""
+        x = T.Tensor(np.random.default_rng(24).standard_normal((2, 3, 5, 6)), requires_grad=True, dtype=dtype)
+        T.backward(T.sum_all(T.bilinear_resize(x, 9, 4)))
+        assert x.grad.flags.c_contiguous
+        assert x.grad.dtype == dtype
 
 
 class TestConcatAndArithmetic:
@@ -485,12 +502,12 @@ def _positive(rng, shape=(2, 3, 4, 5)):
     return T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True, dtype=np.float64)
 
 
-def _batch_norm(rng, train):
-    gamma, beta = _signed(rng, (1, 3, 1, 1)), _signed(rng, (1, 3, 1, 1))
-    stats = T.RunningStats.for_channels(3, np.float64)
+def _fold_batch_norm(rng, output):
+    gamma, beta = _signed(rng, (1, 2, 1, 1)), _signed(rng, (1, 2, 1, 1))
+    stats = T.RunningStats.for_channels(2, np.float64)
     with T.no_grad():
-        T.batch_norm(_signed(rng, (4, 3, 3, 3)), gamma, beta, stats, train=True)
-    return T.batch_norm(_signed(rng), gamma, beta, stats, train)
+        T.batch_norm(_signed(rng, (4, 2, 3, 3)), gamma, beta, stats)
+    return T.fold_batch_norm(_signed(rng, (2, 3, 3, 3)), _signed(rng, (1, 2, 1, 1)), gamma, beta, stats)[output]
 
 
 # one recorded output per op with a backward rule; every input requires grad
@@ -512,8 +529,11 @@ _RULE_CASES = {
     "concat_channels": lambda r: T.concat_channels(_signed(r), _signed(r, (2, 1, 4, 5))),
     "conv2d-3x3": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 3, 3)), _signed(r, (1, 2, 1, 1)), 1, 1),
     "conv2d-1x1": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 1, 1)), _signed(r, (1, 2, 1, 1))),
-    "batch_norm-train": lambda r: _batch_norm(r, train=True),
-    "batch_norm-eval": lambda r: _batch_norm(r, train=False),
+    "batch_norm-train": lambda r: T.batch_norm(
+        _signed(r), _signed(r, (1, 3, 1, 1)), _signed(r, (1, 3, 1, 1)), T.RunningStats.for_channels(3, np.float64)
+    ),
+    "fold_batch_norm-weight": lambda r: _fold_batch_norm(r, 0),
+    "fold_batch_norm-bias": lambda r: _fold_batch_norm(r, 1),
     "spatial_map": lambda r: T.bilinear_resize(_signed(r), 7, 3),
     "global_avg_pool": lambda r: T.global_avg_pool(_signed(r)),
 }
