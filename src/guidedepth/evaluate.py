@@ -21,53 +21,25 @@ from guidedepth.tensor import Tensor, bilinear_resize, no_grad
 DEPTH_FLOOR = 1e-3  # clamp floor for the inverse depth transform
 
 
-@dataclass(frozen=True)
-class Crop:
-    """Half-open pixel ranges [top, bottom) x [left, right)."""
-
-    top: int
-    bottom: int
-    left: int
-    right: int
-
-    def __post_init__(self):
-        if not (0 <= self.top < self.bottom and 0 <= self.left < self.right):
-            raise ValueError(f"degenerate crop {self}")
-
-    def check_bounds(self, h: int, w: int) -> None:
-        if self.bottom > h or self.right > w:
-            raise ValueError(f"crop {self} exceeds image bounds ({h}, {w})")
-
-    @property
-    def slices(self):
-        return slice(self.top, self.bottom), slice(self.left, self.right)
-
-
-def nyu_crop() -> Crop:
-    """Fixed 440x592 interior of a 480x640 image, excluding noisy borders."""
-    return Crop(20, 460, 24, 616)
-
-
-def kitti_crop(h: int, w: int) -> Crop:
-    """Fractional crop recomputed per image; bounds floored to pixel indices."""
-    return Crop(
-        math.floor(0.332 * h),
-        math.floor(0.914 * h),
-        math.floor(0.036 * w),
-        math.floor(0.964 * w),
-    )
-
-
-def crop_for(kind: str, h: int, w: int) -> Crop:
-    if kind == "none":
-        return Crop(0, h, 0, w)
-    if kind == "nyu":
-        crop = nyu_crop()
-        crop.check_bounds(h, w)
-        return crop
-    if kind == "kitti":
-        return kitti_crop(h, w)
-    raise ValueError(f"unknown crop kind {kind!r}, choose none/nyu/kitti")
+def crop_slices(kind: str, h: int, w: int) -> tuple[slice, slice]:
+    """Rows and columns of an (h, w) map that the metrics are taken over: all of
+    it ("none"), the fixed 440x592 interior of a 480x640 image without its noisy
+    borders ("nyu"), or a fractional crop floored to pixel indices ("kitti").
+    An empty crop, or one that exceeds the map, is an error."""
+    bounds = {
+        "none": (0, h, 0, w),
+        "nyu": (20, 460, 24, 616),
+        "kitti": (math.floor(0.332 * h), math.floor(0.914 * h), math.floor(0.036 * w), math.floor(0.964 * w)),
+    }
+    if kind not in bounds:
+        raise ValueError(f"unknown crop kind {kind!r}, choose none/nyu/kitti")
+    top, bottom, left, right = bounds[kind]
+    crop = f"{kind} crop [{top}, {bottom}) x [{left}, {right})"
+    if top >= bottom or left >= right:
+        raise ValueError(f"{crop} of an ({h}, {w}) map is empty")
+    if bottom > h or right > w:
+        raise ValueError(f"{crop} exceeds image bounds ({h}, {w})")
+    return slice(top, bottom), slice(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +92,7 @@ class MetricValues:
 
 
 def _as_map(x) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    arr = np.asarray(x)
     return arr.astype(np.float64).reshape(arr.shape[-2], arr.shape[-1])
 
 
@@ -231,8 +203,7 @@ def evaluate(
             raise ValueError(f"predictor returned {pred_norm.shape}, expected (1, 1, {mh}, {mw})")
         pred_metric = normalized_to_depth(pred_norm.data, sample.d_max)
         pred_up = _resize_np(pred_metric, gh, gw)
-        crop = crop_for(crop_kind, gh, gw)
-        rs, cs = crop.slices
+        rs, cs = crop_slices(crop_kind, gh, gw)
         gt_c = gt_np[..., rs, cs]
         pred_c = pred_up[..., rs, cs]
         mask = _as_map(gt_c) > 0

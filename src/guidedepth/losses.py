@@ -16,8 +16,6 @@ from guidedepth.tensor import (
     absolute,
     add,
     add_scalar,
-    diff_x,
-    diff_y,
     div,
     mean_all,
     mul,
@@ -72,6 +70,14 @@ def _gaussian_map(size: int, window: int, sigma: float, dtype_name: str) -> np.n
     return m.astype(np.dtype(dtype_name))
 
 
+@lru_cache(maxsize=128)
+def _diff_maps(size: int, dtype_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (size, size) identity and the (size - 1, size) forward difference,
+    whose row i is e_{i+1} - e_i; both are exact in any float dtype."""
+    eye = np.eye(size, dtype=np.dtype(dtype_name))
+    return eye, np.diff(eye, axis=0)
+
+
 def _blur(t: Tensor, window: int, sigma: float) -> Tensor:
     dt = t.data.dtype.name
     return spatial_map(t, _gaussian_map(t.shape[2], window, sigma, dt), _gaussian_map(t.shape[3], window, sigma, dt))
@@ -104,11 +110,17 @@ def dssim_loss(y: Tensor, yhat: Tensor, cfg: LossConfig) -> Tensor:
 
 
 def grad_loss(y: Tensor, yhat: Tensor) -> Tensor:
-    """Mean absolute mismatch of forward-difference partial derivatives along x and y."""
+    """Mean absolute mismatch of forward-difference partial derivatives along x and y;
+    each difference is a ``spatial_map`` with the identity along the other axis."""
     if y.shape != yhat.shape:
         raise ValueError(f"grad_loss: shape mismatch {y.shape} vs {yhat.shape}")
-    dx = sub(diff_x(y), diff_x(yhat))
-    dy = sub(diff_y(y), diff_y(yhat))
+    h, w = y.shape[2:]
+    if h < 2 or w < 2:
+        raise ValueError(f"grad_loss: needs a map of at least 2x2 pixels, got shape {y.shape}")
+    eye_h, diff_h = _diff_maps(h, y.data.dtype.name)
+    eye_w, diff_w = _diff_maps(w, y.data.dtype.name)
+    dx = sub(spatial_map(y, eye_h, diff_w), spatial_map(yhat, eye_h, diff_w))
+    dy = sub(spatial_map(y, diff_h, eye_w), spatial_map(yhat, diff_h, eye_w))
     return add(mean_all(absolute(dx)), mean_all(absolute(dy)))
 
 

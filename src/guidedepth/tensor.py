@@ -47,8 +47,6 @@ __all__ = [
     "sigmoid",
     "sum_all",
     "mean_all",
-    "diff_x",
-    "diff_y",
     "concat_channels",
     "conv2d",
     "batch_norm",
@@ -326,36 +324,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _track((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), back, a)
 
 
-def diff_x(a: Tensor) -> Tensor:
-    """Forward difference along width: out[..., j] = a[..., j+1] - a[..., j]."""
-    if a.shape[3] < 2:
-        raise ValueError("diff_x needs width >= 2")
-
-    def back(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.data)
-            da[..., 1:] += g
-            da[..., :-1] -= g
-            _accum(a, da)
-
-    return _track(a.data[..., 1:] - a.data[..., :-1], back, a)
-
-
-def diff_y(a: Tensor) -> Tensor:
-    """Forward difference along height: out[..., i, :] = a[..., i+1, :] - a[..., i, :]."""
-    if a.shape[2] < 2:
-        raise ValueError("diff_y needs height >= 2")
-
-    def back(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.data)
-            da[:, :, 1:, :] += g
-            da[:, :, :-1, :] -= g
-            _accum(a, da)
-
-    return _track(a.data[:, :, 1:, :] - a.data[:, :, :-1, :], back, a)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     na, ca, ha, wa = a.shape
     nb, cb, hb, wb = b.shape
@@ -374,10 +342,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
-
-
-def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
 
 
 TAP_GROUP_MIN_K = 32  # conv2d stacks kernel taps until a matmul sums over at least this many inputs
@@ -414,8 +378,8 @@ def _stack(views: list[np.ndarray], t0: int, t1: int, buf: np.ndarray | None) ->
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    weight is (c_out, c_in, kh, kw); bias is broadcast as (1, c_out, 1, 1).
-    Gradients are produced for the input, the weight and the bias.
+    weight is (c_out, c_in, kh, kw); bias is broadcast as (1, c_out, 1, 1); all
+    three share one dtype. Gradients are produced for the input, the weight and the bias.
 
     Layout: the padded input, with rows of length ``wp``, is flattened to
     ``(n, c_in, rows * wp)``. Output ``(i, j)`` then reads flat position
@@ -451,10 +415,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ValueError(f"conv2d: input has {ci} channels, weight expects {ci_w} ({shapes})")
     if bias.shape != (1, co, 1, 1):
         raise ValueError(f"conv2d: bias shape {bias.shape} != (1, {co}, 1, 1) ({shapes})")
+    if not x.dtype == weight.dtype == bias.dtype:
+        dtypes = f"input {x.dtype}, weight {weight.dtype}, bias {bias.dtype}"
+        raise ValueError(f"conv2d: dtype mismatch: {dtypes} ({shapes})")
     if stride < 1 or padding < 0:
         raise ValueError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
-    oh = conv_out_size(h, kh, stride, padding)
-    ow = conv_out_size(w, kw, stride, padding)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(
             f"conv2d: non-positive output dims ({oh}, {ow}) ({shapes}, stride {stride}, padding {padding})"
@@ -481,7 +448,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     tmp = np.empty_like(grid)
     for t0, t1 in rest:
         grid += np.matmul(wt[:, t0 * ci : t1 * ci], _stack(views, t0, t1, buf), out=tmp)
-    out_data = (grid.reshape(n, co, oh, wp)[..., :ow] + bias.data).astype(x.data.dtype, copy=False)
+    out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
 
     def back(g):
         if bias.requires_grad:
@@ -489,13 +456,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))) if wp > ow else g
         gg = gg.reshape(n, co, m)
         if weight.requires_grad:
-            dw = np.empty(wt.shape, dtype=np.result_type(g, xf))
+            dw = np.empty(wt.shape, dtype=xf.dtype)
             buf = stack_buffer()
             for t0, t1 in groups:
                 dw[:, t0 * ci : t1 * ci] = (gg @ _stack(views, t0, t1, buf).swapaxes(1, 2)).sum(axis=0)
             _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dxf = np.zeros(xf.shape, dtype=np.result_type(g, wt))
+            dxf = np.zeros(xf.shape, dtype=xf.dtype)
             dviews = _taps(dxf, kh, kw, wp, stride, m)
             tmp = np.empty((n, k_max, m), dtype=dxf.dtype)
             for t0, t1 in groups:

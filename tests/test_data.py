@@ -1,8 +1,11 @@
-"""Sample and dataset files: d_max is validated on read; hidden directories are not samples."""
+"""Sample and dataset files: d_max is validated on read; hidden directories are not samples.
+Augmentation flips image and depth together and swaps image channels only."""
 
+import numpy as np
 import pytest
 
 from guidedepth import data as D
+from guidedepth.tensor import Tensor
 
 
 def test_sample_roundtrip_bitwise(tmp_path):
@@ -43,3 +46,40 @@ def test_read_dataset_directory_without_meta_named(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         D.read_dataset(tmp_path)
     assert str(tmp_path / "stray") in str(info.value)
+
+
+def _random_sample(seed=0):
+    rng = np.random.default_rng(seed)
+    return D.DepthSample(
+        image=Tensor(rng.uniform(0.0, 1.0, (1, 3, 6, 8)).astype(np.float32)),
+        depth=Tensor(rng.uniform(1.0, 9.0, (1, 1, 6, 8)).astype(np.float32)),
+        d_max=9.5,
+    )
+
+
+def _flip_and_perm(sample, out):
+    """Whether ``out`` is mirrored, and which source channel each output image channel holds."""
+    flipped = np.array_equal(out.depth.data, sample.depth.data[..., ::-1])
+    assert flipped or np.array_equal(out.depth.data, sample.depth.data)
+    src = sample.image.data[..., ::-1] if flipped else sample.image.data
+    perm = tuple(k for c in range(3) for k in range(3) if np.array_equal(out.image.data[0, c], src[0, k]))
+    assert sorted(perm) == [0, 1, 2]
+    return flipped, perm
+
+
+class TestAugment:
+    def test_flip_is_shared_and_swap_touches_only_the_image(self):
+        sample = _random_sample()
+        seen = {_flip_and_perm(sample, D.augment(sample, np.random.default_rng(seed))) for seed in range(64)}
+        assert {flipped for flipped, _ in seen} == {False, True}
+        assert {perm == (0, 1, 2) for _, perm in seen} == {False, True}
+
+    def test_outputs_contiguous_input_unchanged_d_max_kept(self):
+        sample = _random_sample()
+        image, depth = sample.image.data.copy(), sample.depth.data.copy()
+        for seed in range(32):
+            out = D.augment(sample, np.random.default_rng(seed))
+            assert out.image.data.flags.c_contiguous and out.depth.data.flags.c_contiguous
+            assert out.d_max == sample.d_max
+        assert np.array_equal(sample.image.data, image)
+        assert np.array_equal(sample.depth.data, depth)

@@ -93,35 +93,38 @@ class TestComputeMetrics:
         assert a == b
 
 
+def bounds(kind, h, w):
+    rs, cs = E.crop_slices(kind, h, w)
+    return rs.start, rs.stop, cs.start, cs.stop
+
+
 class TestCrops:
     def test_nyu_crop_dimensions(self):
-        crop = E.nyu_crop()
-        assert (crop.top, crop.bottom, crop.left, crop.right) == (20, 460, 24, 616)
-        assert crop.bottom - crop.top == 440
-        assert crop.right - crop.left == 592
+        top, bottom, left, right = bounds("nyu", 480, 640)
+        assert (top, bottom, left, right) == (20, 460, 24, 616)
+        assert bottom - top == 440
+        assert right - left == 592
 
     def test_kitti_crop_reference_resolution(self):
-        crop = E.kitti_crop(375, 1242)
-        assert (crop.top, crop.bottom, crop.left, crop.right) == (124, 342, 44, 1197)
+        assert bounds("kitti", 375, 1242) == (124, 342, 44, 1197)
 
     def test_kitti_crop_small_image(self):
-        crop = E.kitti_crop(100, 100)
-        assert (crop.top, crop.bottom, crop.left, crop.right) == (33, 91, 3, 96)
+        assert bounds("kitti", 100, 100) == (33, 91, 3, 96)
 
     def test_kitti_crop_inside_bounds(self):
         for h in range(32, 600, 37):
             for w in range(32, 1400, 131):
-                crop = E.kitti_crop(h, w)
-                assert 0 < crop.top < crop.bottom < h
-                assert 0 < crop.left < crop.right < w
+                top, bottom, left, right = bounds("kitti", h, w)
+                assert 0 < top < bottom < h
+                assert 0 < left < right < w
 
     def test_nyu_crop_exceeding_bounds_rejected(self):
         with pytest.raises(ValueError):
-            E.crop_for("nyu", 96, 128)
+            E.crop_slices("nyu", 96, 128)
 
     def test_degenerate_crop_rejected(self):
         with pytest.raises(ValueError):
-            E.Crop(10, 10, 0, 5)
+            E.crop_slices("kitti", 1, 5)
 
 
 def flat_dataset(n=3, seed=50, **kw):
@@ -221,8 +224,7 @@ class TestEvaluatePipeline:
         with no_grad():
             down = bilinear_resize(sample.depth, 32, 48)
             up = bilinear_resize(down, h, w).data
-        crop = E.kitti_crop(h, w)
-        rs, cs = crop.slices
+        rs, cs = E.crop_slices("kitti", h, w)
         want = E.compute_metrics(sample.depth.data[..., rs, cs], up[..., rs, cs])
         assert rep.rmse == pytest.approx(want.rmse, rel=1e-4)
 

@@ -121,6 +121,23 @@ class TestGradLoss:
         p = T.Tensor(rng.uniform(0, 5, (1, 1, 5, 6)), requires_grad=True, dtype=np.float64)
         check_grads(lambda: L.grad_loss(y, p), {"p": p}, tol=1e-3, step=1e-5)
 
+    def test_matches_np_diff_reference(self):
+        rng = np.random.default_rng(15)
+        for shape in [(1, 1, 2, 2), (2, 1, 5, 7), (3, 2, 9, 4)]:
+            y = rng.uniform(0, 5, shape)
+            p = rng.uniform(0, 5, shape)
+            want = (np.abs(np.diff(y, axis=3) - np.diff(p, axis=3)).mean()
+                    + np.abs(np.diff(y, axis=2) - np.diff(p, axis=2)).mean())
+            got = L.grad_loss(T.Tensor(y, dtype=np.float64), T.Tensor(p, dtype=np.float64)).item()
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 5), (1, 1, 5, 1)])
+    def test_map_below_2x2_rejected_naming_shape(self, shape):
+        x = T.zeros(shape, dtype=np.float64)
+        with pytest.raises(ValueError, match="grad_loss") as info:
+            L.grad_loss(x, x)
+        assert str(shape) in str(info.value)
+
 
 class TestL1Loss:
     def test_identical_zero(self):
