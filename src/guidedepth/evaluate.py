@@ -1,10 +1,26 @@
 """Evaluation protocol: inverse depth normalization, resolution bridging,
 flip-averaging, border-excluding crops, and the six standard depth metrics.
 
-Metrics are computed in metric depth space. Per image: resize the input to the
-model resolution, predict, convert back to meters, upsample the prediction to
-the ground-truth resolution, crop, accumulate. With flip averaging the same is
-done on the mirrored image and the two per-image results are averaged.
+Metrics are computed in metric depth space. Per image:
+
+1. resize the input image to the model resolution;
+2. predict, and check that the prediction is finite;
+3. convert the prediction back to meters;
+4. upsample it to the ground-truth resolution, computing only the rows and
+   columns the crop keeps (the values are those of upsampling the whole map
+   and then cropping);
+5. take the metrics over the valid ground-truth pixels of the crop.
+
+With flip averaging the same is done on the mirrored sample, whose arrays
+are reversed views of the original, and the two per-image results are
+averaged.
+
+Both resizes sample like ``tensor.bilinear_resize`` (its taps come from
+``tensor._bilinear_taps``) but read only the two taps of each output, rows
+first and then columns, as ``a + (b - a) * t``: a constant map comes back
+bit for bit, and so does a map resized to its own size or downsampled by an
+odd integer factor, such as 480x640 to 96x128 (every tap then falls on a
+pixel center).
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from guidedepth.data import DepthSample
-from guidedepth.tensor import Tensor, bilinear_resize, no_grad
+from guidedepth.tensor import Tensor, _bilinear_taps, no_grad
 
 DEPTH_FLOOR = 1e-3  # clamp floor for the inverse depth transform
 
@@ -93,7 +109,11 @@ class MetricValues:
 
 def _as_map(x) -> np.ndarray:
     arr = np.asarray(x)
-    return arr.astype(np.float64).reshape(arr.shape[-2], arr.shape[-1])
+    return arr.reshape(arr.shape[-2], arr.shape[-1])
+
+
+METRIC_BLOCK = 32768  # pixels per block of compute_metrics, so that its float64 buffers stay in cache
+DELTA_LIMITS = (1.25, 1.25**2, 1.25**3)
 
 
 def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
@@ -101,28 +121,52 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
 
     The delta thresholds use a strict < against 1.25^j, so a ratio of exactly
     1.25 fails delta_1.
+
+    The maps are read in blocks of whole rows, about ``METRIC_BLOCK`` pixels
+    each. Each block is copied once to float64 (its masked pixels only, unless
+    every pixel of the map is valid), and its sums and counts are added to the
+    totals. With ``r = g / p`` the log error is ``|log10 r|`` and the delta
+    ratio is ``max(r, 1 / r)``.
     """
     gt = _as_map(y)
     pred = _as_map(yhat)
     if gt.shape != pred.shape:
         raise ValueError(f"compute_metrics: shape mismatch {gt.shape} vs {pred.shape}")
-    mask = np.ones_like(gt, dtype=bool) if valid_mask is None else np.asarray(valid_mask, dtype=bool)
-    if mask.shape != gt.shape:
+    mask = None if valid_mask is None else np.asarray(valid_mask, dtype=bool)
+    if mask is not None and mask.shape != gt.shape:
         raise ValueError("compute_metrics: mask shape mismatch")
-    if not mask.any():
+    n = gt.size if mask is None else int(np.count_nonzero(mask))
+    if n == 0:
         raise ValueError("compute_metrics: empty valid mask")
-    g = gt[mask]
-    p = pred[mask]
-    if (g <= 0).any() or (p <= 0).any():
-        raise ValueError("compute_metrics: nonpositive depths under the mask")
-    ratio = np.maximum(g / p, p / g)
+    if n == gt.size:
+        mask = None
+    step = max(1, METRIC_BLOCK // gt.shape[1])
+    sq = ae = le = 0.0
+    counts = [0] * len(DELTA_LIMITS)
+    for r0 in range(0, gt.shape[0], step):
+        rows = slice(r0, r0 + step)
+        g, p = gt[rows], pred[rows]
+        if mask is not None:
+            g, p = g[mask[rows]], p[mask[rows]]
+        g = np.array(g, dtype=np.float64, order="C").ravel()
+        p = np.array(p, dtype=np.float64, order="C").ravel()
+        if g.size and (g.min() <= 0 or p.min() <= 0):
+            raise ValueError("compute_metrics: nonpositive depths under the mask")
+        buf = g - p
+        sq += np.dot(buf, buf)
+        ae += np.divide(np.abs(buf, out=buf), g, out=buf).sum()
+        r = np.divide(g, p, out=p)  # p is this block's own copy
+        le += np.abs(np.log10(r, out=buf), out=buf).sum()
+        ratio = np.maximum(r, np.reciprocal(r, out=buf), out=buf)
+        for j, limit in enumerate(DELTA_LIMITS):
+            counts[j] += int(np.count_nonzero(ratio < limit))
     return MetricValues(
-        rmse=float(np.sqrt(np.mean((g - p) ** 2))),
-        rel=float(np.mean(np.abs(g - p) / g)),
-        log10=float(np.mean(np.abs(np.log10(g) - np.log10(p)))),
-        d1=float(np.mean(ratio < 1.25)),
-        d2=float(np.mean(ratio < 1.25**2)),
-        d3=float(np.mean(ratio < 1.25**3)),
+        rmse=math.sqrt(sq / n),
+        rel=float(ae) / n,
+        log10=float(le) / n,
+        d1=counts[0] / n,
+        d2=counts[1] / n,
+        d3=counts[2] / n,
     )
 
 
@@ -155,7 +199,7 @@ def oracle_predictor() -> Predictor:
     so the normalization round-trips exactly."""
 
     def predict(image: Tensor, sample: DepthSample) -> Tensor:
-        down = _resize_np(sample.depth.data, image.shape[2], image.shape[3])
+        down = _resize(sample.depth.data, image.shape[2], image.shape[3])
         return Tensor(depth_to_normalized(down, sample.d_max).astype(np.float32))
 
     return predict
@@ -177,9 +221,23 @@ def mean_predictor() -> Predictor:
     return predict
 
 
-def _resize_np(arr: np.ndarray, h: int, w: int) -> np.ndarray:
-    with no_grad():
-        return bilinear_resize(Tensor(arr), h, w).data
+def _resize(arr: np.ndarray, h: int, w: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of the bilinear resize of ``arr``'s
+    last two axes to (h, w), in ``arr``'s dtype; see the module docstring."""
+    dt = arr.dtype
+    i0, i1, t = (v[rows] for v in _bilinear_taps(arr.shape[-2], h))
+    a = arr[..., i0, :]
+    out = arr[..., i1, :]
+    out -= a
+    out *= t.astype(dt)[:, None]
+    out += a
+    i0, i1, t = (v[cols] for v in _bilinear_taps(arr.shape[-1], w))
+    a = np.take(out, i0, axis=-1)
+    out = np.take(out, i1, axis=-1)
+    out -= a
+    out *= t.astype(dt)
+    out += a
+    return out
 
 
 def evaluate(
@@ -189,36 +247,38 @@ def evaluate(
     crop_kind: str = "none",
     flip_average: bool = True,
 ) -> EvalReport:
-    """Full protocol over a dataset; returns per-image means of the metrics."""
+    """Full protocol over a dataset; returns per-image means of the metrics.
+
+    A non-finite prediction is an error naming the sample and the pass.
+    """
     if not samples:
         raise ValueError("evaluate: empty dataset")
     mh, mw = resolution
 
-    def run_one(sample: DepthSample) -> MetricValues:
+    def run_one(sample: DepthSample, where: str) -> MetricValues:
         gt_np = sample.depth.data
         gh, gw = gt_np.shape[-2:]
-        image = Tensor(_resize_np(sample.image.data, mh, mw))
+        rs, cs = crop_slices(crop_kind, gh, gw)
+        image = Tensor(_resize(sample.image.data, mh, mw))
         pred_norm = predict(image, sample)
         if pred_norm.shape != (1, 1, mh, mw):
             raise ValueError(f"predictor returned {pred_norm.shape}, expected (1, 1, {mh}, {mw})")
+        if not np.isfinite(pred_norm.data).all():
+            raise ValueError(f"predictor returned non-finite values for {where}")
         pred_metric = normalized_to_depth(pred_norm.data, sample.d_max)
-        pred_up = _resize_np(pred_metric, gh, gw)
-        rs, cs = crop_slices(crop_kind, gh, gw)
-        gt_c = gt_np[..., rs, cs]
-        pred_c = pred_up[..., rs, cs]
-        mask = _as_map(gt_c) > 0
-        return compute_metrics(gt_c, pred_c, mask)
+        gt_c = _as_map(gt_np[..., rs, cs])
+        return compute_metrics(gt_c, _resize(pred_metric, gh, gw, rs, cs), gt_c > 0)
 
     per_image: list[MetricValues] = []
-    for sample in samples:
-        plain = run_one(sample)
+    for i, sample in enumerate(samples):
+        plain = run_one(sample, f"sample {i} (plain pass)")
         if flip_average:
             mirrored = DepthSample(
-                image=Tensor(np.ascontiguousarray(sample.image.data[..., ::-1])),
-                depth=Tensor(np.ascontiguousarray(sample.depth.data[..., ::-1])),
+                image=Tensor(sample.image.data[..., ::-1]),
+                depth=Tensor(sample.depth.data[..., ::-1]),
                 d_max=sample.d_max,
             )
-            plain = MetricValues.average([plain, run_one(mirrored)])
+            plain = MetricValues.average([plain, run_one(mirrored, f"sample {i} (mirrored pass)")])
         per_image.append(plain)
 
     return EvalReport(**vars(MetricValues.average(per_image)), n_images=len(samples),

@@ -62,9 +62,10 @@ class Tensor:
 
     ``grad`` is ``None`` until a gradient reaches the tensor; it then has the
     same shape and dtype as ``data`` and may share memory with other
-    gradients, so it is never written in place. A zero channel count is allowed
-    so that channel concatenation has an identity element; all other
-    dimensions must be positive.
+    gradients, so it is never written in place. It may also be a read-only
+    broadcast view, as the gradient of a sum, a mean or a pooled average is.
+    A zero channel count is allowed so that channel concatenation has an
+    identity element; all other dimensions must be positive.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -310,7 +311,7 @@ def sigmoid(a: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
 
     def back(g):
-        _accum(a, np.broadcast_to(g.reshape(()), a.shape).astype(a.data.dtype))
+        _accum(a, np.broadcast_to(g.reshape(()).astype(a.data.dtype, copy=False), a.shape))
 
     return _track(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1), back, a)
 
@@ -319,7 +320,7 @@ def mean_all(a: Tensor) -> Tensor:
     count = a.data.size
 
     def back(g):
-        _accum(a, np.broadcast_to(g.reshape(()) / count, a.shape).astype(a.data.dtype))
+        _accum(a, np.broadcast_to((g.reshape(()) / count).astype(a.data.dtype, copy=False), a.shape))
 
     return _track((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), back, a)
 
@@ -597,13 +598,27 @@ def fold_batch_norm(
 
 
 @lru_cache(maxsize=512)
-def _interp_matrix(n_in: int, n_out: int, dtype_name: str) -> np.ndarray:
-    """Row-stochastic 1-D bilinear sampling matrix, half-pixel centers, clamped."""
+def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-D bilinear sampling with half-pixel centers, clamped at the borders:
+    output ``j`` is ``(1 - t[j]) * x[i0[j]] + t[j] * x[i1[j]]``.
+
+    Returns the read-only index arrays ``i0`` and ``i1`` and the float64
+    weights ``t`` in [0, 1).
+    """
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     t = src - i0
     i1 = np.minimum(i0 + 1, n_in - 1)
+    for a in (i0, i1, t):
+        a.flags.writeable = False
+    return i0, i1, t
+
+
+@lru_cache(maxsize=512)
+def _interp_matrix(n_in: int, n_out: int, dtype_name: str) -> np.ndarray:
+    """Row-stochastic 1-D bilinear sampling matrix with the taps of ``_bilinear_taps``."""
+    i0, i1, t = _bilinear_taps(n_in, n_out)
     m = np.zeros((n_out, n_in), dtype=np.float64)
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - t)
@@ -634,9 +649,14 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Resize to (out_h, out_w) with half-pixel-center sampling and border clamping."""
+    """Resize to (out_h, out_w) with half-pixel-center sampling and border clamping.
+
+    Resizing to the input's own size is the identity and returns ``x`` itself.
+    """
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize: target dims must be >= 1")
+    if (out_h, out_w) == x.shape[2:]:
+        return x
     dt = x.data.dtype.name
     return spatial_map(x, _interp_matrix(x.shape[2], out_h, dt), _interp_matrix(x.shape[3], out_w, dt))
 
@@ -651,6 +671,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def back(g):
         if x.requires_grad:
-            _accum(x, np.broadcast_to(g / (h * w), x.shape).astype(x.data.dtype))
+            _accum(x, np.broadcast_to((g / (h * w)).astype(x.data.dtype, copy=False), x.shape))
 
     return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)

@@ -1,10 +1,13 @@
-"""Shared test utilities: finite-difference oracles and gradient checks."""
+"""Shared test utilities: finite-difference oracles, gradient checks and
+plain reference implementations for parity tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from guidedepth import evaluate as E
 from guidedepth import tensor as T
+from guidedepth.data import DepthSample
 
 
 def finite_diff_grad(f, t: T.Tensor, step: float = 1e-3) -> np.ndarray:
@@ -119,3 +122,56 @@ def directional_grad_check(build_loss, tensors, rng, step=1e-4):
             t.data[...] = base
     numeric = (lp - lm) / (2.0 * step)
     return analytic, numeric
+
+
+def metrics_reference(y, yhat, mask=None) -> E.MetricValues:
+    """The six depth metrics written out term by term in float64."""
+    g = np.asarray(y, dtype=np.float64)
+    p = np.asarray(yhat, dtype=np.float64)
+    if mask is not None:
+        g, p = g[mask], p[mask]
+    g, p = g.ravel(), p.ravel()
+    ratio = np.maximum(g / p, p / g)
+    return E.MetricValues(
+        rmse=float(np.sqrt(np.mean((g - p) ** 2))),
+        rel=float(np.mean(np.abs(g - p) / g)),
+        log10=float(np.mean(np.abs(np.log10(g) - np.log10(p)))),
+        d1=float(np.mean(ratio < 1.25)),
+        d2=float(np.mean(ratio < 1.25**2)),
+        d3=float(np.mean(ratio < 1.25**3)),
+    )
+
+
+def _dense_resize(arr: np.ndarray, h: int, w: int) -> np.ndarray:
+    with T.no_grad():
+        return T.bilinear_resize(T.Tensor(arr), h, w).data
+
+
+def evaluate_reference(predict, samples, resolution, crop_kind="none", flip_average=True) -> E.MetricValues:
+    """The evaluation protocol by its plain definition: resize the image with
+    the dense ``bilinear_resize``, upsample the whole prediction and then crop,
+    mirror by contiguous copies, and take the metrics with
+    ``metrics_reference``."""
+    mh, mw = resolution
+
+    def run_one(sample):
+        gt = sample.depth.data
+        gh, gw = gt.shape[-2:]
+        pred = predict(T.Tensor(_dense_resize(sample.image.data, mh, mw)), sample).data
+        up = _dense_resize(E.normalized_to_depth(pred, sample.d_max), gh, gw)
+        rs, cs = E.crop_slices(crop_kind, gh, gw)
+        gt_c, up_c = gt[0, 0, rs, cs], up[0, 0, rs, cs]
+        return metrics_reference(gt_c, up_c, gt_c > 0)
+
+    per_image = []
+    for sample in samples:
+        m = run_one(sample)
+        if flip_average:
+            mirrored = DepthSample(
+                image=T.Tensor(np.ascontiguousarray(sample.image.data[..., ::-1])),
+                depth=T.Tensor(np.ascontiguousarray(sample.depth.data[..., ::-1])),
+                d_max=sample.d_max,
+            )
+            m = E.MetricValues.average([m, run_one(mirrored)])
+        per_image.append(m)
+    return E.MetricValues.average(per_image)

@@ -2,13 +2,17 @@
 and the full resize/predict/upsample/flip/crop pipeline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from guidedepth import blocks as B
 from guidedepth import data as D
 from guidedepth import evaluate as E
+from guidedepth import tensor as T
 from guidedepth.tensor import Tensor
+from helpers import evaluate_reference, metrics_reference
 
 
 def as_depth(arr):
@@ -91,6 +95,93 @@ class TestComputeMetrics:
         a = E.compute_metrics(as_depth(y.reshape(8, 8)), as_depth(p.reshape(8, 8)))
         b = E.compute_metrics(as_depth(y[order].reshape(8, 8)), as_depth(p[order].reshape(8, 8)))
         assert a == b
+
+    @pytest.mark.parametrize("shape", [(37, 53), (300, 250)])
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_float64_reference_under_partial_mask(self, seed, shape):
+        """(300, 250) spans three blocks of whole rows, and the mask empties the middle one."""
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.5, 10.0, (1, 1, *shape)).astype(np.float32)
+        p = rng.uniform(0.5, 10.0, (1, 1, *shape)).astype(np.float32)
+        mask = rng.random(shape) < 0.7
+        step = E.METRIC_BLOCK // shape[1]
+        mask[step : 2 * step] = False
+        for m in (mask, None):
+            got = E.compute_metrics(y, p, m)
+            want = metrics_reference(y[0, 0], p[0, 0], m)
+            for f in ("rmse", "rel", "log10", "d1", "d2", "d3"):
+                assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=0), f
+
+    def test_nonpositive_depth_under_mask_rejected_in_any_block(self):
+        y = np.full((1, 1, 300, 250), 2.0)
+        p = y.copy()
+        p[0, 0, 299, 7] = 0.0
+        with pytest.raises(ValueError, match="nonpositive"):
+            E.compute_metrics(y, p)
+        mask = np.ones((300, 250), dtype=bool)
+        mask[299, 7] = False
+        assert E.compute_metrics(y, p, mask).rmse == 0.0
+
+    def test_inputs_left_untouched(self):
+        rng = np.random.default_rng(6)
+        y = rng.uniform(0.5, 10.0, (1, 1, 9, 11))
+        p = rng.uniform(0.5, 10.0, (1, 1, 9, 11))
+        y0, p0 = y.copy(), p.copy()
+        E.compute_metrics(y, p)
+        E.compute_metrics(y, p, y[0, 0] > 2.0)
+        np.testing.assert_array_equal(y, y0)
+        np.testing.assert_array_equal(p, p0)
+
+
+class TestResize:
+    """``evaluate._resize`` against the dense ``bilinear_resize``."""
+
+    @staticmethod
+    def dense(x, h, w):
+        with T.no_grad():
+            return T.bilinear_resize(Tensor(x), h, w).data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape_in, shape_out",
+        [((96, 128), (480, 640)), ((5, 6), (9, 4)), ((17, 13), (5, 7)), ((7, 9), (21, 27)), ((30, 40), (12, 16))],
+    )
+    def test_within_four_ulps_of_dense(self, dtype, shape_in, shape_out):
+        x = np.random.default_rng(10).uniform(0.5, 10.0, (1, 3, *shape_in)).astype(dtype)
+        got = E._resize(x, *shape_out)
+        want = self.dense(x, *shape_out)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= 4 * np.finfo(dtype).eps * np.abs(x).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape_in, shape_out", [((480, 640), (96, 128)), ((12, 18), (4, 6)), ((8, 10), (8, 10)), ((15, 9), (3, 9))]
+    )
+    def test_exact_at_same_size_and_odd_integer_downsampling(self, dtype, shape_in, shape_out):
+        """An odd factor puts every tap on a pixel center (t = 0); an even one does not."""
+        x = np.random.default_rng(11).uniform(0.5, 10.0, (1, 3, *shape_in)).astype(dtype)
+        np.testing.assert_array_equal(E._resize(x, *shape_out), self.dense(x, *shape_out))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_map_comes_back_exactly(self, dtype):
+        x = np.full((1, 1, 7, 9), 3.7, dtype=dtype)
+        for shape in ((13, 5), (480, 640), (3, 3)):
+            out = E._resize(x, *shape)
+            assert out.shape == (1, 1, *shape) and (out == x.flat[0]).all()
+
+    def test_crop_equals_resize_then_crop(self):
+        x = np.random.default_rng(12).uniform(0.5, 10.0, (1, 1, 96, 128)).astype(np.float32)
+        full = E._resize(x, 480, 640)
+        for kind in ("none", "nyu", "kitti"):
+            rs, cs = E.crop_slices(kind, 480, 640)
+            np.testing.assert_array_equal(E._resize(x, 480, 640, rs, cs), full[..., rs, cs])
+
+    def test_mirrored_view_equals_contiguous_copy(self):
+        x = np.random.default_rng(13).uniform(0.5, 10.0, (1, 3, 30, 40)).astype(np.float32)
+        x0 = x.copy()
+        view = x[..., ::-1]
+        np.testing.assert_array_equal(E._resize(view, 12, 17), E._resize(view.copy(), 12, 17))
+        np.testing.assert_array_equal(x, x0)
 
 
 def bounds(kind, h, w):
@@ -244,3 +335,83 @@ class TestEvaluatePipeline:
         samples = flat_dataset(2, seed=80)
         rep = E.evaluate(E.mean_predictor(), samples, (48, 64), crop_kind="kitti")
         assert (rep.n_images, rep.flip_averaged, rep.crop_kind) == (2, True, "kitti")
+
+    @pytest.mark.parametrize("bad_call, flip, where", [(3, True, "sample 1 (mirrored pass)"),
+                                                       (1, False, "sample 1 (plain pass)"),
+                                                       (0, True, "sample 0 (plain pass)")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, bad_call, flip, where, value):
+        samples = flat_dataset(2, seed=70)
+        mean = E.mean_predictor()
+        count = [0]
+
+        def predict(image, sample):
+            pred = mean(image, sample)
+            if count[0] == bad_call:
+                pred.data[0, 0, 3, 5] = value
+            count[0] += 1
+            return pred
+
+        with pytest.raises(ValueError, match=re.escape(where)):
+            E.evaluate(predict, samples, (48, 64), crop_kind="none", flip_average=flip)
+
+
+@pytest.fixture(scope="module")
+def vga_scenes():
+    return D.generate_dataset(2, base_seed=900, height=480, width=640)
+
+
+@pytest.fixture(scope="module")
+def tiny_model(vga_scenes):
+    model = B.build_model(B.preset_config("guidedepth-tiny"), seed=3)
+    with T.no_grad():
+        images = np.concatenate([E._resize(s.image.data, 96, 128) for s in vga_scenes])
+        model.forward(Tensor(images), train=True)  # fills the BN running statistics
+    model.head.bias.data[...] = 3.0  # predictions near 3.3 m instead of at the depth clamp
+    return model
+
+
+PREDICTORS = {
+    "oracle": lambda model: E.oracle_predictor(),
+    "mean": lambda model: E.mean_predictor(),
+    "model": E.model_predictor,
+}
+
+
+class TestProtocolReference:
+    """``evaluate`` against the protocol by its plain definition."""
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("crop", ["none", "nyu", "kitti"])
+    @pytest.mark.parametrize("predictor", list(PREDICTORS))
+    def test_matches_reference(self, vga_scenes, tiny_model, predictor, crop, flip):
+        predict = PREDICTORS[predictor](tiny_model)
+        got = E.evaluate(predict, vga_scenes, (96, 128), crop_kind=crop, flip_average=flip)
+        want = evaluate_reference(predict, vga_scenes, (96, 128), crop_kind=crop, flip_average=flip)
+        for f in ("rmse", "rel", "log10"):
+            assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-5, abs=0), f
+        for f in ("d1", "d2", "d3"):
+            assert abs(getattr(got, f) - getattr(want, f)) <= 1e-5, f
+
+    def test_no_spatial_map_outside_the_predictor(self, vga_scenes, tiny_model, monkeypatch):
+        calls = {"inside": 0, "outside": 0}
+        where = ["outside"]
+        inner = T.spatial_map
+
+        def spy(*args):
+            calls[where[0]] += 1
+            return inner(*args)
+
+        model_predict = E.model_predictor(tiny_model)
+
+        def predict(image, sample):
+            where[0] = "inside"
+            try:
+                return model_predict(image, sample)
+            finally:
+                where[0] = "outside"
+
+        monkeypatch.setattr(T, "spatial_map", spy)
+        E.evaluate(predict, vga_scenes[:1], (96, 128), crop_kind="nyu", flip_average=True)
+        assert calls["inside"] > 0
+        assert calls["outside"] == 0

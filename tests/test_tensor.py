@@ -341,6 +341,16 @@ class TestBilinearResize:
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_size_returns_input_and_passes_gradient(self, dtype):
+        x = T.Tensor(np.random.default_rng(25).standard_normal((1, 3, 6, 8)), requires_grad=True, dtype=dtype)
+        y = T.bilinear_resize(x, 6, 8)
+        assert y is x
+        T.backward(T.sum_all(T.mul(y, y)))
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+        with T.no_grad():
+            assert T.bilinear_resize(x, 6, 8) is x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_input_gradient_is_c_ordered_in_input_dtype(self, dtype):
         """Gradients are stored by reference, so this one must look like every other."""
         x = T.Tensor(np.random.default_rng(24).standard_normal((2, 3, 5, 6)), requires_grad=True, dtype=dtype)
@@ -421,6 +431,19 @@ class TestPoolAndDense:
         )
         y = randn((2, 3, 4, 5), seed=40)
         check_grads(lambda: T.sum_all(T.mul(T.global_avg_pool(y), T.global_avg_pool(y))), {"y": y}, tol=1e-3)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["sum_all", "mean_all", "global_avg_pool"])
+    def test_reduction_gradient_is_read_only_broadcast(self, op, dtype):
+        """Each input gets a view of the output gradient, not a filled copy."""
+        x = T.Tensor(np.random.default_rng(41).standard_normal((2, 3, 4, 5)), requires_grad=True, dtype=dtype)
+        out = getattr(T, op)(x)
+        g = np.random.default_rng(42).standard_normal(out.shape).astype(dtype)
+        out._node[2](g)
+        want = np.broadcast_to(g / (1 if op == "sum_all" else x.data.size // g.size), x.shape)
+        assert x.grad.dtype == dtype and not x.grad.flags.writeable
+        np.testing.assert_array_equal(x.grad, want.astype(dtype))
 
 
 class TestBackwardSemantics:
