@@ -7,8 +7,6 @@ the RGB input (raw, feature-extracted, or band-pass filtered) as guidance.
 
 from __future__ import annotations
 
-import shutil
-import uuid
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -103,9 +101,6 @@ class Module:
             for name, val in vars(module).items():
                 if isinstance(val, Tensor) and val.requires_grad:
                     yield (f"{path}.{name}" if path else name), val
-
-    def named_batchnorms(self):
-        return ((path, m) for path, m in self.named_modules() if path and isinstance(m, BatchNorm))
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -308,10 +303,8 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: directory of GDT1 files plus a plain-text manifest
+# Checkpoints: one GDT record of the config and the arrays by module path
 # ---------------------------------------------------------------------------
-
-_MANIFEST = "manifest.txt"
 
 
 def _format_field(value) -> str:
@@ -320,14 +313,14 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def _parse_config(pairs: dict[str, str], manifest: Path) -> ModelConfig:
-    """ModelConfig from the manifest's [config] pairs; each field parses like its default."""
+def _parse_config(pairs: dict[str, str], meta: Path) -> ModelConfig:
+    """ModelConfig from the record's meta pairs; each field parses like its default."""
     defaults = {f.name: f.default for f in fields(ModelConfig)}
     missing, unknown = defaults.keys() - pairs.keys(), pairs.keys() - defaults.keys()
     if missing:
-        raise ValueError(f"{manifest}: missing config key(s) {sorted(missing)}")
+        raise ValueError(f"{meta}: missing config key(s) {sorted(missing)}")
     if unknown:
-        raise ValueError(f"{manifest}: unknown config key(s) {sorted(unknown)}")
+        raise ValueError(f"{meta}: unknown config key(s) {sorted(unknown)}")
     values = {}
     for key, default in defaults.items():
         text = pairs[key]
@@ -337,113 +330,46 @@ def _parse_config(pairs: dict[str, str], manifest: Path) -> ModelConfig:
             else:
                 values[key] = type(default)(text)
         except ValueError as exc:
-            raise ValueError(f"{manifest}: bad value {text!r} for config key {key!r}") from exc
+            raise ValueError(f"{meta}: bad value {text!r} for config key {key!r}") from exc
     try:
         return ModelConfig(**values)
     except ValueError as exc:
-        raise ValueError(f"{manifest}: {exc}") from exc
+        raise ValueError(f"{meta}: {exc}") from exc
 
 
 def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
-    """Write the model to ``directory``, replacing any checkpoint already there.
-
-    The files go into a fresh sibling directory that then takes the place of
-    ``directory``: a save that fails part way leaves the earlier checkpoint
-    as it was, and no file of an earlier save outlives a later one. A
-    non-empty directory without a manifest is not replaced.
-    """
-    directory = Path(directory)
-    if directory.exists() and not (directory / _MANIFEST).is_file() and any(directory.iterdir()):
-        raise FileExistsError(f"{directory} is not empty and holds no checkpoint manifest")
-    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
-    staging.mkdir(parents=True)
-    try:
-        _write_checkpoint(staging, model)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    if directory.exists():
-        retired = staging.with_name(staging.name + ".old")
-        directory.rename(retired)
-        staging.rename(directory)
-        shutil.rmtree(retired)
-    else:
-        staging.rename(directory)
-
-
-def _write_checkpoint(directory: Path, model: DepthNet) -> None:
-    entries: list[tuple[str, np.ndarray]] = list(model.named_parameters())
-    for name, bn in model.named_batchnorms():
-        if bn.stats.initialized:
-            entries.append((f"{name}.running_mean", bn.stats.mean))
-            entries.append((f"{name}.running_var", bn.stats.var))
-    config = [f"{f.name} = {_format_field(getattr(model.config, f.name))}" for f in fields(ModelConfig)]
-    lines = ["[config]"] + config + ["[tensors]"]
-    for i, (name, value) in enumerate(entries):
-        filename = f"t{i:04d}.gdt"
-        arr = value.data if isinstance(value, Tensor) else value
-        gdt.write_array(directory / filename, arr)
-        lines.append(f"{name} = {filename}")
-    (directory / _MANIFEST).write_text("\n".join(lines) + "\n")
+    """Write the model to ``directory`` as one record (see ``gdt``), replacing
+    any checkpoint already there; BN statistics are saved once initialized."""
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    for path, bn in model.named_modules():
+        if isinstance(bn, BatchNorm) and bn.stats.initialized:
+            arrays[f"{path}.running_mean"] = bn.stats.mean
+            arrays[f"{path}.running_var"] = bn.stats.var
+    meta = {f.name: _format_field(getattr(model.config, f.name)) for f in fields(ModelConfig)}
+    gdt.write_record(directory, meta, arrays)
 
 
 def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
-    """Rebuild the model from a checkpoint; every tensor shape is validated
+    """Rebuild the model from a checkpoint; every array shape is validated
     against the stored config before it is accepted."""
-    directory = Path(directory)
-    manifest = directory / _MANIFEST
-    if not manifest.is_file():
-        raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
-    section = None
-    config_pairs: dict[str, str] = {}
-    tensor_files: dict[str, str] = {}
-    for raw in manifest.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in ("[config]", "[tensors]"):
-            section = line
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if section == "[config]":
-            config_pairs[key] = value
-        elif section == "[tensors]":
-            tensor_files[key] = value
-        else:
-            raise ValueError(f"manifest line outside a section: {raw!r}")
+    meta, arrays = gdt.read_record(directory)
+    model = build_model(_parse_config(meta, Path(directory) / gdt.META), seed=0, dtype=dtype)
 
-    config = _parse_config(config_pairs, manifest)
-    model = build_model(config, seed=0, dtype=dtype)
-    params = dict(model.named_parameters())
-    bns = dict(model.named_batchnorms())
+    def take(name: str, like: np.ndarray) -> np.ndarray:
+        if name not in arrays:
+            raise ValueError(f"{directory}: checkpoint has no array {name!r}")
+        arr = arrays.pop(name)
+        if arr.shape != like.shape:
+            raise gdt.GdtShapeError(f"{directory}: array {name!r} has shape {arr.shape}, expected {like.shape}")
+        return arr.astype(dtype, copy=False)
 
-    loaded = set()
-    for name, filename in tensor_files.items():
-        if name in params:
-            arr = gdt.read_array(directory / filename, expect_shape=params[name].shape)
-            params[name].data = arr.astype(dtype, copy=False)
-        elif name.endswith(".running_mean") or name.endswith(".running_var"):
-            bn_name, _, stat = name.rpartition(".")
-            if bn_name not in bns:
-                raise ValueError(f"checkpoint references unknown batch norm {bn_name!r}")
-            bn = bns[bn_name]
-            arr = gdt.read_array(directory / filename, expect_shape=bn.stats.mean.shape)
-            if stat == "running_mean":
-                bn.stats.mean = arr.astype(dtype, copy=False)
-            else:
-                bn.stats.var = arr.astype(dtype, copy=False)
-        else:
-            raise ValueError(f"checkpoint references unknown tensor {name!r}")
-        loaded.add(name)
-
-    missing = set(params) - loaded
-    if missing:
-        raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:5]} ...")
-    for bn_name, bn in bns.items():
-        keys = [f"{bn_name}.running_mean", f"{bn_name}.running_var"]
-        present = [key in loaded for key in keys]
-        if any(present) and not all(present):
-            raise ValueError(f"{manifest}: missing {keys[present.index(False)]!r}; BN statistics come in pairs")
-        bn.stats.initialized = all(present)
+    for name, p in model.named_parameters():
+        p.data = take(name, p.data)
+    for path, bn in model.named_modules():
+        keys = (f"{path}.running_mean", f"{path}.running_var")
+        if isinstance(bn, BatchNorm) and (keys[0] in arrays or keys[1] in arrays):  # take() rejects half a pair
+            bn.stats.mean, bn.stats.var = (take(key, bn.stats.mean) for key in keys)
+            bn.stats.initialized = True
+    if arrays:
+        raise ValueError(f"{directory}: checkpoint holds unknown arrays {sorted(arrays)[:5]}")
     return model

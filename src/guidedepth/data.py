@@ -218,45 +218,36 @@ def augment(sample: DepthSample, rng: np.random.Generator) -> DepthSample:
 # Sample and dataset I/O
 # ---------------------------------------------------------------------------
 
-_META = "meta"
-_IMAGE = "image.gdt"
-_DEPTH = "depth.gdt"
+
+def _record(sample: DepthSample) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    return {"d_max": repr(sample.d_max)}, {"image": sample.image.data, "depth": sample.depth.data}
 
 
 def write_sample(directory: str | Path, sample: DepthSample) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    gdt.write_array(directory / _IMAGE, sample.image.data)
-    gdt.write_array(directory / _DEPTH, sample.depth.data)
-    (directory / _META).write_text(f"d_max = {sample.d_max!r}\n")
+    """Write the sample as one record (see ``gdt``), replacing any sample already there."""
+    gdt.write_record(directory, *_record(sample))
 
 
 def read_sample(directory: str | Path) -> DepthSample:
-    directory = Path(directory)
-    meta_path = directory / _META
-    meta = {}
-    for line in meta_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
+    meta, arrays = gdt.read_record(directory)
+    meta_path = Path(directory) / gdt.META
     try:
         d_max = float(meta["d_max"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{meta_path}: no numeric d_max") from exc
     if not (math.isfinite(d_max) and d_max > 0):
         raise ValueError(f"{meta_path}: d_max must be finite and > 0, got {d_max}")
-    image = gdt.read_array(directory / _IMAGE)
-    depth = gdt.read_array(directory / _DEPTH, expect_shape=(1, 1, image.shape[2], image.shape[3]))
-    return DepthSample(image=Tensor(image), depth=Tensor(depth), d_max=d_max)
+    try:
+        return DepthSample(image=Tensor(arrays["image"]), depth=Tensor(arrays["depth"]), d_max=d_max)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{directory}: no image and depth of one size ({exc!r})") from exc
 
 
 def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, sample in enumerate(samples):
-        write_sample(directory / f"{i:04d}", sample)
+    """Write one sample record per subdirectory, replacing the whole dataset
+    directory; a directory with a non-hidden entry that is not a sample is
+    not replaced."""
+    gdt.write_records(directory, {f"{i:04d}": _record(sample) for i, sample in enumerate(samples)})
 
 
 def read_dataset(directory: str | Path) -> list[DepthSample]:

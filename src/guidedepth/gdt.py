@@ -1,13 +1,22 @@
-"""GDT1 binary tensor files.
+"""GDT1 binary tensor files, and records: directories of them plus text pairs.
 
-Layout: magic bytes ``GDT1``, u8 dtype code (0 = float32, 1 = float64),
+Array layout: magic bytes ``GDT1``, u8 dtype code (0 = float32, 1 = float64),
 u8 rank (always 4), four little-endian u32 dims, then the raw little-endian
 payload. Round trips are bit-exact.
+
+A record is a directory of ``meta``, one ``key = value`` pair per line (``#``
+comments and blank lines skipped), and one ``<name>.gdt`` per array. A
+checkpoint is a record (config; arrays by module path), so is a sample
+(``d_max``; ``image``, ``depth``), and a dataset is a directory of samples.
+Writes fill a hidden sibling and swap it in: a failed write leaves what was
+there, and no file of an earlier write outlives a later one.
 """
 
 from __future__ import annotations
 
+import shutil
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +81,73 @@ def read_array(path: str | Path, expect_shape: tuple[int, ...] | None = None) ->
     if expect_shape is not None and shape != tuple(expect_shape):
         raise GdtShapeError(f"{path}: shape {shape} != expected {tuple(expect_shape)}")
     return arr.astype(dtype.newbyteorder("="), copy=True)
+
+
+META = "meta"
+
+
+def _parse_meta(text: str, path: Path) -> dict[str, str]:
+    pairs: dict[str, str] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ValueError(f"{path}, line {number}: expected 'key = value', got {raw!r}")
+        if key in pairs:
+            raise ValueError(f"{path}, line {number}: key {key!r} given twice")
+        pairs[key] = value.strip()
+    return pairs
+
+
+def _fill_record(directory: Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+    text = "".join(f"{key} = {value}\n" for key, value in meta.items())
+    if _parse_meta(text, directory / META) != meta:
+        raise ValueError(f"meta {meta!r} would not read back as written")
+    directory.mkdir(exist_ok=True)
+    for name, arr in arrays.items():
+        write_array(directory / f"{name}.gdt", arr)
+    (directory / META).write_text(text)
+
+
+def _replace_directory(directory: str | Path, records: dict[str, tuple[dict, dict]], replaceable) -> None:
+    directory = Path(directory)
+    if directory.exists() and not replaceable(directory):
+        raise FileExistsError(f"{directory} holds files other than GDT records; not replacing it")
+    staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    retired = staging.with_name(staging.name + ".old")
+    staging.mkdir(parents=True)
+    try:
+        for name, (meta, arrays) in records.items():
+            _fill_record(staging / name, meta, arrays)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if directory.exists():
+        directory.rename(retired)
+    staging.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
+
+
+def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+    """Write one record, replacing the record or empty directory at ``directory``."""
+    # the record's name is "": it fills the staging directory itself
+    _replace_directory(directory, {"": (meta, arrays)}, lambda d: (d / META).is_file() or not any(d.iterdir()))
+
+
+def write_records(directory: str | Path, records: dict[str, tuple[dict, dict]]) -> None:
+    """Write each ``(meta, arrays)`` of ``records`` as the record of its name
+    under ``directory``, replacing the whole directory unless one of its
+    non-hidden entries is not a record."""
+    _replace_directory(directory, records, lambda d: all((e / META).is_file() for e in d.iterdir() if e.name[0] != "."))
+
+
+def read_record(directory: str | Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The ``meta`` pairs and the arrays, by name, of the record at ``directory``."""
+    path = Path(directory) / META
+    if not path.is_file():
+        raise FileNotFoundError(f"no record at {directory}: {path} is missing")
+    meta = _parse_meta(path.read_text(), path)
+    return meta, {p.stem: read_array(p) for p in sorted(path.parent.iterdir()) if p.suffix == ".gdt"}

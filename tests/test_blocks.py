@@ -463,6 +463,10 @@ class TestModelConfig:
             B.preset_config("guidedepth-xl")
 
 
+def batchnorms(model):
+    return [m for _, m in model.named_modules() if isinstance(m, B.BatchNorm)]
+
+
 class TestCheckpoints:
     def test_roundtrip_bitwise(self, tmp_path):
         cfg = B.preset_config("guidedepth-tiny", guidance_type="laplacian")
@@ -476,42 +480,60 @@ class TestCheckpoints:
         for (na, pa), (nb, pb) in zip(model.named_parameters(), loaded.named_parameters()):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
-        for (_, ba), (_, bb) in zip(model.named_batchnorms(), loaded.named_batchnorms()):
+        for ba, bb in zip(batchnorms(model), batchnorms(loaded)):
             assert bb.stats.initialized
             assert np.array_equal(ba.stats.mean, bb.stats.mean)
             assert np.array_equal(ba.stats.var, bb.stats.var)
 
+    def test_arrays_named_by_module_path(self, tmp_path):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        with T.no_grad():
+            model.forward(rand_image((2, 3, 16, 16), seed=35, dtype=np.float32), train=True)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+        meta, arrays = gdt.read_record(tmp_path / "ckpt")
+        assert meta["decoder_channels"] == "8,4,2"
+        assert np.array_equal(arrays["stages.0.se.squeeze.weight"], model.stages[0].se.squeeze.weight.data)
+        assert np.array_equal(arrays["encoder.stage1.bn3.running_var"], model.encoder.stage1.bn3.stats.var)
+
+    def test_bn_that_never_ran(self, tmp_path):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+        assert not any("running_" in p.name for p in (tmp_path / "ckpt").iterdir())
+        loaded = B.load_checkpoint(tmp_path / "ckpt")
+        assert batchnorms(loaded) and not any(bn.stats.initialized for bn in batchnorms(loaded))
+        with pytest.raises(RuntimeError, match="fold_batch_norm"):
+            loaded.forward(rand_image((1, 3, 16, 16), seed=36, dtype=np.float32))
+
     def test_shape_validation_on_load(self, tmp_path):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
         B.save_checkpoint(tmp_path / "ckpt", model)
-        manifest = (tmp_path / "ckpt" / "manifest.txt").read_text()
-        manifest = manifest.replace("decoder_channels = 8,4,2", "decoder_channels = 4,4,2")
-        (tmp_path / "ckpt" / "manifest.txt").write_text(manifest)
-        from guidedepth.gdt import GdtShapeError
-
-        with pytest.raises(GdtShapeError):
+        meta = (tmp_path / "ckpt" / "meta").read_text()
+        meta = meta.replace("decoder_channels = 8,4,2", "decoder_channels = 4,4,2")
+        (tmp_path / "ckpt" / "meta").write_text(meta)
+        with pytest.raises(gdt.GdtShapeError, match=r"'stages\.0\.reduce\.weight' has shape \(8, 8, 1, 1\)"):
             B.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(
         "old,new,key",
         [
             ("se_reduction = 4\n", "", "se_reduction"),
-            ("[tensors]\n", "dropout = 0.1\n[tensors]\n", "dropout"),
+            ("se_reduction = 4\n", "se_reduction = 4\ndropout = 0.1\n", "dropout"),
             ("encoder_width = 4\n", "encoder_width = 4.5\n", "encoder_width"),
             ("se_reduction = 4\n", "se_reduction = 0\n", "se_reduction"),
             ("guidance_type = image\n", "guidance_type = sobel\n", "guidance_type"),
+            ("se_reduction = 4\n", "se_reduction = 4\nse_reduction = 2\n", "se_reduction"),
         ],
-        ids=["missing", "unknown", "bad-value", "rejected-se-reduction", "rejected-guidance-type"],
+        ids=["missing", "unknown", "bad-value", "rejected-se-reduction", "rejected-guidance-type", "repeated"],
     )
     def test_config_key_errors_name_key_and_manifest(self, tmp_path, old, new, key):
         B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
-        manifest = tmp_path / "ckpt" / "manifest.txt"
-        text = manifest.read_text()
+        meta = tmp_path / "ckpt" / "meta"
+        text = meta.read_text()
         assert old in text
-        manifest.write_text(text.replace(old, new))
+        meta.write_text(text.replace(old, new))
         with pytest.raises(ValueError) as info:
             B.load_checkpoint(tmp_path / "ckpt")
-        assert key in str(info.value) and str(manifest) in str(info.value)
+        assert key in str(info.value) and str(meta) in str(info.value)
 
     @pytest.mark.parametrize("stat", ["running_mean", "running_var"])
     def test_partial_bn_statistics_rejected(self, tmp_path, stat):
@@ -519,10 +541,8 @@ class TestCheckpoints:
         with T.no_grad():
             model.forward(rand_image((2, 3, 16, 16), seed=34, dtype=np.float32), train=True)
         B.save_checkpoint(tmp_path / "ckpt", model)
-        manifest = tmp_path / "ckpt" / "manifest.txt"
         key = f"encoder.stage1.bn3.{stat}"
-        lines = manifest.read_text().splitlines(keepends=True)
-        manifest.write_text("".join(line for line in lines if not line.startswith(f"{key} =")))
+        (tmp_path / "ckpt" / f"{key}.gdt").unlink()
         with pytest.raises(ValueError, match=key):
             B.load_checkpoint(tmp_path / "ckpt")
 
@@ -547,11 +567,14 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
     def test_save_leaves_no_file_of_an_earlier_save(self, tmp_path):
-        B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth"), seed=6))
-        B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
-        manifest = (tmp_path / "ckpt" / "manifest.txt").read_text()
-        listed = {line.partition("=")[2].strip() for line in manifest.split("[tensors]")[1].splitlines() if line}
-        assert {p.name for p in (tmp_path / "ckpt").iterdir()} == listed | {"manifest.txt"}
+        big = B.build_model(B.preset_config("guidedepth"), seed=6)
+        with T.no_grad():
+            big.forward(rand_image((2, 3, 16, 16), seed=37, dtype=np.float32), train=True)
+        B.save_checkpoint(tmp_path / "ckpt", big)
+        tiny = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        B.save_checkpoint(tmp_path / "ckpt", tiny)
+        expected = {f"{name}.gdt" for name, _ in tiny.named_parameters()} | {"meta"}
+        assert {p.name for p in (tmp_path / "ckpt").iterdir()} == expected
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
         B.load_checkpoint(tmp_path / "ckpt")
 

@@ -1,10 +1,12 @@
-"""Sample and dataset files: d_max is validated on read; hidden directories are not samples.
+"""Sample and dataset files: d_max is validated on read; hidden directories are not samples;
+writes replace what was there whole or not at all.
 Augmentation flips image and depth together and swaps image channels only."""
 
 import numpy as np
 import pytest
 
 from guidedepth import data as D
+from guidedepth import gdt
 from guidedepth.tensor import Tensor
 
 
@@ -17,13 +19,60 @@ def test_sample_roundtrip_bitwise(tmp_path):
     assert back.d_max == sample.d_max
 
 
-@pytest.mark.parametrize("meta", ["", "d_max = nan\n", "d_max = inf\n", "d_max = 0.0\n", "d_max = -2\n", "d_max = ten\n"])
+@pytest.mark.parametrize(
+    "meta",
+    [
+        "",
+        "d_max = nan\n",
+        "d_max = inf\n",
+        "d_max = 0.0\n",
+        "d_max = -2\n",
+        "d_max = ten\n",
+        "d_max = 10.0\nd_max: 5\n",
+        "d_max = 10.0\nd_max = 20.0\n",
+    ],
+)
 def test_bad_d_max_rejected_naming_meta_file(tmp_path, meta):
     D.write_sample(tmp_path / "s", D.generate_scene(D.SceneSpec(seed=3, height=16, width=24)))
     (tmp_path / "s" / "meta").write_text(meta)
     with pytest.raises(ValueError, match="d_max") as info:
         D.read_sample(tmp_path / "s")
     assert str(tmp_path / "s" / "meta") in str(info.value)
+
+
+def test_sample_layout(tmp_path):
+    D.write_sample(tmp_path / "s", D.generate_scene(D.SceneSpec(seed=3, height=16, width=24)))
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["depth.gdt", "image.gdt", "meta"]
+    assert (tmp_path / "s" / "meta").read_text() == "d_max = 10.0\n"
+
+
+def test_sample_missing_array_named(tmp_path):
+    D.write_sample(tmp_path / "s", D.generate_scene(D.SceneSpec(seed=3, height=16, width=24)))
+    (tmp_path / "s" / "depth.gdt").unlink()
+    with pytest.raises(ValueError, match="depth") as info:
+        D.read_sample(tmp_path / "s")
+    assert str(tmp_path / "s") in str(info.value)
+
+
+def test_failed_write_sample_keeps_earlier_sample(tmp_path, monkeypatch):
+    old = D.generate_scene(D.SceneSpec(seed=3, height=16, width=24))
+    D.write_sample(tmp_path / "s", old)
+    write, calls = gdt.write_array, []
+
+    def failing_write(path, arr):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(path, arr)
+
+    monkeypatch.setattr(gdt, "write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        D.write_sample(tmp_path / "s", D.generate_scene(D.SceneSpec(seed=4, height=16, width=24)))
+    monkeypatch.undo()
+    back = D.read_sample(tmp_path / "s")
+    assert back.image.data.tobytes() == old.image.data.tobytes()
+    assert back.depth.data.tobytes() == old.depth.data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["s"]
 
 
 def _two_sample_dataset(directory):
@@ -46,6 +95,29 @@ def test_read_dataset_directory_without_meta_named(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         D.read_dataset(tmp_path)
     assert str(tmp_path / "stray") in str(info.value)
+
+
+def test_write_dataset_replaces_a_larger_one(tmp_path):
+    D.write_dataset(tmp_path / "ds", [D.generate_scene(D.SceneSpec(seed=s, height=16, width=24)) for s in range(4)])
+    samples = _two_sample_dataset(tmp_path / "ds")
+    back = D.read_dataset(tmp_path / "ds")
+    assert len(back) == 2
+    assert all((b.depth.data == s.depth.data).all() for b, s in zip(back, samples))
+    assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
+
+@pytest.mark.parametrize("entry", ["file", "directory"])
+def test_write_dataset_refuses_directory_with_other_entries(tmp_path, entry):
+    _two_sample_dataset(tmp_path / "ds")
+    stray = tmp_path / "ds" / "notes"
+    if entry == "file":
+        stray.write_text("keep me")
+    else:
+        stray.mkdir()
+    with pytest.raises(FileExistsError, match="ds"):
+        _two_sample_dataset(tmp_path / "ds")
+    assert stray.exists()
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == ["0000", "0001", "notes"]
 
 
 def _random_sample(seed=0):

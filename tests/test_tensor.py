@@ -666,6 +666,52 @@ class TestGdtFormat:
             gdt.read_array(path, expect_shape=(1, 2, 3, 5))
 
 
+class TestGdtRecord:
+    def test_roundtrip(self, tmp_path):
+        arrays = {"a": np.arange(6, dtype=np.float32).reshape(1, 1, 2, 3), "b.c": np.ones((1, 2, 1, 1))}
+        gdt.write_record(tmp_path / "r", {"x": "1,2", "y": "a = b"}, arrays)
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["a.gdt", "b.c.gdt", "meta"]
+        meta, back = gdt.read_record(tmp_path / "r")
+        assert meta == {"x": "1,2", "y": "a = b"}
+        assert back.keys() == arrays.keys()
+        assert all(back[k].dtype == v.dtype and np.array_equal(back[k], v) for k, v in arrays.items())
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {})
+        (tmp_path / "r" / "meta").write_text("# note\n\n  x =  1  \n")
+        assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
+
+    @pytest.mark.parametrize(
+        "text,line,what",
+        [("x = 1\ngarbage line\n", 2, "garbage line"), ("x = 1\n\nx = 2\n", 3, "'x' given twice"), ("= 1\n", 1, "= 1")],
+        ids=["no-equals", "repeated-key", "no-key"],
+    )
+    def test_bad_meta_line_named(self, tmp_path, text, line, what):
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {})
+        (tmp_path / "r" / "meta").write_text(text)
+        with pytest.raises(ValueError) as info:
+            gdt.read_record(tmp_path / "r")
+        message = str(info.value)
+        assert str(tmp_path / "r" / "meta") in message and f"line {line}" in message and what in message
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{"a=b": "1"}, {"x": "1\ny = 2"}, {"#x": "1"}, {"x ": "1"}],
+        ids=["equals-in-key", "newline-in-value", "comment-key", "padded-key"],
+    )
+    def test_unreadable_meta_not_written(self, tmp_path, meta):
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {})
+        with pytest.raises(ValueError, match="would not read back"):
+            gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))})
+        assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
+    def test_missing_meta(self, tmp_path):
+        (tmp_path / "r").mkdir()
+        with pytest.raises(FileNotFoundError, match="meta"):
+            gdt.read_record(tmp_path / "r")
+
+
 class TestFiniteDifferenceHarness:
     def test_fd_oracle_on_quadratic(self):
         """The FD helper itself: d/dx of sum(x*x) is 2x."""
