@@ -17,7 +17,7 @@ from guidedepth.tensor import (
     RunningStats,
     Tensor,
     add,
-    batch_norm,
+    batch_norm_relu,
     bilinear_resize,
     concat_channels,
     conv2d,
@@ -112,10 +112,9 @@ class Module:
 
 class Conv(Module):
     def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0, dtype=np.float32):
-        self.weight = Tensor(
-            _kaiming(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel, dtype),
-            requires_grad=True,
-        )
+        shape = (c_out, c_in, kernel, kernel)
+        weight = np.zeros(shape, dtype) if rng is None else _kaiming(rng, shape, c_in * kernel * kernel, dtype)
+        self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
         self.stride = stride
         self.padding = padding
@@ -131,8 +130,8 @@ class BatchNorm(Module):
         self.stats = RunningStats.for_channels(channels, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Train mode only; eval mode folds into the conv before (see ``StackedConv``)."""
-        return batch_norm(x, self.gamma, self.beta, self.stats)
+        """Train-mode batch norm then ReLU; eval mode folds into the conv before (see ``StackedConv``)."""
+        return batch_norm_relu(x, self.gamma, self.beta, self.stats)
 
 
 class StackedConv(Module):
@@ -153,7 +152,7 @@ class StackedConv(Module):
     def forward(self, x: Tensor, train: bool) -> Tensor:
         for conv, bn in ((self.conv3, self.bn3), (self.conv1, self.bn1)):
             if train:
-                x = relu(bn.forward(conv.forward(x)))
+                x = bn.forward(conv.forward(x))
             else:
                 folded = fold_batch_norm(conv.weight, conv.bias, bn.gamma, bn.beta, bn.stats)
                 x = relu(conv2d(x, *folded, conv.stride, conv.padding))
@@ -186,7 +185,6 @@ class GuidedUpsampler(Module):
 
     def __init__(self, c_in, c_out, guidance_type, guidance_branch, se_reduction, rng, dtype=np.float32):
         self.guidance_type = guidance_type
-        self.guidance_branch = guidance_branch
         if guidance_type == "none":
             self.s_guide = None
             c_cat = c_in
@@ -353,7 +351,7 @@ def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
     """Rebuild the model from a checkpoint; every array shape is validated
     against the stored config before it is accepted."""
     meta, arrays = gdt.read_record(directory)
-    model = build_model(_parse_config(meta, Path(directory) / gdt.META), seed=0, dtype=dtype)
+    model = DepthNet(_parse_config(meta, Path(directory) / gdt.META), None, dtype)  # no rng: zero conv weights
 
     def take(name: str, like: np.ndarray) -> np.ndarray:
         if name not in arrays:

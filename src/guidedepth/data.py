@@ -244,9 +244,10 @@ def read_sample(directory: str | Path) -> DepthSample:
 
 
 def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:
-    """Write one sample record per subdirectory, replacing the whole dataset
-    directory; a directory with a non-hidden entry that is not a sample is
-    not replaced."""
+    """Write one sample record per subdirectory, replacing the whole dataset directory unless
+    a non-hidden entry there is not a sample; no samples is an error, as in ``read_dataset``."""
+    if not samples:
+        raise ValueError(f"no samples to write to {directory}")
     gdt.write_records(directory, {f"{i:04d}": _record(sample) for i, sample in enumerate(samples)})
 
 

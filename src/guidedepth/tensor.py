@@ -49,7 +49,7 @@ __all__ = [
     "mean_all",
     "concat_channels",
     "conv2d",
-    "batch_norm",
+    "batch_norm_relu",
     "fold_batch_norm",
     "bilinear_resize",
     "spatial_map",
@@ -500,23 +500,22 @@ class RunningStats:
         return cls(np.zeros((1, c, 1, 1), dtype=dtype), np.ones((1, c, 1, 1), dtype=dtype))
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats) -> Tensor:
-    """Train-mode per-channel normalization over (n, h, w); backward through batch stats is exact.
+def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats) -> Tensor:
+    """Train-mode per-channel normalization over (n, h, w), then ReLU, as one op.
 
     Normalizes with batch statistics (biased variance) and updates the running
-    averages in place. Eval mode has no batch norm op: ``fold_batch_norm``
-    folds the running statistics into the conv before it.
-
-    With ``d = x - mean``, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv``
-    the output is ``d * a + beta``. The mean and variance depend on ``x``
-    (Ioffe & Szegedy, arXiv 1502.03167), and the backward needs only two
-    per-channel sums over the N = n * h * w positions:
-    ``dx = g * a - d * (a * inv**2 * sum(g * d) / N) - a * sum(g) / N``,
-    ``dgamma = inv * sum(g * d)`` and ``dbeta = sum(g)``.
+    averages in place; eval mode folds them into the conv before (``fold_batch_norm``).
+    With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
+    output is ``max((x - m) * a + beta, 0)``; the op keeps only ``x``, the output and
+    per-channel vectors (Rota Bulo et al., arXiv 1712.02616). The backward is exact
+    through the batch statistics (Ioffe & Szegedy, arXiv 1502.03167): with ``gm = g * (out > 0)``,
+    ``s1 = sum(gm)`` and ``s2 = sum(gm * x) - m * s1`` (no full-size temporary) over the N = n * h * w
+    positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
+    ``dgamma = inv * s2`` and ``dbeta = s1``.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
-        raise ValueError(f"batch_norm: gamma/beta must be (1, {c}, 1, 1)")
+        raise ValueError(f"batch_norm_relu: gamma/beta must be (1, {c}, 1, 1), input {x.shape}")
     axes = (0, 2, 3)
     dt = x.data.dtype
 
@@ -532,19 +531,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats) -> T
     a = (gamma.data * inv).astype(dt, copy=False)
     np.multiply(d, a, out=out)
     out += beta.data
+    np.maximum(out, 0, out=out)
     count = n * h * w
 
     def back(g):
-        s1 = g.sum(axis=axes, keepdims=True)
+        gm = np.multiply(g, out > 0, dtype=dt)
+        s1 = gm.sum(axis=axes, keepdims=True)
+        s2 = np.einsum("ncp,ncp->c", gm.reshape(n, c, -1), x.data.reshape(n, c, -1)).reshape(m.shape) - m * s1
         _accum(beta, s1)
-        gd = g * d
-        s2 = gd.sum(axis=axes, keepdims=True)
         _accum(gamma, inv * s2)
         if x.requires_grad:
-            dx = g * a
-            dx -= np.multiply(d, a * inv * inv * s2 / count, out=gd)
-            dx -= a * s1 / count
-            _accum(x, dx)
+            k = a * inv * inv * s2 / count
+            gm *= a
+            gm -= x.data * k
+            gm += k * m - a * s1 / count
+            _accum(x, gm)
 
     return _track(out, back, x, gamma, beta)
 

@@ -124,6 +124,35 @@ def directional_grad_check(build_loss, tensors, rng, step=1e-4):
     return analytic, numeric
 
 
+def graph_bytes(loss: T.Tensor) -> int:
+    """Bytes of the distinct arrays that the graph of ``loss`` keeps alive.
+
+    Walks every tensor reachable from ``loss`` through the graph, counting
+    its data and every array its backward rule captured, also inside lists,
+    tuples and nested closures. Each array is counted once, by the buffer
+    that owns its memory, so views and slices add nothing.
+    """
+    buffers, seen, stack = {}, set(), [loss]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, T.Tensor):
+            stack.append(obj.data)
+            if isinstance(obj._node, tuple):
+                stack.extend(obj._node[1:])
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):  # a backward rule or a function it calls
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return sum(buffers.values())
+
+
 def metrics_reference(y, yhat, mask=None) -> E.MetricValues:
     """The six depth metrics written out term by term in float64."""
     g = np.asarray(y, dtype=np.float64)

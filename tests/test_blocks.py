@@ -13,7 +13,7 @@ from guidedepth import gdt
 from guidedepth import losses as L
 from guidedepth import tensor as T
 from guidedepth.evaluate import depth_to_normalized
-from helpers import check_grads, directional_grad_check, perturb_params
+from helpers import check_grads, directional_grad_check, graph_bytes, perturb_params
 
 
 def rand_image(shape, seed=0, dtype=np.float64):
@@ -313,6 +313,18 @@ class TestDepthNet:
                 gc.enable()
         assert growth < 16 * 1024, f"array memory grew by {growth} bytes over 100 forwards"
 
+    def test_graph_after_forward_and_loss_holds_at_most_240_mib(self):
+        """Each train-mode batch norm keeps only its output beside the conv
+        output it reads; keeping its pre-ReLU output and its centred input
+        as well makes 352 MiB."""
+        rng = np.random.default_rng(38)
+        model = B.build_model(B.preset_config("guidedepth"), seed=0)
+        x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
+        y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 96, 128)), dtype=np.float32)
+        loss = L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"]
+        held = graph_bytes(loss) / 2**20
+        assert held <= 240, f"graph holds {held:.1f} MiB after forward and loss"
+
     def test_indivisible_input_rejected(self):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=2)
         with pytest.raises(ValueError):
@@ -351,9 +363,9 @@ class TestDepthNet:
 
         def counted(*args):
             calls.append(args)
-            return T.batch_norm(*args)
+            return T.batch_norm_relu(*args)
 
-        monkeypatch.setattr(B, "batch_norm", counted)
+        monkeypatch.setattr(B, "batch_norm_relu", counted)
         out = model.forward(x, train=False)
         assert calls == [] and out.shape == (1, 1, 48, 64)
         model.forward(x, train=True)
@@ -362,13 +374,18 @@ class TestDepthNet:
     def test_float32_step_gradients_match_float64_shadow(self, monkeypatch):
         """One train step (batch 4, 96x128) in float32 against the same step in float64.
 
-        The float64 step replays the ReLU masks of the float32 step. Without
-        that, float32 rounding can put a pre-activation near zero on the other
+        The float64 step replays the ReLU masks of the float32 step, both those
+        of plain ``relu`` and those inside ``batch_norm_relu``. Without that,
+        float32 rounding can put a pre-activation near zero on the other
         side of a ReLU than float64 does; the flip switches a unit's whole
         gradient path, and a handful of flips cost about 1e-4 whatever the
         precision of the ops. With the masks matched, the relative L2 error of
-        all parameter gradients is 4.1e-6 here, and rounding every conv
+        all parameter gradients is 4.2e-6 here, and rounding every conv
         output through float16 makes it 9.2e-3.
+
+        The replayed fused op is ``y * mask`` with the batch-norm output ``y``
+        rebuilt exactly as ``batch_norm_relu(x, gamma, beta) -
+        batch_norm_relu(x, -gamma, -beta)``, which is ``max(y, 0) - max(-y, 0)``.
         """
         samples = D.generate_dataset(4, base_seed=0, height=96, width=128)
         x = np.concatenate([s.image.data for s in samples])
@@ -383,9 +400,23 @@ class TestDepthNet:
         def replaying_relu(a):
             return T.mul(a, T.Tensor(masks.pop(0), dtype=a.dtype))
 
+        def recording_bn_relu(x, gamma, beta, stats):
+            out = T.batch_norm_relu(x, gamma, beta, stats)
+            masks.append(out.data > 0)
+            return out
+
+        def replaying_bn_relu(x, gamma, beta, stats):
+            unused = T.RunningStats.for_channels(x.shape[1], x.dtype)
+            neg = T.batch_norm_relu(x, T.scale(gamma, -1.0), T.scale(beta, -1.0), unused)
+            return replaying_relu(T.sub(T.batch_norm_relu(x, gamma, beta, stats), neg))
+
         grads = []
-        for dtype, relu in ((np.float32, recording_relu), (np.float64, replaying_relu)):
+        for dtype, relu, bn_relu in (
+            (np.float32, recording_relu, recording_bn_relu),
+            (np.float64, replaying_relu, replaying_bn_relu),
+        ):
             monkeypatch.setattr(B, "relu", relu)
+            monkeypatch.setattr(B, "batch_norm_relu", bn_relu)
             model = B.build_model(B.preset_config("guidedepth-s"), seed=0, dtype=dtype)
             pred = model.forward(T.Tensor(x, dtype=dtype), train=True)
             T.backward(L.loss_terms(T.Tensor(y, dtype=dtype), pred, L.LossConfig())["total"])
@@ -584,6 +615,18 @@ class TestCheckpoints:
         with pytest.raises(FileExistsError):
             B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
         assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(B, "_kaiming", no_draw)
+        loaded = B.load_checkpoint(tmp_path / "ckpt")
+        for (na, pa), (nb, pb) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert na == nb and np.array_equal(pa.data, pb.data)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

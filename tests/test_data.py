@@ -106,6 +106,13 @@ def test_write_dataset_replaces_a_larger_one(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
 
+def test_write_dataset_rejects_no_samples(tmp_path):
+    with pytest.raises(ValueError) as info:
+        D.write_dataset(tmp_path / "ds", [])
+    assert str(tmp_path / "ds") in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("entry", ["file", "directory"])
 def test_write_dataset_refuses_directory_with_other_entries(tmp_path, entry):
     _two_sample_dataset(tmp_path / "ds")

@@ -199,28 +199,32 @@ class TestBatchNorm:
         g = T.Tensor(np.ones((1, 3, 1, 1), np.float32))
         b = T.zeros((1, 3, 1, 1))
         stats = T.RunningStats.for_channels(3)
-        out = T.batch_norm(x, g, b, stats)
+        out = T.batch_norm_relu(x, g, b, stats)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_zero_gamma_yields_beta_and_kills_input_grad(self):
+        """beta >= 0 passes the ReLU unchanged."""
         x = randn((2, 3, 4, 4), seed=10)
         g = T.zeros((1, 3, 1, 1), dtype=np.float64)
         b = T.Tensor(np.arange(3, dtype=np.float64).reshape(1, 3, 1, 1))
         stats = T.RunningStats.for_channels(3, np.float64)
-        out = T.batch_norm(x, g, b, stats)
+        out = T.batch_norm_relu(x, g, b, stats)
         expect = np.broadcast_to(b.data, out.shape)
         np.testing.assert_allclose(out.data, expect)
         T.backward(T.sum_all(out))
         np.testing.assert_array_equal(x.grad, np.zeros_like(x.grad))
 
     def test_train_mode_normalizes(self):
+        """With gamma = 3 and beta = 20 every output is positive, so the ReLU
+        passes the normalized values unchanged."""
         x = randn((4, 2, 6, 6), seed=11, requires_grad=False)
         g = T.full((1, 2, 1, 1), 3.0, dtype=np.float64)
-        b = T.full((1, 2, 1, 1), -1.0, dtype=np.float64)
-        out = T.batch_norm(x, g, b, T.RunningStats.for_channels(2, np.float64))
+        b = T.full((1, 2, 1, 1), 20.0, dtype=np.float64)
+        out = T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(2, np.float64))
+        assert out.data.min() > 0
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
-        np.testing.assert_allclose(mean, [-1.0, -1.0], atol=1e-10)
+        np.testing.assert_allclose(mean, [20.0, 20.0], atol=1e-10)
         # eps=1e-5 in the denominator shrinks the variance by ~eps relative
         np.testing.assert_allclose(var, [9.0, 9.0], rtol=1e-4)
 
@@ -239,19 +243,34 @@ class TestBatchNorm:
         b = T.zeros((1, 1, 1, 1), dtype=np.float64)
         for _ in range(200):
             x = T.Tensor(2.0 + 0.5 * rng.standard_normal((8, 1, 8, 8)), dtype=np.float64)
-            T.batch_norm(x, g, b, stats)
+            T.batch_norm_relu(x, g, b, stats)
         assert abs(stats.mean.ravel()[0] - 2.0) < 0.05
         assert abs(stats.var.ravel()[0] - 0.25) < 0.05
 
     def test_gradient_matches_finite_differences(self):
-        """Backward through the batch statistics themselves must be exact."""
-        x = randn((2, 3, 4, 4), seed=13)
-        g = randn((1, 3, 1, 1), seed=14)
-        b = randn((1, 3, 1, 1), seed=15)
+        """Backward through the batch statistics and the ReLU mask must be exact.
+
+        Each channel of ``x`` is a shuffled, scaled and shifted ramp, so its
+        normalized values are about 0.11 apart, and ``beta`` puts the ReLU's
+        kink halfway between two of them: every pre-activation stays more than
+        30 finite-difference steps from 0, and each channel has units on both
+        sides of it.
+        """
+        rng = np.random.default_rng(13)
+        ramps = rng.permuted(np.tile(np.arange(32.0), (3, 1)), axis=1)
+        ramps = ramps * np.array([[0.5], [2.0], [1.0]]) + np.array([[-3.0], [1.0], [0.0]])
+        x = T.Tensor(np.ascontiguousarray(ramps.reshape(3, 2, 4, 4).swapaxes(0, 1)), requires_grad=True)
+        g = T.Tensor(np.array([1.5, -0.8, 2.0]).reshape(1, 3, 1, 1), requires_grad=True)
+        xhat = (ramps - ramps.mean(axis=1, keepdims=True)) / ramps.std(axis=1, keepdims=True)
+        cut = np.sort(xhat, axis=1)[:, 11:13].mean(axis=1)  # halfway between the 12th and 13th smallest
+        b = T.Tensor((-g.data.ravel() * cut).reshape(1, 3, 1, 1), requires_grad=True)
+        pre = xhat * g.data.reshape(3, 1) + b.data.reshape(3, 1)
+        assert np.abs(pre).min() > 30 * 1e-3
+        assert ((pre > 0).any(axis=1) & (pre < 0).any(axis=1)).all()
 
         def f():
             stats = T.RunningStats.for_channels(3, np.float64)
-            out = T.batch_norm(x, g, b, stats)
+            out = T.batch_norm_relu(x, g, b, stats)
             return T.sum_all(T.mul(out, out))
 
         check_grads(f, {"x": x, "gamma": g, "beta": b}, tol=1e-3)
@@ -264,7 +283,7 @@ class TestBatchNorm:
         b = randn((1, 2, 1, 1), seed=18)
         stats = T.RunningStats.for_channels(2, np.float64)
         with T.no_grad():
-            T.batch_norm(randn((4, 2, 5, 5), seed=19, requires_grad=False), g, b, stats)
+            T.batch_norm_relu(randn((4, 2, 5, 5), seed=19, requires_grad=False), g, b, stats)
 
         def folded(i):
             out = T.fold_batch_norm(w, cb, g, b, stats)[i]
@@ -541,7 +560,7 @@ def _fold_batch_norm(rng, output):
     gamma, beta = _signed(rng, (1, 2, 1, 1)), _signed(rng, (1, 2, 1, 1))
     stats = T.RunningStats.for_channels(2, np.float64)
     with T.no_grad():
-        T.batch_norm(_signed(rng, (4, 2, 3, 3)), gamma, beta, stats)
+        T.batch_norm_relu(_signed(rng, (4, 2, 3, 3)), gamma, beta, stats)
     return T.fold_batch_norm(_signed(rng, (2, 3, 3, 3)), _signed(rng, (1, 2, 1, 1)), gamma, beta, stats)[output]
 
 
@@ -562,7 +581,7 @@ _RULE_CASES = {
     "concat_channels": lambda r: T.concat_channels(_signed(r), _signed(r, (2, 1, 4, 5))),
     "conv2d-3x3": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 3, 3)), _signed(r, (1, 2, 1, 1)), 1, 1),
     "conv2d-1x1": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 1, 1)), _signed(r, (1, 2, 1, 1))),
-    "batch_norm-train": lambda r: T.batch_norm(
+    "batch_norm_relu": lambda r: T.batch_norm_relu(
         _signed(r), _signed(r, (1, 3, 1, 1)), _signed(r, (1, 3, 1, 1)), T.RunningStats.for_channels(3, np.float64)
     ),
     "fold_batch_norm-weight": lambda r: _fold_batch_norm(r, 0),
@@ -570,6 +589,10 @@ _RULE_CASES = {
     "spatial_map": lambda r: T.bilinear_resize(_signed(r), 7, 3),
     "global_avg_pool": lambda r: T.global_avg_pool(_signed(r)),
 }
+
+
+# names in ``T.__all__`` that record no backward rule of their own
+_NOT_RULES = {"Tensor", "RunningStats", "no_grad", "backward", "zeros", "full", "bilinear_resize"}
 
 
 class TestGradientOwnership:
@@ -587,6 +610,10 @@ class TestGradientOwnership:
         back(g)
         back(g)  # as a second consumer would: adds onto the gradients the first call stored
         np.testing.assert_array_equal(g, want)
+
+    def test_every_differentiable_op_has_a_rule_case(self):
+        """A rule case is keyed ``op`` or ``op-variant``; a new op needs one."""
+        assert {case.partition("-")[0] for case in _RULE_CASES} == set(T.__all__) - _NOT_RULES
 
     def test_later_backward_leaves_shared_gradient_alone(self):
         """add hands the same array to both leaves; a later backward that
