@@ -2,11 +2,12 @@
 a small strided encoder, and full model assembly with checkpointing.
 
 The decoder runs three stages; each doubles spatial resolution and can draw on
-the RGB input (raw, feature-extracted, or band-pass filtered) as guidance.
+the RGB input (resized or band-pass filtered) as guidance.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from guidedepth.tensor import (
 )
 
 GUIDANCE_TYPES = ("image", "laplacian", "none")
-GUIDANCE_BRANCHES = ("gub", "direct")
+SE_REDUCTION = 4  # squeeze-and-excite bottleneck: hidden units = channels / SE_REDUCTION
 
 PRESETS: dict[str, dict] = {
     "guidedepth": dict(encoder_width=16, encoder_out_channels=64, decoder_channels=(64, 32, 16)),
@@ -47,34 +48,29 @@ class ModelConfig:
     encoder_out_channels: int = 64
     decoder_channels: tuple[int, int, int] = (64, 32, 16)
     guidance_type: str = "image"
-    guidance_branch: str = "gub"
-    se_reduction: int = 4
 
     def __post_init__(self):
+        # a tuple whatever sequence was given, so that a checkpoint writes it as it reads back
+        object.__setattr__(self, "decoder_channels", tuple(map(operator.index, self.decoder_channels)))
         if self.encoder_width < 1 or self.encoder_out_channels < 1:
-            raise ValueError("encoder widths must be positive")
+            widths = (self.encoder_width, self.encoder_out_channels)
+            raise ValueError(f"encoder_width and encoder_out_channels must be positive, got {widths}")
         if len(self.decoder_channels) != 3 or any(c < 1 for c in self.decoder_channels):
             raise ValueError(f"decoder_channels must be 3 positive ints, got {self.decoder_channels}")
         if self.guidance_type not in GUIDANCE_TYPES:
             raise ValueError(f"guidance_type must be one of {GUIDANCE_TYPES}, got {self.guidance_type!r}")
-        if self.guidance_branch not in GUIDANCE_BRANCHES:
-            raise ValueError(f"guidance_branch must be one of {GUIDANCE_BRANCHES}, got {self.guidance_branch!r}")
-        if self.se_reduction < 1:
-            raise ValueError("se_reduction must be >= 1")
+        guided = 1 if self.guidance_type == "none" else 2
+        se_widths = [guided * c for c in (self.encoder_out_channels, *self.decoder_channels[:2])]
+        if any(c % SE_REDUCTION for c in se_widths):
+            raise ValueError(
+                f"encoder_out_channels, decoder_channels: SE widths {se_widths} not divisible by {SE_REDUCTION}"
+            )
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown model preset {name!r}, choose from {sorted(PRESETS)}")
     return replace(ModelConfig(**PRESETS[name]), **overrides)
-
-
-def largest_divisor_upto(n: int, limit: int) -> int:
-    """Largest divisor of n not exceeding limit (>= 1)."""
-    for d in range(min(limit, n), 0, -1):
-        if n % d == 0:
-            return d
-    return 1
 
 
 def _kaiming(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -162,10 +158,10 @@ class StackedConv(Module):
 class SqueezeExcite(Module):
     """Channel gate: global pool -> bottleneck pair of 1x1 convs -> sigmoid -> scale."""
 
-    def __init__(self, channels, reduction, rng, dtype=np.float32):
-        if channels % reduction != 0:
-            raise ValueError(f"SE: {channels} channels not divisible by reduction {reduction}")
-        hidden = channels // reduction
+    def __init__(self, channels, rng, dtype=np.float32):
+        if channels % SE_REDUCTION != 0:
+            raise ValueError(f"SE: {channels} channels not divisible by reduction {SE_REDUCTION}")
+        hidden = channels // SE_REDUCTION
         self.squeeze = Conv(channels, hidden, 1, rng, dtype=dtype)
         self.excite = Conv(hidden, channels, 1, rng, dtype=dtype)
 
@@ -178,42 +174,28 @@ class GuidedUpsampler(Module):
     """One decoder stage: doubles resolution while folding in image guidance.
 
     The upsampled features get a residual correction computed from the joint
-    (target, guidance) representation; a trailing 1x1 convolution sets the
-    output width. guidance_type "none" drops the guidance entirely and
-    "direct" concatenates the raw image instead of extracted features.
+    (target, guidance) representation: the guidance image's own extracted
+    features concatenated with the target's, gated by squeeze-and-excite. A
+    trailing 1x1 convolution sets the output width. guidance_type "none"
+    drops the guidance entirely.
     """
 
-    def __init__(self, c_in, c_out, guidance_type, guidance_branch, se_reduction, rng, dtype=np.float32):
-        self.guidance_type = guidance_type
-        if guidance_type == "none":
-            self.s_guide = None
-            c_cat = c_in
-        elif guidance_branch == "gub":
-            self.s_guide = StackedConv(3, c_in, rng, dtype=dtype)
-            c_cat = 2 * c_in
-        else:  # direct: raw image channels join the concat
-            self.s_guide = None
-            c_cat = c_in + 3
+    def __init__(self, c_in, c_out, guidance_type, rng, dtype=np.float32):
+        self.s_guide = None if guidance_type == "none" else StackedConv(3, c_in, rng, dtype=dtype)
+        c_cat = c_in if self.s_guide is None else 2 * c_in
         self.s_target = StackedConv(c_in, c_in, rng, dtype=dtype)
-        # se_reduction must divide the concat width; fall back to the largest
-        # divisor so the direct branch (c_in + 3 channels) stays buildable
-        self.se = SqueezeExcite(c_cat, largest_divisor_upto(c_cat, se_reduction), rng, dtype)
+        self.se = SqueezeExcite(c_cat, rng, dtype)
         self.s_res = StackedConv(c_cat, c_in, rng, dtype=dtype)
         self.reduce = Conv(c_in, c_out, 1, rng, dtype=dtype)
 
     def forward(self, z: Tensor, guide: Tensor | None, train: bool) -> Tensor:
         n, c, h, w = z.shape
-        if self.guidance_type != "none":
-            if guide is None or guide.shape != (n, 3, 2 * h, 2 * w):
-                got = None if guide is None else guide.shape
-                raise ValueError(f"guide must be ({n}, 3, {2*h}, {2*w}), got {got}")
+        want = (n, 3, 2 * h, 2 * w)
+        if self.s_guide is not None and getattr(guide, "shape", None) != want:
+            raise ValueError(f"guide must be {want}, got {getattr(guide, 'shape', None)}")
         h_up = bilinear_resize(z, 2 * h, 2 * w)
         h_t = self.s_target.forward(h_up, train)
-        if self.guidance_type == "none":
-            joint = h_t
-        else:
-            h_g = self.s_guide.forward(guide, train) if self.s_guide is not None else guide
-            joint = concat_channels(h_t, h_g)
+        joint = h_t if self.s_guide is None else concat_channels(h_t, self.s_guide.forward(guide, train))
         h_res = self.s_res.forward(self.se.forward(joint), train)
         return self.reduce.forward(add(h_up, h_res))
 
@@ -252,19 +234,8 @@ class DepthNet(Module):
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
         self.encoder = Encoder(config.encoder_width, config.encoder_out_channels, rng, dtype)
-        widths = (config.encoder_out_channels,) + tuple(config.decoder_channels)
-        self.stages = [
-            GuidedUpsampler(
-                widths[j],
-                widths[j + 1],
-                config.guidance_type,
-                config.guidance_branch,
-                config.se_reduction,
-                rng,
-                dtype,
-            )
-            for j in range(3)
-        ]
+        widths = (config.encoder_out_channels,) + config.decoder_channels
+        self.stages = [GuidedUpsampler(widths[j], widths[j + 1], config.guidance_type, rng, dtype) for j in range(3)]
         self.head = Conv(config.decoder_channels[2], 1, 1, rng, dtype=dtype)
 
     def guidance_pyramid(self, x: Tensor) -> list[Tensor | None]:
@@ -347,19 +318,19 @@ def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
     gdt.write_record(directory, meta, arrays)
 
 
-def load_checkpoint(directory: str | Path, dtype=np.float32) -> DepthNet:
-    """Rebuild the model from a checkpoint; every array shape is validated
-    against the stored config before it is accepted."""
+def load_checkpoint(directory: str | Path) -> DepthNet:
+    """Rebuild the float32 model from a checkpoint; every array shape is
+    validated against the stored config before it is accepted."""
     meta, arrays = gdt.read_record(directory)
-    model = DepthNet(_parse_config(meta, Path(directory) / gdt.META), None, dtype)  # no rng: zero conv weights
+    model = DepthNet(_parse_config(meta, Path(directory) / gdt.META), None)  # no rng: zero conv weights
 
     def take(name: str, like: np.ndarray) -> np.ndarray:
         if name not in arrays:
             raise ValueError(f"{directory}: checkpoint has no array {name!r}")
         arr = arrays.pop(name)
         if arr.shape != like.shape:
-            raise gdt.GdtShapeError(f"{directory}: array {name!r} has shape {arr.shape}, expected {like.shape}")
-        return arr.astype(dtype, copy=False)
+            raise ValueError(f"{directory}: array {name!r} has shape {arr.shape}, expected {like.shape}")
+        return arr.astype(like.dtype, copy=False)
 
     for name, p in model.named_parameters():
         p.data = take(name, p.data)

@@ -28,45 +28,33 @@ _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
-class GdtError(Exception):
-    """Base error for GDT1 files."""
-
-
-class GdtBadMagic(GdtError):
-    pass
-
-
-class GdtTruncated(GdtError):
-    pass
-
-
-class GdtShapeError(GdtError):
-    pass
+class GdtError(ValueError):
+    """A GDT1 file that cannot be written or read; the message names the file."""
 
 
 def write_array(path: str | Path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
     if arr.ndim != 4:
-        raise GdtShapeError(f"GDT1 stores rank-4 tensors, got shape {arr.shape}")
+        raise GdtError(f"{path}: GDT1 stores rank-4 tensors, got shape {arr.shape}")
     code = _DTYPE_TO_CODE.get(arr.dtype.newbyteorder("="))
     if code is None:
-        raise GdtError(f"unsupported dtype {arr.dtype}")
+        raise GdtError(f"{path}: unsupported dtype {arr.dtype}")
     header = _HEADER.pack(MAGIC, code, 4, *arr.shape)
     payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
     Path(path).write_bytes(header + payload)
 
 
-def read_array(path: str | Path, expect_shape: tuple[int, ...] | None = None) -> np.ndarray:
+def read_array(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 4:
-        raise GdtTruncated(f"{path}: file shorter than the magic")
+        raise GdtError(f"{path}: file shorter than the magic")
     if raw[:4] != MAGIC:
-        raise GdtBadMagic(f"{path}: bad magic {raw[:4]!r}")
+        raise GdtError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < _HEADER.size:
-        raise GdtTruncated(f"{path}: incomplete header")
+        raise GdtError(f"{path}: incomplete header")
     _, code, rank, d0, d1, d2, d3 = _HEADER.unpack_from(raw)
     if rank != 4:
-        raise GdtShapeError(f"{path}: rank {rank} != 4")
+        raise GdtError(f"{path}: rank {rank} != 4")
     dtype = _CODE_TO_DTYPE.get(code)
     if dtype is None:
         raise GdtError(f"{path}: unknown dtype code {code}")
@@ -74,13 +62,10 @@ def read_array(path: str | Path, expect_shape: tuple[int, ...] | None = None) ->
     expected_bytes = dtype.itemsize * d0 * d1 * d2 * d3
     payload = raw[_HEADER.size :]
     if len(payload) < expected_bytes:
-        raise GdtTruncated(f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}")
+        raise GdtError(f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}")
     if len(payload) > expected_bytes:
         raise GdtError(f"{path}: {len(payload) - expected_bytes} trailing bytes")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    if expect_shape is not None and shape != tuple(expect_shape):
-        raise GdtShapeError(f"{path}: shape {shape} != expected {tuple(expect_shape)}")
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="), copy=True)
 
 
 META = "meta"

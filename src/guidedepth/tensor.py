@@ -64,8 +64,6 @@ class Tensor:
     same shape and dtype as ``data`` and may share memory with other
     gradients, so it is never written in place. It may also be a read-only
     broadcast view, as the gradient of a sum, a mean or a pooled average is.
-    A zero channel count is allowed so that channel concatenation has an
-    identity element; all other dimensions must be positive.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -79,7 +77,7 @@ class Tensor:
         if arr.ndim != 4:
             raise ValueError(f"tensors are rank 4 (n, c, h, w), got shape {arr.shape}")
         n, c, h, w = arr.shape
-        if n < 1 or c < 0 or h < 1 or w < 1:
+        if n < 1 or c < 1 or h < 1 or w < 1:
             raise ValueError(f"invalid tensor shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)

@@ -1,5 +1,6 @@
 """Architecture blocks: shape contracts, guidance variants, init, checkpoints."""
 
+import dataclasses
 import gc
 import hashlib
 import tracemalloc
@@ -87,26 +88,26 @@ class TestStackedConv:
 class TestSqueezeExcite:
     def test_forced_half_gate(self):
         """Zeroed excite weights make the gate sigmoid(0) = 0.5 everywhere."""
-        se = B.SqueezeExcite(8, 4, np.random.default_rng(5), dtype=np.float64)
+        se = B.SqueezeExcite(8, np.random.default_rng(5), dtype=np.float64)
         se.excite.weight.data[...] = 0.0
         se.excite.bias.data[...] = 0.0
         x = rand_image((2, 8, 4, 4), seed=6)
         np.testing.assert_allclose(se.forward(x).data, 0.5 * x.data, rtol=1e-12)
 
     def test_zero_input_zero_output(self):
-        se = B.SqueezeExcite(4, 4, np.random.default_rng(7))
+        se = B.SqueezeExcite(4, np.random.default_rng(7))
         out = se.forward(T.zeros((1, 4, 3, 3)))
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_indivisible_channels_rejected(self):
-        with pytest.raises(ValueError):
-            B.SqueezeExcite(6, 4, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="6 channels not divisible by reduction 4"):
+            B.SqueezeExcite(6, np.random.default_rng(8))
 
     def test_gate_contracts_magnitudes(self):
         """Gate values lie in (0, 1), so |output| <= |input| elementwise."""
         rng = np.random.default_rng(9)
         for seed in range(5):
-            se = B.SqueezeExcite(8, 2, np.random.default_rng(seed), dtype=np.float64)
+            se = B.SqueezeExcite(8, np.random.default_rng(seed), dtype=np.float64)
             x = T.Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
             out = se.forward(x)
             assert np.all(np.abs(out.data) <= np.abs(x.data) + 1e-12)
@@ -132,29 +133,22 @@ class TestSqueezeExcite:
         digest = hashlib.sha256(b"".join(p.data.tobytes() for _, p in se)).hexdigest()
         assert digest == "804f07837bc9ca620328a35f65a5b38ef291a30d71fb506e2fb8349ec78c6010"
 
-    def test_largest_divisor_fallback(self):
-        assert B.largest_divisor_upto(67, 4) == 1
-        assert B.largest_divisor_upto(128, 4) == 4
-        assert B.largest_divisor_upto(35, 4) == 1
-        assert B.largest_divisor_upto(12, 4) == 4
-        assert B.largest_divisor_upto(2, 4) == 2
-
 
 class TestGuidedUpsampler:
     def test_shape_contract(self):
-        gub = B.GuidedUpsampler(16, 8, "image", "gub", 4, np.random.default_rng(10))
+        gub = B.GuidedUpsampler(16, 8, "image", np.random.default_rng(10))
         z = T.zeros((1, 16, 6, 8))
         guide = T.zeros((1, 3, 12, 16))
         assert gub.forward(z, guide, train=True).shape == (1, 8, 12, 16)
 
     def test_guide_resolution_mismatch_rejected(self):
-        gub = B.GuidedUpsampler(4, 4, "image", "gub", 4, np.random.default_rng(11))
+        gub = B.GuidedUpsampler(4, 4, "image", np.random.default_rng(11))
         with pytest.raises(ValueError):
             gub.forward(T.zeros((1, 4, 6, 8)), T.zeros((1, 3, 6, 8)), train=True)
 
     def test_zeroed_residual_path_reduces_to_upsample(self):
         """Zero BN affines in the correction branch leave reduce(upsample(z)) exactly."""
-        gub = B.GuidedUpsampler(4, 2, "image", "gub", 4, np.random.default_rng(12), dtype=np.float64)
+        gub = B.GuidedUpsampler(4, 2, "image", np.random.default_rng(12), dtype=np.float64)
         gub.s_res.bn3.gamma.data[...] = 0.0
         gub.s_res.bn3.beta.data[...] = 0.0
         gub.s_res.bn1.gamma.data[...] = 0.0
@@ -166,20 +160,17 @@ class TestGuidedUpsampler:
         expect = gub.reduce.forward(h_up)
         np.testing.assert_allclose(out.data, expect.data, atol=1e-14)
 
-    def test_direct_branch_concat_width(self):
-        direct = B.GuidedUpsampler(8, 4, "image", "direct", 4, np.random.default_rng(15))
-        # s_res consumes c_in + 3 channels instead of 2 * c_in
-        assert direct.s_res.conv3.weight.shape[1] == 11
-        assert direct.s_guide is None
-
-    def test_direct_has_fewer_params_than_gub(self):
-        count = lambda m: sum(p.data.size for _, p in m.named_parameters())
-        gub = B.GuidedUpsampler(8, 4, "image", "gub", 4, np.random.default_rng(16))
-        direct = B.GuidedUpsampler(8, 4, "image", "direct", 4, np.random.default_rng(16))
-        assert count(direct) < count(gub)
+    @pytest.mark.parametrize("gtype,c_cat", [("image", 16), ("none", 8)])
+    def test_concat_width(self, gtype, c_cat):
+        """Guidance features double the width that SE gates and s_res reads."""
+        gub = B.GuidedUpsampler(8, 4, gtype, np.random.default_rng(15))
+        assert (gub.s_guide is None) == (gtype == "none")
+        assert gub.se.squeeze.weight.shape == (c_cat // B.SE_REDUCTION, c_cat, 1, 1)
+        assert gub.s_res.conv3.weight.shape[1] == c_cat
 
     def test_gradients_all_params(self):
-        gub = B.GuidedUpsampler(2, 2, "image", "gub", 2, np.random.default_rng(17), dtype=np.float64)
+        """Concat width 4, so SE has one hidden unit."""
+        gub = B.GuidedUpsampler(2, 2, "image", np.random.default_rng(17), dtype=np.float64)
         z = rand_image((1, 2, 3, 4), seed=18)
         guide = rand_image((1, 3, 6, 8), seed=19)
 
@@ -188,17 +179,6 @@ class TestGuidedUpsampler:
             return T.sum_all(T.mul(out, out))
 
         check_grads(f, dict(gub.named_parameters()), tol=1e-2, step=1e-4)
-
-    def test_direct_gradient(self):
-        direct = B.GuidedUpsampler(2, 2, "image", "direct", 1, np.random.default_rng(20), dtype=np.float64)
-        z = rand_image((1, 2, 3, 3), seed=21)
-        guide = rand_image((1, 3, 6, 6), seed=22)
-
-        def f():
-            out = direct.forward(z, guide, train=True)
-            return T.sum_all(T.mul(out, out))
-
-        check_grads(f, dict(direct.named_parameters()), tol=1e-2, step=1e-4)
 
 
 class TestLaplacianGuidance:
@@ -253,19 +233,11 @@ class TestEncoder:
         check_grads(f, dict(enc.named_parameters()), tol=1e-2, step=1e-4)
 
 
-ALL_VARIANTS = [
-    ("image", "gub"),
-    ("image", "direct"),
-    ("laplacian", "gub"),
-    ("laplacian", "direct"),
-    ("none", "gub"),
-]
-
-
 class TestDepthNet:
-    @pytest.mark.parametrize("gtype,gbranch", ALL_VARIANTS)
-    def test_shape_contract_all_variants(self, gtype, gbranch):
-        cfg = B.preset_config("guidedepth-tiny", guidance_type=gtype, guidance_branch=gbranch)
+    @pytest.mark.parametrize("preset", sorted(B.PRESETS))
+    @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
+    def test_shape_contract_all_variants(self, preset, gtype):
+        cfg = B.preset_config(preset, guidance_type=gtype)
         model = B.build_model(cfg, seed=0)
         x = rand_image((2, 3, 48, 64), seed=28, dtype=np.float32)
         out = model.forward(x, train=True)
@@ -488,10 +460,32 @@ class TestModelConfig:
             B.ModelConfig(decoder_channels=(8, 4))
         with pytest.raises(ValueError):
             B.ModelConfig(guidance_type="sobel")
-        with pytest.raises(ValueError):
-            B.ModelConfig(guidance_branch="skip")
+        with pytest.raises(TypeError):
+            B.ModelConfig(decoder_channels=(8, 4.5, 2))
         with pytest.raises(ValueError):
             B.preset_config("guidedepth-xl")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(decoder_channels=(8, 6, 2), guidance_type="none"),
+            dict(encoder_out_channels=6, guidance_type="none"),
+            dict(encoder_out_channels=9),
+        ],
+    )
+    def test_widths_that_squeeze_excite_cannot_gate_rejected(self, overrides):
+        """SE_REDUCTION must divide the width each stage's SE gates: twice the
+        stage input width with guidance, the input width alone without."""
+        with pytest.raises(ValueError, match="SE widths .* not divisible by 4"):
+            B.preset_config("guidedepth-tiny", **overrides)
+
+    def test_fields_are_the_four_callers_set(self):
+        assert [f.name for f in dataclasses.fields(B.ModelConfig)] == [
+            "encoder_width",
+            "encoder_out_channels",
+            "decoder_channels",
+            "guidance_type",
+        ]
 
 
 def batchnorms(model):
@@ -515,6 +509,13 @@ class TestCheckpoints:
             assert bb.stats.initialized
             assert np.array_equal(ba.stats.mean, bb.stats.mean)
             assert np.array_equal(ba.stats.var, bb.stats.var)
+
+    def test_roundtrip_of_config_given_a_list(self, tmp_path):
+        cfg = B.preset_config("guidedepth-tiny", decoder_channels=[8, np.int64(4), 2])
+        assert cfg == B.preset_config("guidedepth-tiny")
+        B.save_checkpoint(tmp_path / "ckpt", B.build_model(cfg, seed=5))
+        loaded = B.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.config == cfg
 
     def test_arrays_named_by_module_path(self, tmp_path):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
@@ -541,20 +542,29 @@ class TestCheckpoints:
         meta = (tmp_path / "ckpt" / "meta").read_text()
         meta = meta.replace("decoder_channels = 8,4,2", "decoder_channels = 4,4,2")
         (tmp_path / "ckpt" / "meta").write_text(meta)
-        with pytest.raises(gdt.GdtShapeError, match=r"'stages\.0\.reduce\.weight' has shape \(8, 8, 1, 1\)"):
+        with pytest.raises(ValueError, match=r"'stages\.0\.reduce\.weight' has shape \(8, 8, 1, 1\)"):
             B.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(
         "old,new,key",
         [
-            ("se_reduction = 4\n", "", "se_reduction"),
-            ("se_reduction = 4\n", "se_reduction = 4\ndropout = 0.1\n", "dropout"),
+            ("guidance_type = image\n", "", "guidance_type"),
+            ("guidance_type = image\n", "guidance_type = image\ndropout = 0.1\n", "dropout"),
             ("encoder_width = 4\n", "encoder_width = 4.5\n", "encoder_width"),
-            ("se_reduction = 4\n", "se_reduction = 0\n", "se_reduction"),
+            ("encoder_width = 4\n", "encoder_width = 0\n", "encoder_width"),
             ("guidance_type = image\n", "guidance_type = sobel\n", "guidance_type"),
-            ("se_reduction = 4\n", "se_reduction = 4\nse_reduction = 2\n", "se_reduction"),
+            ("encoder_width = 4\n", "encoder_width = 4\nencoder_width = 2\n", "encoder_width"),
+            ("guidance_type = image\n", "guidance_type = image\nguidance_branch = gub\n", "guidance_branch"),
         ],
-        ids=["missing", "unknown", "bad-value", "rejected-se-reduction", "rejected-guidance-type", "repeated"],
+        ids=[
+            "missing",
+            "unknown",
+            "bad-value",
+            "rejected-value",
+            "rejected-guidance-type",
+            "repeated",
+            "key-of-older-checkpoints",
+        ],
     )
     def test_config_key_errors_name_key_and_manifest(self, tmp_path, old, new, key):
         B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
