@@ -7,6 +7,7 @@ the RGB input (resized or band-pass filtered) as guidance.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 
 from guidedepth import gdt
 from guidedepth.tensor import (
+    BN_EPS,
     RunningStats,
     Tensor,
     add,
@@ -22,9 +24,9 @@ from guidedepth.tensor import (
     bilinear_resize,
     concat_channels,
     conv2d,
-    fold_batch_norm,
     global_avg_pool,
     mul,
+    no_grad,
     relu,
     sigmoid,
     sub,
@@ -50,7 +52,9 @@ class ModelConfig:
     guidance_type: str = "image"
 
     def __post_init__(self):
-        # a tuple whatever sequence was given, so that a checkpoint writes it as it reads back
+        # ints, and a tuple whatever sequence was given, so that a checkpoint writes them as they read back
+        object.__setattr__(self, "encoder_width", operator.index(self.encoder_width))
+        object.__setattr__(self, "encoder_out_channels", operator.index(self.encoder_out_channels))
         object.__setattr__(self, "decoder_channels", tuple(map(operator.index, self.decoder_channels)))
         if self.encoder_width < 1 or self.encoder_out_channels < 1:
             widths = (self.encoder_width, self.encoder_out_channels)
@@ -126,8 +130,24 @@ class BatchNorm(Module):
         self.stats = RunningStats.for_channels(channels, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Train-mode batch norm then ReLU; eval mode folds into the conv before (see ``StackedConv``)."""
+        """Train-mode batch norm then ReLU; eval mode folds into the conv before (see ``fold``)."""
         return batch_norm_relu(x, self.gamma, self.beta, self.stats)
+
+    def fold(self, conv: Conv) -> tuple[Tensor, Tensor]:
+        """Constant weight and bias of one conv that computes eval-mode batch norm of ``conv``.
+
+        Eval-mode batch norm normalizes with the running statistics, so it is a
+        per-channel affine map and folds into the conv before it (Jacob et al.,
+        arXiv 1712.05877): with ``a = gamma / sqrt(var + eps)`` per output
+        channel, ``weight' = weight * a`` and ``bias' = (bias - mean) * a + beta``.
+        Raises if the running statistics were never updated.
+        """
+        if not self.stats.initialized:
+            raise RuntimeError("BatchNorm.fold: eval mode before any running-stat update")
+        dt = conv.weight.dtype
+        a = self.gamma.data * (1.0 / np.sqrt(self.stats.var + BN_EPS)).astype(dt, copy=False)
+        bias = (conv.bias.data - self.stats.mean.astype(dt, copy=False)) * a + self.beta.data
+        return Tensor(conv.weight.data * a.reshape(-1, 1, 1, 1)), Tensor(bias)
 
 
 class StackedConv(Module):
@@ -135,8 +155,9 @@ class StackedConv(Module):
 
     Spatial dims are preserved at stride 1; the encoder uses stride 2 on the
     3x3 convolution to halve them. In eval mode each BN is folded into the
-    conv before it, on every forward, so the folded weights always follow
-    the current parameters.
+    conv before it (``BatchNorm.fold``), on every forward, so the folded
+    weights always follow the current parameters; they are constants, so the
+    eval forward passes no gradient to any conv or BN parameter.
     """
 
     def __init__(self, c_in, c_out, rng, stride=1, dtype=np.float32):
@@ -150,8 +171,7 @@ class StackedConv(Module):
             if train:
                 x = bn.forward(conv.forward(x))
             else:
-                folded = fold_batch_norm(conv.weight, conv.bias, bn.gamma, bn.beta, bn.stats)
-                x = relu(conv2d(x, *folded, conv.stride, conv.padding))
+                x = relu(conv2d(x, *bn.fold(conv), conv.stride, conv.padding))
         return x
 
 
@@ -176,12 +196,12 @@ class GuidedUpsampler(Module):
     The upsampled features get a residual correction computed from the joint
     (target, guidance) representation: the guidance image's own extracted
     features concatenated with the target's, gated by squeeze-and-excite. A
-    trailing 1x1 convolution sets the output width. guidance_type "none"
-    drops the guidance entirely.
+    trailing 1x1 convolution sets the output width. A stage that is not
+    ``guided`` drops the guidance entirely.
     """
 
-    def __init__(self, c_in, c_out, guidance_type, rng, dtype=np.float32):
-        self.s_guide = None if guidance_type == "none" else StackedConv(3, c_in, rng, dtype=dtype)
+    def __init__(self, c_in, c_out, guided: bool, rng, dtype=np.float32):
+        self.s_guide = StackedConv(3, c_in, rng, dtype=dtype) if guided else None
         c_cat = c_in if self.s_guide is None else 2 * c_in
         self.s_target = StackedConv(c_in, c_in, rng, dtype=dtype)
         self.se = SqueezeExcite(c_cat, rng, dtype)
@@ -212,22 +232,6 @@ class Encoder(Module):
         return self.stage3.forward(self.stage2.forward(self.stage1.forward(x, train), train), train)
 
 
-def laplacian_guidance(x: Tensor, k: int) -> Tensor:
-    """Band-pass guidance at scale 1/2^k: x_k minus its down/up low-pass.
-
-    k selects the decoder stage resolution; input dims must divide by 2^(k+1).
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"laplacian scale k must be in {{0, 1, 2}}, got {k}")
-    _, _, h, w = x.shape
-    f = 2 ** (k + 1)
-    if h % f or w % f:
-        raise ValueError(f"input dims ({h}, {w}) not divisible by {f}")
-    hk, wk = h >> k, w >> k
-    low = bilinear_resize(bilinear_resize(x, h >> (k + 1), w >> (k + 1)), hk, wk)
-    return sub(bilinear_resize(x, hk, wk), low)
-
-
 class DepthNet(Module):
     """Encoder to 1/8 scale, then three guided upsampling stages and a 1-channel head."""
 
@@ -235,34 +239,40 @@ class DepthNet(Module):
         self.config = config
         self.encoder = Encoder(config.encoder_width, config.encoder_out_channels, rng, dtype)
         widths = (config.encoder_out_channels,) + config.decoder_channels
-        self.stages = [GuidedUpsampler(widths[j], widths[j + 1], config.guidance_type, rng, dtype) for j in range(3)]
+        guided = config.guidance_type != "none"
+        self.stages = [GuidedUpsampler(widths[j], widths[j + 1], guided, rng, dtype) for j in range(3)]
         self.head = Conv(config.decoder_channels[2], 1, 1, rng, dtype=dtype)
 
     def guidance_pyramid(self, x: Tensor) -> list[Tensor | None]:
-        """Guidance images for the three stages, at 1/4, 1/2 and full resolution."""
+        """Guidance images for the three stages, at 1/4, 1/2 and full resolution.
+
+        Image guidance is ``x`` resized to each stage; Laplacian guidance is each
+        of those levels minus the next coarser level resized back up, a band-pass
+        of the image. Both read one shared list of levels ``x`` at 1/2^k.
+        """
+        kind = self.config.guidance_type
+        if kind == "none":
+            return [None, None, None]
         _, _, h, w = x.shape
-        guides: list[Tensor | None] = []
-        for j in range(3):
-            k = 2 - j
-            if self.config.guidance_type == "none":
-                guides.append(None)
-            elif self.config.guidance_type == "laplacian":
-                guides.append(laplacian_guidance(x, k))
-            else:
-                guides.append(bilinear_resize(x, h >> k, w >> k))
-        return guides
+        levels = [bilinear_resize(x, h >> k, w >> k) for k in range(4 if kind == "laplacian" else 3)]
+        if kind == "laplacian":
+            levels = [sub(levels[k], bilinear_resize(levels[k + 1], h >> k, w >> k)) for k in range(3)]
+        return levels[2::-1]
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        """Normalized depth at the input's resolution; eval mode (``train=False``)
+        records no graph, since its folded convs pass no gradient on."""
         n, c, h, w = x.shape
         if c != 3:
             raise ValueError(f"expected a 3-channel image, got {c} channels")
         if h % 8 or w % 8:
             raise ValueError(f"input dims ({h}, {w}) must be divisible by 8")
-        guides = self.guidance_pyramid(x)
-        z = self.encoder.forward(x, train)
-        for stage, guide in zip(self.stages, guides):
-            z = stage.forward(z, guide, train)
-        return self.head.forward(z)
+        with contextlib.nullcontext() if train else no_grad():
+            guides = self.guidance_pyramid(x)
+            z = self.encoder.forward(x, train)
+            for stage, guide in zip(self.stages, guides):
+                z = stage.forward(z, guide, train)
+            return self.head.forward(z)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:

@@ -89,7 +89,6 @@ def generate_scene(spec: SceneSpec) -> DepthSample:
     t_buf = np.full((h, w), backdrop_z)
     back_color = rng.uniform(0.2, 0.8, 3)
     color_buf = np.broadcast_to(back_color, (h, w, 3)).copy()
-    normal_buf = np.broadcast_to(np.array([0.0, 0.0, -1.0]), (h, w, 3)).copy()
 
     for _ in range(spec.n_primitives):
         kind = PRIMITIVE_KINDS[rng.integers(len(PRIMITIVE_KINDS))]
@@ -115,7 +114,6 @@ def generate_scene(spec: SceneSpec) -> DepthSample:
         closer = hit & (t < t_buf) & (t > spec.d_min * 0.5)
         t_buf[closer] = t[closer]
         color_buf[closer] = _shade(color, normal[closer])
-        normal_buf[closer] = normal[closer]
 
     depth = np.clip(t_buf, spec.d_min * 0.5, spec.d_max)
     image = color_buf

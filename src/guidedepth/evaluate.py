@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from guidedepth.data import DepthSample
-from guidedepth.tensor import Tensor, _bilinear_taps, no_grad
+from guidedepth.tensor import Tensor, _bilinear_taps
 
 DEPTH_FLOOR = 1e-3  # clamp floor for the inverse depth transform
 
@@ -187,8 +187,7 @@ Predictor = Callable[[Tensor, DepthSample], Tensor]
 
 def model_predictor(model) -> Predictor:
     def predict(image: Tensor, sample: DepthSample) -> Tensor:
-        with no_grad():
-            return model.forward(image, train=False)
+        return model.forward(image, train=False)  # eval mode records no graph
 
     return predict
 

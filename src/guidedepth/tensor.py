@@ -50,7 +50,6 @@ __all__ = [
     "concat_channels",
     "conv2d",
     "batch_norm_relu",
-    "fold_batch_norm",
     "bilinear_resize",
     "spatial_map",
     "global_avg_pool",
@@ -502,7 +501,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     """Train-mode per-channel normalization over (n, h, w), then ReLU, as one op.
 
     Normalizes with batch statistics (biased variance) and updates the running
-    averages in place; eval mode folds them into the conv before (``fold_batch_norm``).
+    averages in place; eval mode folds them into the conv before (``blocks.BatchNorm.fold``).
     With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
     output is ``max((x - m) * a + beta, 0)``; the op keeps only ``x``, the output and
     per-channel vectors (Rota Bulo et al., arXiv 1712.02616). The backward is exact
@@ -546,49 +545,6 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
             _accum(x, gm)
 
     return _track(out, back, x, gamma, beta)
-
-
-def fold_batch_norm(
-    weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats
-) -> tuple[Tensor, Tensor]:
-    """Weight and bias of one conv that computes eval-mode batch norm of the conv ``(weight, bias)``.
-
-    Eval-mode batch norm normalizes with the running statistics, which are
-    constants, so it is a per-channel affine map and folds into the conv
-    before it (Jacob et al., arXiv 1712.05877). With
-    ``a = gamma / sqrt(var + eps)`` per output channel:
-    ``weight' = weight * a`` and ``bias' = (bias - mean) * a + beta``.
-    Both outputs pass gradients on: from ``g_w`` and ``g_b``,
-    ``dweight = g_w * a``, ``dbias = g_b * a``, ``dbeta = g_b`` and
-    ``dgamma = inv * sum(g_w * weight)`` over (c_in, kh, kw) plus
-    ``g_b * (bias - mean) * inv``, where ``inv = 1 / sqrt(var + eps)``.
-    Raises if the running statistics were never updated.
-    """
-    co = weight.shape[0]
-    if bias.shape != (1, co, 1, 1) or gamma.shape != (1, co, 1, 1) or beta.shape != (1, co, 1, 1):
-        raise ValueError(f"fold_batch_norm: bias, gamma and beta must be (1, {co}, 1, 1)")
-    if not stats.initialized:
-        raise RuntimeError("fold_batch_norm: eval mode before any running-stat update")
-    dt = weight.data.dtype
-    inv = (1.0 / np.sqrt(stats.var + BN_EPS)).astype(dt, copy=False)
-    a = gamma.data * inv
-    a_w = a.reshape(co, 1, 1, 1)
-    centered = bias.data - stats.mean.astype(dt, copy=False)
-
-    def back_weight(g):
-        _accum(weight, g * a_w)
-        if gamma.requires_grad:
-            _accum(gamma, inv * (g * weight.data).sum(axis=(1, 2, 3)).reshape(1, co, 1, 1))
-
-    def back_bias(g):
-        _accum(bias, g * a)
-        _accum(gamma, g * centered * inv)
-        _accum(beta, g)
-
-    return (
-        _track(weight.data * a_w, back_weight, weight, gamma),
-        _track(centered * a + beta.data, back_bias, bias, gamma, beta),
-    )
 
 
 # ---------------------------------------------------------------------------

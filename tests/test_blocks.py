@@ -50,20 +50,6 @@ class TestStackedConv:
 
         check_grads(f, params, tol=1e-2, step=1e-4)
 
-    def test_eval_gradient_over_all_params(self):
-        """The folded eval forward still passes gradients to every conv and BN parameter."""
-        sc = B.StackedConv(2, 2, np.random.default_rng(3), dtype=np.float64)
-        perturb_params(sc, np.random.default_rng(6), scale=0.3)
-        with T.no_grad():
-            sc.forward(rand_image((3, 2, 4, 4), seed=7), train=True)
-        x = rand_image((1, 2, 4, 4), seed=4)
-
-        def f():
-            out = sc.forward(x, train=False)
-            return T.sum_all(T.mul(out, out))
-
-        check_grads(f, dict(sc.named_parameters()), tol=1e-2, step=1e-4)
-
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_eval_forward_matches_conv_then_normalize(self, dtype, tol):
         """The folded eval forward against each conv followed by an explicit
@@ -83,6 +69,22 @@ class TestStackedConv:
         assert got.dtype == dtype
         err = np.max(np.abs(got - want.data)) / np.max(np.abs(want.data))
         assert err < tol, f"folded eval forward off by {err:.2e}"
+
+
+class TestBatchNorm:
+    def test_eval_before_update_raises(self):
+        """Eval mode folds into the conv, and needs running statistics to fold."""
+        conv = B.Conv(3, 2, 3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="running-stat"):
+            B.BatchNorm(2).fold(conv)
+
+    def test_fold_gives_constants(self):
+        conv = B.Conv(3, 2, 3, np.random.default_rng(1))
+        bn = B.BatchNorm(2)
+        bn.forward(conv.forward(rand_image((2, 3, 5, 5), seed=2, dtype=np.float32)))
+        weight, bias = bn.fold(conv)
+        assert weight.shape == (2, 3, 3, 3) and bias.shape == (1, 2, 1, 1)
+        assert not weight.requires_grad and not bias.requires_grad
 
 
 class TestSqueezeExcite:
@@ -136,19 +138,19 @@ class TestSqueezeExcite:
 
 class TestGuidedUpsampler:
     def test_shape_contract(self):
-        gub = B.GuidedUpsampler(16, 8, "image", np.random.default_rng(10))
+        gub = B.GuidedUpsampler(16, 8, True, np.random.default_rng(10))
         z = T.zeros((1, 16, 6, 8))
         guide = T.zeros((1, 3, 12, 16))
         assert gub.forward(z, guide, train=True).shape == (1, 8, 12, 16)
 
     def test_guide_resolution_mismatch_rejected(self):
-        gub = B.GuidedUpsampler(4, 4, "image", np.random.default_rng(11))
+        gub = B.GuidedUpsampler(4, 4, True, np.random.default_rng(11))
         with pytest.raises(ValueError):
             gub.forward(T.zeros((1, 4, 6, 8)), T.zeros((1, 3, 6, 8)), train=True)
 
     def test_zeroed_residual_path_reduces_to_upsample(self):
         """Zero BN affines in the correction branch leave reduce(upsample(z)) exactly."""
-        gub = B.GuidedUpsampler(4, 2, "image", np.random.default_rng(12), dtype=np.float64)
+        gub = B.GuidedUpsampler(4, 2, True, np.random.default_rng(12), dtype=np.float64)
         gub.s_res.bn3.gamma.data[...] = 0.0
         gub.s_res.bn3.beta.data[...] = 0.0
         gub.s_res.bn1.gamma.data[...] = 0.0
@@ -163,14 +165,14 @@ class TestGuidedUpsampler:
     @pytest.mark.parametrize("gtype,c_cat", [("image", 16), ("none", 8)])
     def test_concat_width(self, gtype, c_cat):
         """Guidance features double the width that SE gates and s_res reads."""
-        gub = B.GuidedUpsampler(8, 4, gtype, np.random.default_rng(15))
+        gub = B.GuidedUpsampler(8, 4, gtype != "none", np.random.default_rng(15))
         assert (gub.s_guide is None) == (gtype == "none")
         assert gub.se.squeeze.weight.shape == (c_cat // B.SE_REDUCTION, c_cat, 1, 1)
         assert gub.s_res.conv3.weight.shape[1] == c_cat
 
     def test_gradients_all_params(self):
         """Concat width 4, so SE has one hidden unit."""
-        gub = B.GuidedUpsampler(2, 2, "image", np.random.default_rng(17), dtype=np.float64)
+        gub = B.GuidedUpsampler(2, 2, True, np.random.default_rng(17), dtype=np.float64)
         z = rand_image((1, 2, 3, 4), seed=18)
         guide = rand_image((1, 3, 6, 8), seed=19)
 
@@ -181,11 +183,14 @@ class TestGuidedUpsampler:
         check_grads(f, dict(gub.named_parameters()), tol=1e-2, step=1e-4)
 
 
+def guidance_pyramid(gtype, x):
+    return B.build_model(B.preset_config("guidedepth-tiny", guidance_type=gtype), seed=0).guidance_pyramid(x)
+
+
 class TestLaplacianGuidance:
     def test_constant_image_gives_zero_residual(self):
         x = T.full((1, 3, 16, 16), 0.7, dtype=np.float64)
-        for k in range(3):
-            out = B.laplacian_guidance(x, k)
+        for out in guidance_pyramid("laplacian", x):
             np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_linear_ramp_near_zero_interior(self):
@@ -194,18 +199,15 @@ class TestLaplacianGuidance:
         h, w = 32, 32
         ramp = np.add.outer(np.linspace(0, 1, h), np.linspace(0, 1, w))
         x = T.Tensor(np.broadcast_to(ramp, (1, 3, h, w)).copy(), dtype=np.float64)
-        out = B.laplacian_guidance(x, 0)
+        out = guidance_pyramid("laplacian", x)[2]
         interior = out.data[:, :, 4 : h - 4, 4 : w - 4]
         assert np.abs(interior).max() < 1e-5
 
     def test_shape_matches_image_guidance(self):
         x = rand_image((1, 3, 24, 32), seed=23)
-        for k in range(3):
-            assert B.laplacian_guidance(x, k).shape == (1, 3, 24 >> k, 32 >> k)
-
-    def test_indivisible_dims_rejected(self):
-        with pytest.raises(ValueError):
-            B.laplacian_guidance(T.zeros((1, 3, 10, 10)), 2)
+        shapes = [(1, 3, 6, 8), (1, 3, 12, 16), (1, 3, 24, 32)]
+        assert [g.shape for g in guidance_pyramid("laplacian", x)] == shapes
+        assert [g.shape for g in guidance_pyramid("image", x)] == shapes
 
 
 class TestEncoder:
@@ -297,10 +299,34 @@ class TestDepthNet:
         held = graph_bytes(loss) / 2**20
         assert held <= 240, f"graph holds {held:.1f} MiB after forward and loss"
 
-    def test_indivisible_input_rejected(self):
-        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=2)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
+    def test_indivisible_input_rejected(self, gtype):
+        model = B.build_model(B.preset_config("guidedepth-tiny", guidance_type=gtype), seed=2)
+        with pytest.raises(ValueError, match="divisible by 8"):
             model.forward(T.zeros((1, 3, 50, 64)))
+
+    @pytest.mark.parametrize("gtype,resizes", [("laplacian", 6), ("image", 2), ("none", 0)])
+    def test_guidance_pyramid_resizes_each_level_once(self, monkeypatch, gtype, resizes):
+        """Laplacian guidance reuses the image levels: x at 1/2, 1/4 and 1/8, then
+        each coarser level back up; x at full size is x itself."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return spatial_map(*args)
+
+        spatial_map = T.spatial_map
+        monkeypatch.setattr(T, "spatial_map", counted)
+        guidance_pyramid(gtype, rand_image((1, 3, 16, 24), seed=3))
+        assert len(calls) == resizes
+
+    def test_eval_forward_records_no_graph(self):
+        """Folded batch norms pass no gradient on, so eval mode builds no partial graph."""
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=5)
+        x = rand_image((1, 3, 16, 16), seed=6, dtype=np.float32)
+        model.forward(x, train=True)
+        out = model.forward(x, train=False)
+        assert not out.requires_grad and out._node is None
 
     def test_guidance_path_is_live(self):
         """Zeroing the guidance image must change the output in image/gub mode."""
@@ -460,8 +486,13 @@ class TestModelConfig:
             B.ModelConfig(decoder_channels=(8, 4))
         with pytest.raises(ValueError):
             B.ModelConfig(guidance_type="sobel")
-        with pytest.raises(TypeError):
-            B.ModelConfig(decoder_channels=(8, 4.5, 2))
+        for widths in (
+            dict(decoder_channels=(8, 4.5, 2)),
+            dict(encoder_width=4.0),
+            dict(encoder_out_channels=64.0),
+        ):
+            with pytest.raises(TypeError):
+                B.ModelConfig(**widths)
         with pytest.raises(ValueError):
             B.preset_config("guidedepth-xl")
 
@@ -533,7 +564,7 @@ class TestCheckpoints:
         assert not any("running_" in p.name for p in (tmp_path / "ckpt").iterdir())
         loaded = B.load_checkpoint(tmp_path / "ckpt")
         assert batchnorms(loaded) and not any(bn.stats.initialized for bn in batchnorms(loaded))
-        with pytest.raises(RuntimeError, match="fold_batch_norm"):
+        with pytest.raises(RuntimeError, match="BatchNorm.fold"):
             loaded.forward(rand_image((1, 3, 16, 16), seed=36, dtype=np.float32))
 
     def test_shape_validation_on_load(self, tmp_path):

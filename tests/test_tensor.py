@@ -234,14 +234,6 @@ class TestBatchNorm:
         # eps=1e-5 in the denominator shrinks the variance by ~eps relative
         np.testing.assert_allclose(var, [9.0, 9.0], rtol=1e-4)
 
-    def test_eval_before_update_raises(self):
-        """Eval mode folds into the conv, and needs running statistics to fold."""
-        w = T.zeros((2, 3, 3, 3))
-        b = T.zeros((1, 2, 1, 1))
-        g = T.full((1, 2, 1, 1), 1.0)
-        with pytest.raises(RuntimeError, match="running-stat"):
-            T.fold_batch_norm(w, b, g, b, T.RunningStats.for_channels(2))
-
     def test_running_stats_converge_to_input_stats(self):
         rng = np.random.default_rng(12)
         stats = T.RunningStats.for_channels(1, np.float64)
@@ -280,23 +272,6 @@ class TestBatchNorm:
             return T.sum_all(T.mul(out, out))
 
         check_grads(f, {"x": x, "gamma": g, "beta": b}, tol=1e-3)
-
-    def test_eval_mode_gradient(self):
-        """Eval mode is ``fold_batch_norm``; each of its two outputs against finite differences."""
-        w = randn((2, 3, 3, 3), seed=16)
-        cb = randn((1, 2, 1, 1), seed=161)
-        g = randn((1, 2, 1, 1), seed=17)
-        b = randn((1, 2, 1, 1), seed=18)
-        stats = T.RunningStats.for_channels(2, np.float64)
-        with T.no_grad():
-            T.batch_norm_relu(randn((4, 2, 5, 5), seed=19, requires_grad=False), g, b, stats)
-
-        def folded(i):
-            out = T.fold_batch_norm(w, cb, g, b, stats)[i]
-            return T.sum_all(T.mul(out, out))
-
-        check_grads(lambda: folded(0), {"weight": w, "gamma": g}, tol=1e-3)
-        check_grads(lambda: folded(1), {"bias": cb, "gamma": g, "beta": b}, tol=1e-3)
 
 
 class TestActivations:
@@ -557,14 +532,6 @@ def _positive(rng, shape=(2, 3, 4, 5)):
     return T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True, dtype=np.float64)
 
 
-def _fold_batch_norm(rng, output):
-    gamma, beta = _signed(rng, (1, 2, 1, 1)), _signed(rng, (1, 2, 1, 1))
-    stats = T.RunningStats.for_channels(2, np.float64)
-    with T.no_grad():
-        T.batch_norm_relu(_signed(rng, (4, 2, 3, 3)), gamma, beta, stats)
-    return T.fold_batch_norm(_signed(rng, (2, 3, 3, 3)), _signed(rng, (1, 2, 1, 1)), gamma, beta, stats)[output]
-
-
 # one recorded output per op with a backward rule; every input requires grad
 _RULE_CASES = {
     "add": lambda r: T.add(_signed(r), _signed(r)),
@@ -585,8 +552,6 @@ _RULE_CASES = {
     "batch_norm_relu": lambda r: T.batch_norm_relu(
         _signed(r), _signed(r, (1, 3, 1, 1)), _signed(r, (1, 3, 1, 1)), T.RunningStats.for_channels(3, np.float64)
     ),
-    "fold_batch_norm-weight": lambda r: _fold_batch_norm(r, 0),
-    "fold_batch_norm-bias": lambda r: _fold_batch_norm(r, 1),
     "spatial_map": lambda r: T.bilinear_resize(_signed(r), 7, 3),
     "global_avg_pool": lambda r: T.global_avg_pool(_signed(r)),
 }
