@@ -2,14 +2,14 @@
 a small strided encoder, and full model assembly with checkpointing.
 
 The decoder runs three stages; each doubles spatial resolution and can draw on
-the RGB input (resized or band-pass filtered) as guidance.
+the RGB input (resized or band-pass filtered) as guidance. A model is one of the
+named width presets in ``PRESETS`` plus a guidance type (``ModelConfig``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,46 +35,32 @@ from guidedepth.tensor import (
 GUIDANCE_TYPES = ("image", "laplacian", "none")
 SE_REDUCTION = 4  # squeeze-and-excite bottleneck: hidden units = channels / SE_REDUCTION
 
-PRESETS: dict[str, dict] = {
-    "guidedepth": dict(encoder_width=16, encoder_out_channels=64, decoder_channels=(64, 32, 16)),
-    "guidedepth-s": dict(encoder_width=16, encoder_out_channels=64, decoder_channels=(32, 16, 8)),
-    "guidedepth-tiny": dict(encoder_width=4, encoder_out_channels=8, decoder_channels=(8, 4, 2)),
+# name -> (encoder_width, encoder_out_channels, decoder_channels)
+PRESETS: dict[str, tuple[int, int, tuple[int, int, int]]] = {
+    "guidedepth": (16, 64, (64, 32, 16)),
+    "guidedepth-s": (16, 64, (32, 16, 8)),
+    "guidedepth-tiny": (4, 8, (8, 4, 2)),
 }
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; the ablation axis of the guidance study."""
+    """A model variant: a named preset of widths (``PRESETS``) and the guidance
+    type, the ablation axis of the guidance study."""
 
-    encoder_width: int = 16
-    encoder_out_channels: int = 64
-    decoder_channels: tuple[int, int, int] = (64, 32, 16)
+    preset: str
     guidance_type: str = "image"
 
     def __post_init__(self):
-        # ints, and a tuple whatever sequence was given, so that a checkpoint writes them as they read back
-        object.__setattr__(self, "encoder_width", operator.index(self.encoder_width))
-        object.__setattr__(self, "encoder_out_channels", operator.index(self.encoder_out_channels))
-        object.__setattr__(self, "decoder_channels", tuple(map(operator.index, self.decoder_channels)))
-        if self.encoder_width < 1 or self.encoder_out_channels < 1:
-            widths = (self.encoder_width, self.encoder_out_channels)
-            raise ValueError(f"encoder_width and encoder_out_channels must be positive, got {widths}")
-        if len(self.decoder_channels) != 3 or any(c < 1 for c in self.decoder_channels):
-            raise ValueError(f"decoder_channels must be 3 positive ints, got {self.decoder_channels}")
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown model preset {self.preset!r}, choose from {sorted(PRESETS)}")
         if self.guidance_type not in GUIDANCE_TYPES:
             raise ValueError(f"guidance_type must be one of {GUIDANCE_TYPES}, got {self.guidance_type!r}")
-        guided = 1 if self.guidance_type == "none" else 2
-        se_widths = [guided * c for c in (self.encoder_out_channels, *self.decoder_channels[:2])]
-        if any(c % SE_REDUCTION for c in se_widths):
-            raise ValueError(
-                f"encoder_out_channels, decoder_channels: SE widths {se_widths} not divisible by {SE_REDUCTION}"
-            )
 
 
-def preset_config(name: str, **overrides) -> ModelConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown model preset {name!r}, choose from {sorted(PRESETS)}")
-    return replace(ModelConfig(**PRESETS[name]), **overrides)
+def preset_config(name: str, guidance_type: str = "image") -> ModelConfig:
+    """The config of preset ``name`` with ``guidance_type``; ``ModelConfig`` validates both."""
+    return ModelConfig(name, guidance_type)
 
 
 def _kaiming(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -237,11 +223,12 @@ class DepthNet(Module):
 
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
-        self.encoder = Encoder(config.encoder_width, config.encoder_out_channels, rng, dtype)
-        widths = (config.encoder_out_channels,) + config.decoder_channels
+        encoder_width, encoder_out_channels, decoder_channels = PRESETS[config.preset]
+        self.encoder = Encoder(encoder_width, encoder_out_channels, rng, dtype)
+        widths = (encoder_out_channels,) + decoder_channels
         guided = config.guidance_type != "none"
         self.stages = [GuidedUpsampler(widths[j], widths[j + 1], guided, rng, dtype) for j in range(3)]
-        self.head = Conv(config.decoder_channels[2], 1, 1, rng, dtype=dtype)
+        self.head = Conv(decoder_channels[2], 1, 1, rng, dtype=dtype)
 
     def guidance_pyramid(self, x: Tensor) -> list[Tensor | None]:
         """Guidance images for the three stages, at 1/4, 1/2 and full resolution.
@@ -286,32 +273,16 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:
 # ---------------------------------------------------------------------------
 
 
-def _format_field(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
 def _parse_config(pairs: dict[str, str], meta: Path) -> ModelConfig:
-    """ModelConfig from the record's meta pairs; each field parses like its default."""
-    defaults = {f.name: f.default for f in fields(ModelConfig)}
-    missing, unknown = defaults.keys() - pairs.keys(), pairs.keys() - defaults.keys()
+    """ModelConfig from the record's meta pairs, errors prefixed with the meta path."""
+    keys = {f.name for f in fields(ModelConfig)}
+    missing, unknown = keys - pairs.keys(), pairs.keys() - keys
+    if unknown:  # first, so that a checkpoint of an older format is named by its old keys
+        raise ValueError(f"{meta}: unknown config key(s) {sorted(unknown)}")
     if missing:
         raise ValueError(f"{meta}: missing config key(s) {sorted(missing)}")
-    if unknown:
-        raise ValueError(f"{meta}: unknown config key(s) {sorted(unknown)}")
-    values = {}
-    for key, default in defaults.items():
-        text = pairs[key]
-        try:
-            if isinstance(default, tuple):
-                values[key] = tuple(int(v) for v in text.split(","))
-            else:
-                values[key] = type(default)(text)
-        except ValueError as exc:
-            raise ValueError(f"{meta}: bad value {text!r} for config key {key!r}") from exc
     try:
-        return ModelConfig(**values)
+        return ModelConfig(**pairs)
     except ValueError as exc:
         raise ValueError(f"{meta}: {exc}") from exc
 
@@ -324,8 +295,7 @@ def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
         if isinstance(bn, BatchNorm) and bn.stats.initialized:
             arrays[f"{path}.running_mean"] = bn.stats.mean
             arrays[f"{path}.running_var"] = bn.stats.var
-    meta = {f.name: _format_field(getattr(model.config, f.name)) for f in fields(ModelConfig)}
-    gdt.write_record(directory, meta, arrays)
+    gdt.write_record(directory, asdict(model.config), arrays)
 
 
 def load_checkpoint(directory: str | Path) -> DepthNet:

@@ -134,7 +134,7 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
         raise ValueError(f"compute_metrics: shape mismatch {gt.shape} vs {pred.shape}")
     mask = None if valid_mask is None else np.asarray(valid_mask, dtype=bool)
     if mask is not None and mask.shape != gt.shape:
-        raise ValueError("compute_metrics: mask shape mismatch")
+        raise ValueError(f"compute_metrics: mask shape {mask.shape} does not match depth shape {gt.shape}")
     n = gt.size if mask is None else int(np.count_nonzero(mask))
     if n == 0:
         raise ValueError("compute_metrics: empty valid mask")
@@ -168,15 +168,6 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
         d2=counts[1] / n,
         d3=counts[2] / n,
     )
-
-
-@dataclass
-class EvalReport(MetricValues):
-    """Dataset means of the six metrics and how they were obtained."""
-
-    n_images: int
-    flip_averaged: bool
-    crop_kind: str
 
 
 # Predictors take the resized input image plus the originating sample (so
@@ -245,7 +236,7 @@ def evaluate(
     resolution: tuple[int, int],
     crop_kind: str = "none",
     flip_average: bool = True,
-) -> EvalReport:
+) -> MetricValues:
     """Full protocol over a dataset; returns per-image means of the metrics.
 
     A non-finite prediction is an error naming the sample and the pass.
@@ -280,5 +271,4 @@ def evaluate(
             plain = MetricValues.average([plain, run_one(mirrored, f"sample {i} (mirrored pass)")])
         per_image.append(plain)
 
-    return EvalReport(**vars(MetricValues.average(per_image)), n_images=len(samples),
-                      flip_averaged=flip_average, crop_kind=crop_kind)
+    return MetricValues.average(per_image)

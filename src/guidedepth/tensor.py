@@ -328,7 +328,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if (na, ha, wa) != (nb, hb, wb):
         raise ValueError(f"concat_channels: spatial/batch mismatch {a.shape} vs {b.shape}")
     if a.data.dtype != b.data.dtype:
-        raise ValueError("concat_channels: dtype mismatch")
+        raise ValueError(f"concat_channels: dtype mismatch {a.data.dtype} {a.shape} vs {b.data.dtype} {b.shape}")
 
     def back(g):
         _accum(a, g[:, :ca])
@@ -609,7 +609,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     Resizing to the input's own size is the identity and returns ``x`` itself.
     """
     if out_h < 1 or out_w < 1:
-        raise ValueError("bilinear_resize: target dims must be >= 1")
+        raise ValueError(f"bilinear_resize: target dims ({out_h}, {out_w}) must be >= 1, input shape {x.shape}")
     if (out_h, out_w) == x.shape[2:]:
         return x
     dt = x.data.dtype.name

@@ -477,46 +477,23 @@ class TestInit:
 
 class TestModelConfig:
     def test_preset_channel_plan(self):
-        assert B.preset_config("guidedepth").decoder_channels == (64, 32, 16)
-        assert B.preset_config("guidedepth-s").decoder_channels == (32, 16, 8)
-        assert B.preset_config("guidedepth-tiny").decoder_channels == (8, 4, 2)
+        assert B.PRESETS["guidedepth"] == (16, 64, (64, 32, 16))
+        assert B.PRESETS["guidedepth-s"] == (16, 64, (32, 16, 8))
+        assert B.PRESETS["guidedepth-tiny"] == (4, 8, (8, 4, 2))
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=0)
+        assert model.encoder.stage1.conv3.weight.shape[0] == 4
+        assert model.encoder.stage3.conv3.weight.shape[0] == 8
+        assert [stage.reduce.weight.shape[0] for stage in model.stages] == [8, 4, 2]
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            B.ModelConfig(decoder_channels=(8, 4))
-        with pytest.raises(ValueError):
-            B.ModelConfig(guidance_type="sobel")
-        for widths in (
-            dict(decoder_channels=(8, 4.5, 2)),
-            dict(encoder_width=4.0),
-            dict(encoder_out_channels=64.0),
-        ):
-            with pytest.raises(TypeError):
-                B.ModelConfig(**widths)
-        with pytest.raises(ValueError):
-            B.preset_config("guidedepth-xl")
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(decoder_channels=(8, 6, 2), guidance_type="none"),
-            dict(encoder_out_channels=6, guidance_type="none"),
-            dict(encoder_out_channels=9),
-        ],
-    )
-    def test_widths_that_squeeze_excite_cannot_gate_rejected(self, overrides):
-        """SE_REDUCTION must divide the width each stage's SE gates: twice the
-        stage input width with guidance, the input width alone without."""
-        with pytest.raises(ValueError, match="SE widths .* not divisible by 4"):
-            B.preset_config("guidedepth-tiny", **overrides)
+        for build in (B.preset_config, B.ModelConfig):
+            with pytest.raises(ValueError, match="guidance_type must be one of .* got 'sobel'"):
+                build("guidedepth-tiny", "sobel")
+            with pytest.raises(ValueError, match="unknown model preset 'guidedepth-xl'"):
+                build("guidedepth-xl")
 
     def test_fields_are_the_four_callers_set(self):
-        assert [f.name for f in dataclasses.fields(B.ModelConfig)] == [
-            "encoder_width",
-            "encoder_out_channels",
-            "decoder_channels",
-            "guidance_type",
-        ]
+        assert [f.name for f in dataclasses.fields(B.ModelConfig)] == ["preset", "guidance_type"]
 
 
 def batchnorms(model):
@@ -541,20 +518,13 @@ class TestCheckpoints:
             assert np.array_equal(ba.stats.mean, bb.stats.mean)
             assert np.array_equal(ba.stats.var, bb.stats.var)
 
-    def test_roundtrip_of_config_given_a_list(self, tmp_path):
-        cfg = B.preset_config("guidedepth-tiny", decoder_channels=[8, np.int64(4), 2])
-        assert cfg == B.preset_config("guidedepth-tiny")
-        B.save_checkpoint(tmp_path / "ckpt", B.build_model(cfg, seed=5))
-        loaded = B.load_checkpoint(tmp_path / "ckpt")
-        assert loaded.config == cfg
-
     def test_arrays_named_by_module_path(self, tmp_path):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
         with T.no_grad():
             model.forward(rand_image((2, 3, 16, 16), seed=35, dtype=np.float32), train=True)
         B.save_checkpoint(tmp_path / "ckpt", model)
         meta, arrays = gdt.read_record(tmp_path / "ckpt")
-        assert meta["decoder_channels"] == "8,4,2"
+        assert meta == {"preset": "guidedepth-tiny", "guidance_type": "image"}
         assert np.array_equal(arrays["stages.0.se.squeeze.weight"], model.stages[0].se.squeeze.weight.data)
         assert np.array_equal(arrays["encoder.stage1.bn3.running_var"], model.encoder.stage1.bn3.stats.var)
 
@@ -571,9 +541,11 @@ class TestCheckpoints:
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
         B.save_checkpoint(tmp_path / "ckpt", model)
         meta = (tmp_path / "ckpt" / "meta").read_text()
-        meta = meta.replace("decoder_channels = 8,4,2", "decoder_channels = 4,4,2")
+        meta = meta.replace("preset = guidedepth-tiny", "preset = guidedepth-s")
         (tmp_path / "ckpt" / "meta").write_text(meta)
-        with pytest.raises(ValueError, match=r"'stages\.0\.reduce\.weight' has shape \(8, 8, 1, 1\)"):
+        with pytest.raises(
+            ValueError, match=r"'encoder\.stage1\.conv3\.weight' has shape \(4, 3, 3, 3\), expected \(16, 3, 3, 3\)"
+        ):
             B.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(
@@ -581,11 +553,12 @@ class TestCheckpoints:
         [
             ("guidance_type = image\n", "", "guidance_type"),
             ("guidance_type = image\n", "guidance_type = image\ndropout = 0.1\n", "dropout"),
-            ("encoder_width = 4\n", "encoder_width = 4.5\n", "encoder_width"),
-            ("encoder_width = 4\n", "encoder_width = 0\n", "encoder_width"),
+            ("preset = guidedepth-tiny\n", "preset = 4\n", "preset"),
+            ("preset = guidedepth-tiny\n", "preset = guidedepth-xl\n", "preset"),
             ("guidance_type = image\n", "guidance_type = sobel\n", "guidance_type"),
-            ("encoder_width = 4\n", "encoder_width = 4\nencoder_width = 2\n", "encoder_width"),
+            ("preset = guidedepth-tiny\n", "preset = guidedepth-tiny\npreset = guidedepth\n", "preset"),
             ("guidance_type = image\n", "guidance_type = image\nguidance_branch = gub\n", "guidance_branch"),
+            ("preset = guidedepth-tiny\n", "encoder_width = 4\n", "encoder_width"),
         ],
         ids=[
             "missing",
@@ -595,6 +568,7 @@ class TestCheckpoints:
             "rejected-guidance-type",
             "repeated",
             "key-of-older-checkpoints",
+            "width-key-of-older-checkpoints",
         ],
     )
     def test_config_key_errors_name_key_and_manifest(self, tmp_path, old, new, key):

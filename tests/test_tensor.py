@@ -340,6 +340,11 @@ class TestBilinearResize:
         )
 
 
+    @pytest.mark.parametrize("out_h, out_w", [(0, 4), (4, 0)])
+    def test_empty_target_rejected_naming_sizes(self, out_h, out_w):
+        with pytest.raises(ValueError, match=re.escape(f"({out_h}, {out_w}) must be >= 1, input shape (1, 2, 5, 6)")):
+            T.bilinear_resize(T.zeros((1, 2, 5, 6)), out_h, out_w)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_same_size_returns_input_and_passes_gradient(self, dtype):
         x = T.Tensor(np.random.default_rng(25).standard_normal((1, 3, 6, 8)), requires_grad=True, dtype=dtype)
@@ -365,8 +370,13 @@ class TestConcatAndArithmetic:
         assert T.concat_channels(a, b).shape == (1, 5, 4, 4)
 
     def test_concat_spatial_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("(1, 1, 4, 4) vs (1, 1, 5, 4)")):
             T.concat_channels(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 5, 4)))
+
+    def test_concat_dtype_mismatch_names_dtypes_and_shapes(self):
+        a, b = T.zeros((1, 2, 4, 4), dtype=np.float32), T.zeros((1, 3, 4, 4), dtype=np.float64)
+        with pytest.raises(ValueError, match=re.escape("float32 (1, 2, 4, 4) vs float64 (1, 3, 4, 4)")):
+            T.concat_channels(a, b)
 
     def test_concat_grad_splits(self):
         a = randn((1, 2, 3, 3), seed=25)
