@@ -10,7 +10,9 @@ discontinuities, which is what gives the guidance branch its signal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -51,22 +53,54 @@ class SceneSpec:
     size_range: tuple[float, float] = (0.04, 0.14)
 
     def __post_init__(self):
+        for name, least in (("height", 1), ("width", 1), ("n_primitives", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.d_min < self.d_max:
             raise ValueError("need 0 < d_min < d_max")
-        if self.n_primitives < 0:
-            raise ValueError("n_primitives must be >= 0")
+        if not 0 < self.size_range[0] <= self.size_range[1]:
+            raise ValueError(f"size_range {self.size_range} must satisfy 0 < low <= high")
         if not 0 <= self.z_range[0] < self.z_range[1] <= 0.9:
             raise ValueError(f"z_range {self.z_range} must sit inside [0, 0.9)")
 
 
+@lru_cache(maxsize=16)
 def _view_rays(h: int, w: int) -> np.ndarray:
-    """Unit-z pinhole rays (h, w, 3); depth below is the z-coordinate of the hit."""
+    """Unit-z pinhole rays (h, w, 3), read-only; depth below is the z-coordinate of the hit."""
     extent = 0.9
     aspect = w / h
     u = (np.arange(w) + 0.5) / w * 2.0 - 1.0
     v = (np.arange(h) + 0.5) / h * 2.0 - 1.0
     uu, vv = np.meshgrid(u * extent * aspect, v * extent)
-    return np.stack([uu, vv, np.ones_like(uu)], axis=-1)
+    rays = np.stack([uu, vv, np.ones_like(uu)], axis=-1)
+    rays.flags.writeable = False
+    return rays
+
+
+def _window(rays: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[slice, slice]:
+    """Rows and columns outside which no ray meets the box [lo, hi]. A ray through pixel
+    (i, j) is (x_j, y_i, 1), so it can meet the box only if x_j lies between the box's
+    extremes of x/z and y_i between those of y/z; the window is widened by 2 pixels for
+    rounding. A box reaching z <= 0 can cover any pixel, so it gets the whole frame."""
+    if lo[2] <= 1e-6:
+        return np.s_[:, :]
+    window = []
+    for axis, coords in ((1, rays[:, 0, 1]), (0, rays[0, :, 0])):
+        ends = (lo[axis] / lo[2], lo[axis] / hi[2], hi[axis] / lo[2], hi[axis] / hi[2])
+        first = np.searchsorted(coords, min(ends)) - 2
+        stop = np.searchsorted(coords, max(ends), side="right") + 2
+        window.append(slice(max(first, 0), stop))
+    return tuple(window)
+
+
+def _plane_basis(normal_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors spanning the plane with this unit normal."""
+    e1 = np.cross(normal_vec, [0.0, 1.0, 0.0])
+    if np.linalg.norm(e1) < 1e-6:
+        e1 = np.cross(normal_vec, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(normal_vec, e1)
 
 
 def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -77,7 +111,10 @@ def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec) -> DepthSample:
-    """Render one scene; bitwise-deterministic from the spec's seed."""
+    """Render one scene; bitwise-deterministic from the spec's seed.
+
+    Each primitive is hit-tested only on the rays of its ``_window``: every step of a
+    hit test is per pixel, so a scene is bitwise the one a whole-frame test renders."""
     rng = np.random.default_rng(spec.seed)
     h, w = spec.height, spec.width
     rays = _view_rays(h, w)  # (h, w, 3), z component is 1
@@ -101,19 +138,26 @@ def generate_scene(spec: SceneSpec) -> DepthSample:
         color = rng.uniform(0.15, 0.95, 3)
 
         if kind == "sphere":
-            t, normal, hit = _hit_sphere(rays, center, size)
+            win = _window(rays, center - size, center + size)
+            t, normal, hit = _hit_sphere(rays[win], center, size)
         elif kind == "box":
             half = size * rng.uniform(0.6, 1.4, 3)
-            t, normal, hit = _hit_box(rays, center - half, center + half)
+            win = _window(rays, center - half, center + half)
+            t, normal, hit = _hit_box(rays[win], center - half, center + half)
         else:
             n_vec = rng.normal(size=3)
             n_vec[2] = -abs(n_vec[2]) - 1.0  # face the camera
             n_vec /= np.linalg.norm(n_vec)
-            t, normal, hit = _hit_plane_patch(rays, center, n_vec, 2.2 * size)
+            ext = 2.2 * size
+            e1, e2 = _plane_basis(n_vec)
+            corners = center + ext * np.array([e1 + e2, e1 - e2, e2 - e1, -e1 - e2])
+            win = _window(rays, corners.min(axis=0), corners.max(axis=0))
+            t, normal, hit = _hit_plane_patch(rays[win], center, n_vec, ext)
 
-        closer = hit & (t < t_buf) & (t > spec.d_min * 0.5)
-        t_buf[closer] = t[closer]
-        color_buf[closer] = _shade(color, normal[closer])
+        t_win, color_win = t_buf[win], color_buf[win]  # views: writes land in the buffers
+        closer = hit & (t < t_win) & (t > spec.d_min * 0.5)
+        t_win[closer] = t[closer]
+        color_win[closer] = _shade(color, normal[closer])
 
     depth = np.clip(t_buf, spec.d_min * 0.5, spec.d_max)
     image = color_buf
@@ -166,17 +210,12 @@ def _hit_plane_patch(rays, anchor, normal_vec, half_extent):
     hit = (np.abs(denom) > 1e-9) & (t > 0)
     point = rays * t[..., None]
     # bounded patch in the plane's own basis
-    e1 = np.cross(normal_vec, [0.0, 1.0, 0.0])
-    if np.linalg.norm(e1) < 1e-6:
-        e1 = np.cross(normal_vec, [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal_vec, e1)
+    e1, e2 = _plane_basis(normal_vec)
     local = point - anchor
     a = local @ e1
     b = local @ e2
     hit &= (np.abs(a) <= half_extent) & (np.abs(b) <= half_extent)
-    normal = np.broadcast_to(normal_vec, rays.shape).copy()
-    return t, normal, hit
+    return t, np.broadcast_to(normal_vec, rays.shape), hit
 
 
 def generate_dataset(count: int, base_seed: int, **spec_overrides) -> list[DepthSample]:

@@ -492,7 +492,7 @@ class TestModelConfig:
             with pytest.raises(ValueError, match="unknown model preset 'guidedepth-xl'"):
                 build("guidedepth-xl")
 
-    def test_fields_are_the_four_callers_set(self):
+    def test_fields_are_preset_and_guidance_type(self):
         assert [f.name for f in dataclasses.fields(B.ModelConfig)] == ["preset", "guidance_type"]
 
 

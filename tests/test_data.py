@@ -1,6 +1,10 @@
-"""Sample and dataset files: d_max is validated on read; hidden directories are not samples;
+"""Scenes: bad sizes are rejected, and culling each primitive to its screen window renders
+the scenes a whole-frame ray cast does, bit for bit.
+Sample and dataset files: d_max is validated on read; hidden directories are not samples;
 writes replace what was there whole or not at all.
 Augmentation flips image and depth together and swaps image channels only."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +12,69 @@ import pytest
 from guidedepth import data as D
 from guidedepth import gdt
 from guidedepth.tensor import Tensor
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(height=0), "height must be an integer >= 1, got 0"),
+        (dict(width=-8), "width must be an integer >= 1, got -8"),
+        (dict(height=2.5), "height must be an integer >= 1, got 2.5"),
+        (dict(n_primitives=-1), "n_primitives must be an integer >= 0, got -1"),
+        (dict(n_primitives=2.0), "n_primitives must be an integer >= 0, got 2.0"),
+        (dict(size_range=(-0.14, -0.04)), "size_range (-0.14, -0.04) must satisfy 0 < low <= high"),
+        (dict(size_range=(0.0, 0.1)), "size_range (0.0, 0.1) must satisfy 0 < low <= high"),
+        (dict(size_range=(0.2, 0.1)), "size_range (0.2, 0.1) must satisfy 0 < low <= high"),
+    ],
+    ids=["zero-height", "negative-width", "float-height", "negative-count", "float-count",
+         "negative-sizes", "zero-size", "inverted-sizes"],
+)
+def test_scene_spec_rejects_bad_sizes_naming_field_and_value(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        D.SceneSpec(seed=0, **kw)
+
+
+CULL_SPECS = {
+    "default-96x128": {},
+    "default-64x208": dict(height=64, width=208),
+    # the middle ray column has x = 0 (the slab test divides by zero) and the middle row y = 0
+    "odd-size": dict(height=25, width=33),
+    "boxes-reach-the-camera": dict(z_range=(0.0, 0.2), d_min=0.1, size_range=(0.2, 0.5)),
+    "windows-cover-the-frame": dict(size_range=(0.3, 0.6)),
+    "no-primitives": dict(n_primitives=0),
+}
+
+
+@pytest.mark.parametrize("kw", CULL_SPECS.values(), ids=CULL_SPECS.keys())
+def test_culled_scenes_equal_whole_frame_scenes(monkeypatch, kw):
+    culled = [D.generate_scene(D.SceneSpec(seed=seed, **kw)) for seed in range(8)]
+    monkeypatch.setattr(D, "_window", lambda rays, lo, hi: np.s_[:, :])
+    for seed, sample in enumerate(culled):
+        whole = D.generate_scene(D.SceneSpec(seed=seed, **kw))
+        assert np.array_equal(sample.image.data, whole.image.data)
+        assert np.array_equal(sample.depth.data, whole.depth.data)
+
+
+def test_window_holds_every_hit_and_is_the_frame_for_a_box_reaching_the_camera():
+    rays = D._view_rays(96, 128)
+    lo, hi = np.array([0.3, -0.2, 4.0]), np.array([0.9, 0.1, 5.0])
+    inside = np.zeros((96, 128), dtype=bool)
+    inside[D._window(rays, lo, hi)] = True
+    _, _, hit = D._hit_box(rays, lo, hi)
+    assert hit.any() and not (hit & ~inside).any()
+    assert inside.sum() < 0.01 * inside.size
+    assert D._window(rays, lo - [0.0, 0.0, 4.0], hi) == np.s_[:, :]
+
+
+def test_view_rays_are_shared_read_only_and_left_unchanged():
+    rays = D._view_rays(16, 24)
+    before = rays.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        rays[0, 0, 0] = 1.0
+    for seed in (3, 4):
+        D.generate_scene(D.SceneSpec(seed=seed, height=16, width=24))
+        assert D._view_rays(16, 24) is rays
+    assert np.array_equal(rays, before)
 
 
 def test_sample_roundtrip_bitwise(tmp_path):
