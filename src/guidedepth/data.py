@@ -39,30 +39,10 @@ class DepthSample:
 PRIMITIVE_KINDS = ("sphere", "box", "plane")
 
 
-@dataclass
-class SceneSpec:
-    """Deterministic recipe for one synthetic scene."""
-
-    seed: int
-    height: int = 96
-    width: int = 128
-    n_primitives: int = 6
-    d_min: float = 1.0
-    d_max: float = 10.0
-    z_range: tuple[float, float] = (0.18, 0.75)  # primitive anchors, as fractions of the depth span
-    size_range: tuple[float, float] = (0.04, 0.14)
-
-    def __post_init__(self):
-        for name, least in (("height", 1), ("width", 1), ("n_primitives", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0 < self.d_min < self.d_max:
-            raise ValueError("need 0 < d_min < d_max")
-        if not 0 < self.size_range[0] <= self.size_range[1]:
-            raise ValueError(f"size_range {self.size_range} must satisfy 0 < low <= high")
-        if not 0 <= self.z_range[0] < self.z_range[1] <= 0.9:
-            raise ValueError(f"z_range {self.z_range} must sit inside [0, 0.9)")
+N_PRIMITIVES = 6
+D_MIN, D_MAX = 1.0, 10.0  # metric depth span; the backdrop sits at 92% of it
+Z_RANGE = (0.18, 0.75)  # primitive anchors, as fractions of the depth span
+SIZE_RANGE = (0.04, 0.14)  # primitive sizes, as fractions of the depth span
 
 
 @lru_cache(maxsize=16)
@@ -110,31 +90,34 @@ def _shade(color: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return np.clip(color * (0.55 + 0.45 * lam[..., None]), 0.0, 1.0)
 
 
-def generate_scene(spec: SceneSpec) -> DepthSample:
-    """Render one scene; bitwise-deterministic from the spec's seed.
+def generate_scene(seed: int, height: int = 96, width: int = 128) -> DepthSample:
+    """Render one ``height`` x ``width`` scene; bitwise-deterministic from ``seed``.
 
     Each primitive is hit-tested only on the rays of its ``_window``: every step of a
     hit test is per pixel, so a scene is bitwise the one a whole-frame test renders."""
-    rng = np.random.default_rng(spec.seed)
-    h, w = spec.height, spec.width
+    for name, value in (("height", height), ("width", width)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    rng = np.random.default_rng(seed)
+    h, w = height, width
     rays = _view_rays(h, w)  # (h, w, 3), z component is 1
 
-    span = spec.d_max - spec.d_min
-    backdrop_z = spec.d_min + 0.92 * span
+    span = D_MAX - D_MIN
+    backdrop_z = D_MIN + 0.92 * span
 
     # depth buffer in ray parameter t (== z since rays have unit z)
     t_buf = np.full((h, w), backdrop_z)
     back_color = rng.uniform(0.2, 0.8, 3)
     color_buf = np.broadcast_to(back_color, (h, w, 3)).copy()
 
-    for _ in range(spec.n_primitives):
+    for _ in range(N_PRIMITIVES):
         kind = PRIMITIVE_KINDS[rng.integers(len(PRIMITIVE_KINDS))]
         # anchor inside the view frustum
-        cz = spec.d_min + span * rng.uniform(*spec.z_range)
+        cz = D_MIN + span * rng.uniform(*Z_RANGE)
         cu = rng.uniform(-0.55, 0.55) * 0.9 * (w / h)
         cv = rng.uniform(-0.55, 0.55) * 0.9
         center = np.array([cu * cz, cv * cz, cz])
-        size = span * rng.uniform(*spec.size_range)
+        size = span * rng.uniform(*SIZE_RANGE)
         color = rng.uniform(0.15, 0.95, 3)
 
         if kind == "sphere":
@@ -155,16 +138,16 @@ def generate_scene(spec: SceneSpec) -> DepthSample:
             t, normal, hit = _hit_plane_patch(rays[win], center, n_vec, ext)
 
         t_win, color_win = t_buf[win], color_buf[win]  # views: writes land in the buffers
-        closer = hit & (t < t_win) & (t > spec.d_min * 0.5)
+        closer = hit & (t < t_win) & (t > D_MIN * 0.5)
         t_win[closer] = t[closer]
         color_win[closer] = _shade(color, normal[closer])
 
-    depth = np.clip(t_buf, spec.d_min * 0.5, spec.d_max)
+    depth = np.clip(t_buf, D_MIN * 0.5, D_MAX)
     image = color_buf
     return DepthSample(
         image=Tensor(image.transpose(2, 0, 1)[None].astype(np.float32)),
         depth=Tensor(depth[None, None].astype(np.float32)),
-        d_max=spec.d_max,
+        d_max=D_MAX,
     )
 
 
@@ -218,8 +201,8 @@ def _hit_plane_patch(rays, anchor, normal_vec, half_extent):
     return t, np.broadcast_to(normal_vec, rays.shape), hit
 
 
-def generate_dataset(count: int, base_seed: int, **spec_overrides) -> list[DepthSample]:
-    return [generate_scene(SceneSpec(seed=base_seed + i, **spec_overrides)) for i in range(count)]
+def generate_dataset(count: int, base_seed: int, height: int = 96, width: int = 128) -> list[DepthSample]:
+    return [generate_scene(base_seed + i, height, width) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ __all__ = [
     "RunningStats",
     "no_grad",
     "backward",
-    "zeros",
-    "full",
     "add",
     "sub",
     "mul",
@@ -99,14 +97,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-
-def zeros(shape: Shape4, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def full(shape: Shape4, value: float, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +332,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-TAP_GROUP_MIN_K = 32  # conv2d stacks kernel taps until a matmul sums over at least this many inputs
+STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * kh * kw is at most this
 
 
 def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
@@ -353,24 +343,6 @@ def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> 
     span = stride * (m - 1) + 1
     offsets = (k * row + l for k in range(kh) for l in range(kw))
     return [flat[..., o : o + span : stride] for o in offsets]
-
-
-def _tap_groups(n_taps: int, ci: int) -> list[tuple[int, int]]:
-    """Consecutive tap ranges ``[t0, t1)`` of ``min(n_taps, ceil(TAP_GROUP_MIN_K / ci))`` taps each."""
-    size = min(n_taps, -(-TAP_GROUP_MIN_K // ci))
-    return [(t, min(t + size, n_taps)) for t in range(0, n_taps, size)]
-
-
-def _stack(views: list[np.ndarray], t0: int, t1: int, buf: np.ndarray | None) -> np.ndarray:
-    """Taps ``t0 .. t1 - 1`` as one ``(n, (t1 - t0) * ci, m)`` operand: the view
-    itself for a single tap, else the views copied one after another into ``buf``."""
-    if t1 - t0 == 1:
-        return views[t0]
-    ci = views[t0].shape[1]
-    out = buf[:, : (t1 - t0) * ci]
-    for j, t in enumerate(range(t0, t1)):
-        out[:, j * ci : (j + 1) * ci] = views[t]
-    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -385,22 +357,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     grid of ``oh`` rows by ``wp`` columns every tap is one strided slice of
     the flat input (see ``_taps``) and no window matrix is built.
 
-    Taps are taken in groups of ``g = min(kh * kw, ceil(TAP_GROUP_MIN_K / c_in))``
-    consecutive taps, and each group is one matmul with an inner dimension of
-    ``g * c_in``: a 3-channel input stacks all 9 taps of a 3x3 kernel, 16
-    channels take 2, and 32 or more take 1. A group of one tap uses its slice
-    as it is; a larger group copies its slices into one ``(n, g * c_in, m)``
-    buffer, since a matmul over 3 channels costs about as much as one over 32.
-    With ``W_G`` the weight columns of group ``G`` and ``X_G`` its stacked slices:
+    The conv's shapes pick one of two layouts of the matmul operands ``X_t``,
+    with ``W_t`` the weight columns of each:
 
-    - forward: ``grid = sum over groups of W_G @ X_G``, then the ``wp - ow``
+    - stacked, when ``kh * kw > 1`` and ``c_in * kh * kw <= STACK_MAX_K``
+      (a 3-channel 3x3 conv): all tap slices are copied into one
+      ``(n, kh * kw * c_in, m)`` operand and each product below is one
+      matmul. A matmul over 3 channels costs about as much as one over 27;
+      over 16 channels, copying 2 taps cost more than the matmul it saved.
+      The backward copies the slices again, so the graph does not hold them;
+    - per tap, otherwise: one matmul per tap on its strided slice as it is.
+
+    Then:
+
+    - forward: ``grid = sum over t of W_t @ X_t``, then the ``wp - ow``
       junk columns of each grid row are cropped;
-    - weight gradient: ``dW_G = sum over n of g_grid @ X_G.T``, where
+    - weight gradient: ``dW_t = sum over n of g_grid @ X_t.T``, where
       ``g_grid`` is the output gradient on the grid, zero in the junk
       columns, so what the junk columns read adds nothing;
-    - input gradient: ``W_G.T @ g_grid`` is computed per group, and each tap's
-      rows of it are added into that tap's slice of ``dx_flat``; then the
-      padding is cropped.
+    - input gradient: each tap's rows of ``W_t.T @ g_grid`` are added into
+      that tap's slice of ``dx_flat``; then the padding is cropped.
 
     The junk columns of the last grid row can read past the bottom padding,
     so the padded input gets as many extra zero rows as keep every slice in
@@ -433,19 +409,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + extra), (p, p))) if p or extra else x.data
     xf = xp.reshape(n, ci, -1)
     wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
-    groups = _tap_groups(kh * kw, ci)
-    k_max = (groups[0][1] - groups[0][0]) * ci  # inner dimension of the largest group
+    stacked = kh * kw > 1 and ci * kh * kw <= STACK_MAX_K
+    k = wt.shape[1] if stacked else ci  # weight columns per operand
 
-    def stack_buffer():  # made anew by the backward, so the graph does not hold it
-        return np.empty((n, k_max, m), dtype=xf.dtype) if k_max > ci else None
+    def operands():  # called again by the backward, so the graph does not hold a stacked copy
+        views = _taps(xf, kh, kw, wp, stride, m)
+        return [np.concatenate(views, axis=1)] if stacked else views
 
-    views = _taps(xf, kh, kw, wp, stride, m)
-    buf = stack_buffer()
-    (t0, t1), *rest = groups
-    grid = wt[:, t0 * ci : t1 * ci] @ _stack(views, t0, t1, buf)
+    first, *rest = operands()
+    grid = wt[:, :k] @ first
     tmp = np.empty_like(grid)
-    for t0, t1 in rest:
-        grid += np.matmul(wt[:, t0 * ci : t1 * ci], _stack(views, t0, t1, buf), out=tmp)
+    for t, op in enumerate(rest, 1):
+        grid += np.matmul(wt[:, t * k : (t + 1) * k], op, out=tmp)
     out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
 
     def back(g):
@@ -454,22 +429,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))) if wp > ow else g
         gg = gg.reshape(n, co, m)
         if weight.requires_grad:
-            dw = np.empty(wt.shape, dtype=xf.dtype)
-            buf = stack_buffer()
-            for t0, t1 in groups:
-                dw[:, t0 * ci : t1 * ci] = (gg @ _stack(views, t0, t1, buf).swapaxes(1, 2)).sum(axis=0)
+            dw = np.concatenate([(gg @ op.swapaxes(1, 2)).sum(axis=0) for op in operands()], axis=1)
             _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         if x.requires_grad:
             dxf = np.zeros(xf.shape, dtype=xf.dtype)
             dviews = _taps(dxf, kh, kw, wp, stride, m)
-            tmp = np.empty((n, k_max, m), dtype=dxf.dtype)
-            for t0, t1 in groups:
-                # a first group of one tap writes straight into its zero-filled slice
-                out = dviews[0] if t1 == 1 else tmp[:, : (t1 - t0) * ci]
-                prod = np.matmul(wt[:, t0 * ci : t1 * ci].T, gg, out=out)
-                if t1 > 1:
-                    for j, t in enumerate(range(t0, t1)):
-                        dviews[t] += prod[:, j * ci : (j + 1) * ci]
+            if stacked:
+                prod = wt.T @ gg
+                for t, dv in enumerate(dviews):
+                    dv += prod[:, t * ci : (t + 1) * ci]
+            else:
+                # the first tap writes straight into its zero-filled slice
+                np.matmul(wt[:, :ci].T, gg, out=dviews[0])
+                tmp = np.empty((n, ci, m), dtype=dxf.dtype)
+                for t in range(1, len(dviews)):
+                    dviews[t] += np.matmul(wt[:, t * ci : (t + 1) * ci].T, gg, out=tmp)
             _accum(x, dxf.reshape(xp.shape)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
@@ -512,7 +486,9 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
-        raise ValueError(f"batch_norm_relu: gamma/beta must be (1, {c}, 1, 1), input {x.shape}")
+        raise ValueError(
+            f"batch_norm_relu: gamma {gamma.shape} and beta {beta.shape} must be (1, {c}, 1, 1), input {x.shape}"
+        )
     axes = (0, 2, 3)
     dt = x.data.dtype
 

@@ -37,7 +37,7 @@ class TestStackedConv:
     def test_channel_mismatch_rejected(self):
         sc = B.StackedConv(3, 4, np.random.default_rng(2))
         with pytest.raises(ValueError):
-            sc.forward(T.zeros((1, 2, 8, 8)), train=True)
+            sc.forward(T.Tensor(np.zeros((1, 2, 8, 8), np.float32)), train=True)
 
     def test_gradient_over_all_params(self):
         sc = B.StackedConv(2, 2, np.random.default_rng(3), dtype=np.float64)
@@ -98,7 +98,7 @@ class TestSqueezeExcite:
 
     def test_zero_input_zero_output(self):
         se = B.SqueezeExcite(4, np.random.default_rng(7))
-        out = se.forward(T.zeros((1, 4, 3, 3)))
+        out = se.forward(T.Tensor(np.zeros((1, 4, 3, 3), np.float32)))
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
     def test_indivisible_channels_rejected(self):
@@ -139,14 +139,15 @@ class TestSqueezeExcite:
 class TestGuidedUpsampler:
     def test_shape_contract(self):
         gub = B.GuidedUpsampler(16, 8, True, np.random.default_rng(10))
-        z = T.zeros((1, 16, 6, 8))
-        guide = T.zeros((1, 3, 12, 16))
+        z = T.Tensor(np.zeros((1, 16, 6, 8), np.float32))
+        guide = T.Tensor(np.zeros((1, 3, 12, 16), np.float32))
         assert gub.forward(z, guide, train=True).shape == (1, 8, 12, 16)
 
     def test_guide_resolution_mismatch_rejected(self):
         gub = B.GuidedUpsampler(4, 4, True, np.random.default_rng(11))
+        z, guide = T.Tensor(np.zeros((1, 4, 6, 8), np.float32)), T.Tensor(np.zeros((1, 3, 6, 8), np.float32))
         with pytest.raises(ValueError):
-            gub.forward(T.zeros((1, 4, 6, 8)), T.zeros((1, 3, 6, 8)), train=True)
+            gub.forward(z, guide, train=True)
 
     def test_zeroed_residual_path_reduces_to_upsample(self):
         """Zero BN affines in the correction branch leave reduce(upsample(z)) exactly."""
@@ -189,7 +190,7 @@ def guidance_pyramid(gtype, x):
 
 class TestLaplacianGuidance:
     def test_constant_image_gives_zero_residual(self):
-        x = T.full((1, 3, 16, 16), 0.7, dtype=np.float64)
+        x = T.Tensor(np.full((1, 3, 16, 16), 0.7))
         for out in guidance_pyramid("laplacian", x):
             np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
@@ -303,7 +304,7 @@ class TestDepthNet:
     def test_indivisible_input_rejected(self, gtype):
         model = B.build_model(B.preset_config("guidedepth-tiny", guidance_type=gtype), seed=2)
         with pytest.raises(ValueError, match="divisible by 8"):
-            model.forward(T.zeros((1, 3, 50, 64)))
+            model.forward(T.Tensor(np.zeros((1, 3, 50, 64), np.float32)))
 
     @pytest.mark.parametrize("gtype,resizes", [("laplacian", 6), ("image", 2), ("none", 0)])
     def test_guidance_pyramid_resizes_each_level_once(self, monkeypatch, gtype, resizes):
@@ -337,7 +338,7 @@ class TestDepthNet:
         with T.no_grad():
             base = model.forward(x, train=True).data.copy()
             z = model.encoder.forward(x, train=True)
-            guides = [T.zeros(g.shape) for g in model.guidance_pyramid(x)]
+            guides = [T.Tensor(np.zeros(g.shape, np.float32)) for g in model.guidance_pyramid(x)]
             for stage, guide in zip(model.stages, guides):
                 z = stage.forward(z, guide, train=True)
             blanked = model.head.forward(z).data

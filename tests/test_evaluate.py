@@ -223,14 +223,12 @@ class TestCrops:
             E.crop_slices("kitti", 1, 5)
 
 
-def flat_dataset(n=3, seed=50, **kw):
-    return [D.generate_scene(D.SceneSpec(seed=seed + i, **kw)) for i in range(n)]
-
-
 class TestEvaluatePipeline:
-    def test_oracle_predictor_bounds_protocol_error(self):
-        samples = flat_dataset(6, seed=100, height=192, width=256, n_primitives=4,
-                               size_range=(0.04, 0.10), z_range=(0.45, 0.8))
+    def test_oracle_predictor_bounds_protocol_error(self, monkeypatch):
+        monkeypatch.setattr(D, "N_PRIMITIVES", 4)
+        monkeypatch.setattr(D, "SIZE_RANGE", (0.04, 0.10))
+        monkeypatch.setattr(D, "Z_RANGE", (0.45, 0.8))
+        samples = D.generate_dataset(6, base_seed=100, height=192, width=256)
         rep = E.evaluate(E.oracle_predictor(), samples, (96, 128), crop_kind="kitti", flip_average=True)
         assert rep.d1 > 0.99
         assert rep.rmse < 0.5
@@ -238,7 +236,7 @@ class TestEvaluatePipeline:
     def test_flip_average_with_equivariant_predictor(self):
         """The oracle predictor is mirror-equivariant, so averaging over the
         mirrored set changes nothing (full-image crop keeps the window symmetric)."""
-        samples = flat_dataset(3, seed=60)
+        samples = D.generate_dataset(3, base_seed=60)
         plain = E.evaluate(E.oracle_predictor(), samples, (48, 64), crop_kind="none", flip_average=False)
         avg = E.evaluate(E.oracle_predictor(), samples, (48, 64), crop_kind="none", flip_average=True)
         for f in ("rmse", "rel", "log10", "d1", "d2", "d3"):
@@ -247,7 +245,7 @@ class TestEvaluatePipeline:
     def test_flip_average_on_symmetric_image(self):
         """A horizontally symmetric sample evaluates identically with and
         without flip averaging."""
-        base = D.generate_scene(D.SceneSpec(seed=77))
+        base = D.generate_scene(77)
         img = base.image.data
         dep = base.depth.data
         sym = D.DepthSample(
@@ -341,7 +339,7 @@ class TestEvaluatePipeline:
                                                        (0, True, "sample 0 (plain pass)")])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_prediction_rejected(self, bad_call, flip, where, value):
-        samples = flat_dataset(2, seed=70)
+        samples = D.generate_dataset(2, base_seed=70)
         mean = E.mean_predictor()
         count = [0]
 

@@ -26,8 +26,8 @@ class TestSsim:
         """Constant images of levels k1, k2: variance terms vanish, so
         SSIM = (2*k1*k2 + C1) / (k1^2 + k2^2 + C1) at every window."""
         for k1, k2 in [(2.0, 5.0), (1.0, 9.0), (4.0, 4.0)]:
-            a = T.full((1, 1, 2, 2), k1, dtype=np.float64)
-            b = T.full((1, 1, 2, 2), k2, dtype=np.float64)
+            a = T.Tensor(np.full((1, 1, 2, 2), k1))
+            b = T.Tensor(np.full((1, 1, 2, 2), k2))
             got = L.ssim(a, b, CFG).item()
             want = (2 * k1 * k2 + CFG.c1) / (k1 * k1 + k2 * k2 + CFG.c1)
             assert abs(got - want) < 1e-6
@@ -55,7 +55,7 @@ class TestSsim:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            L.ssim(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 4, 5)), CFG)
+            L.ssim(T.Tensor(np.zeros((1, 1, 4, 4), np.float32)), T.Tensor(np.zeros((1, 1, 4, 5), np.float32)), CFG)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
@@ -103,7 +103,7 @@ class TestGradLoss:
         """y constant, yhat a horizontal ramp of slope s: only the x-derivative
         contributes and the loss equals |s| exactly."""
         s = 0.37
-        y = T.full((1, 1, 3, 3), 2.0, dtype=np.float64)
+        y = T.Tensor(np.full((1, 1, 3, 3), 2.0))
         ramp = np.tile(np.arange(3.0) * s, (3, 1))
         yhat = tmap(ramp)
         assert abs(L.grad_loss(y, yhat).item() - s) < 1e-12
@@ -133,7 +133,7 @@ class TestGradLoss:
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 5), (1, 1, 5, 1)])
     def test_map_below_2x2_rejected_naming_shape(self, shape):
-        x = T.zeros(shape, dtype=np.float64)
+        x = T.Tensor(np.zeros(shape))
         with pytest.raises(ValueError, match="grad_loss") as info:
             L.grad_loss(x, x)
         assert str(shape) in str(info.value)

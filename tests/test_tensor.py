@@ -37,7 +37,7 @@ class TestTensorBasics:
 
     def test_item_requires_scalar(self):
         with pytest.raises(ValueError):
-            T.zeros((1, 1, 2, 2)).item()
+            T.Tensor(np.zeros((1, 1, 2, 2), np.float32)).item()
 
 
 class TestConv2d:
@@ -45,7 +45,7 @@ class TestConv2d:
         """3x3 all-ones kernel over all-ones input, pad 1: center 9, corners 4."""
         x = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
         w = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
-        b = T.zeros((1, 1, 1, 1))
+        b = T.Tensor(np.zeros((1, 1, 1, 1), np.float32))
         y = T.conv2d(x, w, b, stride=1, padding=1)
         assert y.data[0, 0, 1, 1] == 9.0
         for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
@@ -54,24 +54,32 @@ class TestConv2d:
     def test_identity_kernel(self):
         x = randn((2, 1, 5, 6), seed=1, requires_grad=False)
         w = T.Tensor(np.ones((1, 1, 1, 1)), dtype=np.float64)
-        b = T.zeros((1, 1, 1, 1), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 1, 1, 1)))
         y = T.conv2d(x, w, b)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_output_shape_formula(self):
-        x = T.zeros((1, 2, 11, 13))
-        w = T.zeros((4, 2, 3, 3))
-        b = T.zeros((1, 4, 1, 1))
+        x = T.Tensor(np.zeros((1, 2, 11, 13), np.float32))
+        w = T.Tensor(np.zeros((4, 2, 3, 3), np.float32))
+        b = T.Tensor(np.zeros((1, 4, 1, 1), np.float32))
         y = T.conv2d(x, w, b, stride=2, padding=1)
         assert y.shape == (1, 4, (11 + 2 - 3) // 2 + 1, (13 + 2 - 3) // 2 + 1)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            T.conv2d(T.zeros((1, 3, 4, 4)), T.zeros((2, 2, 3, 3)), T.zeros((1, 2, 1, 1)))
+            T.conv2d(
+                T.Tensor(np.zeros((1, 3, 4, 4), np.float32)),
+                T.Tensor(np.zeros((2, 2, 3, 3), np.float32)),
+                T.Tensor(np.zeros((1, 2, 1, 1), np.float32)),
+            )
 
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ValueError):
-            T.conv2d(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 5, 5)), T.zeros((1, 1, 1, 1)))
+            T.conv2d(
+                T.Tensor(np.zeros((1, 1, 2, 2), np.float32)),
+                T.Tensor(np.zeros((1, 1, 5, 5), np.float32)),
+                T.Tensor(np.zeros((1, 1, 1, 1), np.float32)),
+            )
 
     @pytest.mark.parametrize(
         "x_shape,w_shape,b_shape",
@@ -84,7 +92,7 @@ class TestConv2d:
     )
     def test_errors_name_input_and_weight_shapes(self, x_shape, w_shape, b_shape):
         with pytest.raises(ValueError) as info:
-            T.conv2d(T.zeros(x_shape), T.zeros(w_shape), T.zeros(b_shape))
+            T.conv2d(*(T.Tensor(np.zeros(s, np.float32)) for s in (x_shape, w_shape, b_shape)))
         assert str(x_shape) in str(info.value) and str(w_shape) in str(info.value)
 
     @pytest.mark.parametrize(
@@ -93,7 +101,7 @@ class TestConv2d:
     def test_dtype_mismatch_rejected_naming_dtypes_and_shapes(self, dtypes):
         """A float32 input with float64 weights would give a float32 output and a
         float64 input gradient, so the dtypes must agree."""
-        x, w, b = (T.zeros(s, dtype=d) for s, d in zip([(1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 1, 1)], dtypes))
+        x, w, b = (T.Tensor(np.zeros(s, d)) for s, d in zip([(1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 1, 1)], dtypes))
         with pytest.raises(ValueError, match="dtype") as info:
             T.conv2d(x, w, b, 1, 1)
         msg = str(info.value)
@@ -115,7 +123,7 @@ class TestConv2d:
     def test_input_gradient_all_geometries(self, stride, padding):
         x = randn((2, 3, 9, 8), seed=5)
         w = randn((2, 3, 3, 3), seed=6, requires_grad=False)
-        b = T.zeros((1, 2, 1, 1), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 2, 1, 1)))
         y = T.conv2d(x, w, b, stride, padding)
         check_grads(
             lambda: T.sum_all(T.mul(T.conv2d(x, w, b, stride, padding), T.conv2d(x, w, b, stride, padding))),
@@ -141,13 +149,17 @@ class TestConv2d:
     def test_matches_naive_loop_reference(self, kernel, stride, padding):
         """Forward, dx, dW and db against plain loops, to 1e-12 of each result's largest entry.
 
-        With 3 and 5 input channels the taps go in groups (all 9 of a 3x3
-        kernel; 7 and then 2 taps for 5 channels); with 40, one tap at a time.
+        3 input channels stack all taps of every kernel but 1x1 into one operand.
+        5 and 10 channels stack the 3 taps of a 1x3 or 3x1 kernel (15 and 30
+        inputs, within STACK_MAX_K = 32); 11 channels (33 inputs), every 3x3
+        kernel over 5 or more channels, and 40 channels take one tap at a time.
 
         At stride 2 or 3 the shapes leave trailing input rows or columns unread,
         e.g. column 7 of (2, 3, 9, 8) at stride 2, padding 0.
         """
-        for seed, shape, co in [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2), (26, (2, 40, 7, 6), 3)]:
+        cases = [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2), (27, (2, 10, 6, 7), 3), (28, (2, 11, 6, 7), 2),
+                 (26, (2, 40, 7, 6), 3)]
+        for seed, shape, co in cases:
             x = randn(shape, seed=seed)
             w = randn((co, shape[1], *kernel), seed=seed + 100)
             b = randn((1, co, 1, 1), seed=seed + 200)
@@ -160,12 +172,49 @@ class TestConv2d:
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                 assert err < 1e-12, f"{name} {shape}: relative error {err:.2e}"
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ci", [3, 16])
+    def test_stacked_and_per_tap_layouts_agree(self, monkeypatch, ci, stride):
+        """Forward, dx, dW and db with every kernel stacked (STACK_MAX_K large) and
+        with one tap at a time (STACK_MAX_K = 0), to 1e-12 of each result's largest entry."""
+        results = []
+        for limit in (0, 10**6):
+            monkeypatch.setattr(T, "STACK_MAX_K", limit)
+            x, w, b = randn((2, ci, 9, 8), seed=30), randn((4, ci, 3, 3), seed=31), randn((1, 4, 1, 1), seed=32)
+            y = T.conv2d(x, w, b, stride, 1)
+            g = np.random.default_rng(33).standard_normal(y.shape)
+            T.backward(T.sum_all(T.mul(y, T.Tensor(g, dtype=np.float64))))
+            results.append((y.data, x.grad, w.grad, b.grad))
+        for name, per_tap, stacked in zip(("y", "dx", "dw", "db"), *results):
+            err = np.max(np.abs(stacked - per_tap)) / np.max(np.abs(per_tap))
+            assert err < 1e-12, f"{name}: relative difference {err:.2e}"
+
+    def test_stacked_conv_graph_keeps_no_stacked_operand(self):
+        """A 3-channel 3x3 conv copies its 9 tap slices into one (n, 27, m) operand.
+        The backward copies them again, so after the forward the graph holds the
+        output and the padded input, and not that operand."""
+        rng = np.random.default_rng(34)
+        x = T.Tensor(rng.standard_normal((4, 3, 96, 128)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(0.1 * rng.standard_normal((16, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros((1, 16, 1, 1), np.float32), requires_grad=True)
+        padded = 4 * 3 * 99 * 130 * 4  # rows: 96 + 2 padding + 1 that keeps the last tap's slice in bounds
+        operand = 4 * 27 * 96 * 130 * 4  # m = 96 output rows of 130 padded columns
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = T.conv2d(x, w, b, 1, 1)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert held - y.data.nbytes - padded < operand, f"graph holds {held} bytes"
+
     def test_forward_builds_no_window_matrix(self):
         """A 3x3 window matrix of the input alone would be 9x its bytes."""
         rng = np.random.default_rng(25)
         x = T.Tensor(rng.standard_normal((4, 64, 48, 64)).astype(np.float32))
         w = T.Tensor(0.1 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
-        b = T.zeros((1, 64, 1, 1))
+        b = T.Tensor(np.zeros((1, 64, 1, 1), np.float32))
         tracemalloc.start()
         try:
             with T.no_grad():
@@ -182,7 +231,7 @@ class TestConv2d:
         x = T.Tensor(rng.standard_normal((1, 2, 6, 6)), dtype=np.float64)
         y = T.Tensor(rng.standard_normal((1, 2, 6, 6)), dtype=np.float64)
         w = T.Tensor(rng.standard_normal((3, 2, 3, 3)), dtype=np.float64)
-        b = T.zeros((1, 3, 1, 1), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 3, 1, 1)))
         a, c = 0.7, -1.3
         mix = T.Tensor(a * x.data + c * y.data, dtype=np.float64)
         lhs = T.conv2d(mix, w, b, 1, 1).data
@@ -192,18 +241,25 @@ class TestConv2d:
     def test_deterministic(self):
         x = randn((1, 3, 8, 8), seed=8, requires_grad=False)
         w = randn((4, 3, 3, 3), seed=9, requires_grad=False)
-        b = T.zeros((1, 4, 1, 1), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 4, 1, 1)))
         y1 = T.conv2d(x, w, b, 1, 1).data
         y2 = T.conv2d(x, w, b, 1, 1).data
         assert np.array_equal(y1, y2)
 
 
 class TestBatchNorm:
+    def test_parameter_shape_mismatch_names_every_shape(self):
+        x = T.Tensor(np.zeros((2, 3, 4, 4), np.float32))
+        g, b = T.Tensor(np.ones((1, 3, 1, 1), np.float32)), T.Tensor(np.zeros((1, 2, 1, 1), np.float32))
+        message = "gamma (1, 3, 1, 1) and beta (1, 2, 1, 1) must be (1, 3, 1, 1), input (2, 3, 4, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(3))
+
     def test_constant_channel_is_zeroed(self):
         """Constant input, gamma=1, beta=0: output all zeros (eps clamps the variance)."""
-        x = T.full((2, 3, 4, 4), 5.0)
+        x = T.Tensor(np.full((2, 3, 4, 4), 5.0, np.float32))
         g = T.Tensor(np.ones((1, 3, 1, 1), np.float32))
-        b = T.zeros((1, 3, 1, 1))
+        b = T.Tensor(np.zeros((1, 3, 1, 1), np.float32))
         stats = T.RunningStats.for_channels(3)
         out = T.batch_norm_relu(x, g, b, stats)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
@@ -211,7 +267,7 @@ class TestBatchNorm:
     def test_zero_gamma_yields_beta_and_kills_input_grad(self):
         """beta >= 0 passes the ReLU unchanged."""
         x = randn((2, 3, 4, 4), seed=10)
-        g = T.zeros((1, 3, 1, 1), dtype=np.float64)
+        g = T.Tensor(np.zeros((1, 3, 1, 1)))
         b = T.Tensor(np.arange(3, dtype=np.float64).reshape(1, 3, 1, 1))
         stats = T.RunningStats.for_channels(3, np.float64)
         out = T.batch_norm_relu(x, g, b, stats)
@@ -224,8 +280,8 @@ class TestBatchNorm:
         """With gamma = 3 and beta = 20 every output is positive, so the ReLU
         passes the normalized values unchanged."""
         x = randn((4, 2, 6, 6), seed=11, requires_grad=False)
-        g = T.full((1, 2, 1, 1), 3.0, dtype=np.float64)
-        b = T.full((1, 2, 1, 1), 20.0, dtype=np.float64)
+        g = T.Tensor(np.full((1, 2, 1, 1), 3.0))
+        b = T.Tensor(np.full((1, 2, 1, 1), 20.0))
         out = T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(2, np.float64))
         assert out.data.min() > 0
         mean = out.data.mean(axis=(0, 2, 3))
@@ -237,8 +293,8 @@ class TestBatchNorm:
     def test_running_stats_converge_to_input_stats(self):
         rng = np.random.default_rng(12)
         stats = T.RunningStats.for_channels(1, np.float64)
-        g = T.full((1, 1, 1, 1), 1.0, dtype=np.float64)
-        b = T.zeros((1, 1, 1, 1), dtype=np.float64)
+        g = T.Tensor(np.full((1, 1, 1, 1), 1.0))
+        b = T.Tensor(np.zeros((1, 1, 1, 1)))
         for _ in range(200):
             x = T.Tensor(2.0 + 0.5 * rng.standard_normal((8, 1, 8, 8)), dtype=np.float64)
             T.batch_norm_relu(x, g, b, stats)
@@ -280,7 +336,7 @@ class TestActivations:
         np.testing.assert_array_equal(T.relu(x).data.ravel(), [0.0, 0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        assert T.sigmoid(T.zeros((1, 1, 1, 1))).item() == 0.5
+        assert T.sigmoid(T.Tensor(np.zeros((1, 1, 1, 1), np.float32))).item() == 0.5
 
     def test_sigmoid_stable_for_large_inputs(self):
         x = T.Tensor(np.array([-500.0, 500.0]).reshape(1, 1, 1, 2), dtype=np.float64)
@@ -294,14 +350,14 @@ class TestActivations:
         check_grads(lambda: T.sum_all(T.mul(T.sigmoid(y), T.sigmoid(y))), {"y": y}, tol=1e-3)
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        x = T.zeros((1, 1, 1, 1), requires_grad=True)
+        x = T.Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
         T.backward(T.sum_all(T.relu(x)))
         assert x.grad.ravel()[0] == 0.0
 
 
 class TestBilinearResize:
     def test_constant_stays_constant(self):
-        x = T.full((1, 2, 5, 7), 3.25)
+        x = T.Tensor(np.full((1, 2, 5, 7), 3.25, np.float32))
         for oh, ow in [(1, 1), (3, 3), (10, 14), (5, 7)]:
             y = T.bilinear_resize(x, oh, ow)
             np.testing.assert_allclose(y.data, 3.25, rtol=1e-6)
@@ -343,7 +399,7 @@ class TestBilinearResize:
     @pytest.mark.parametrize("out_h, out_w", [(0, 4), (4, 0)])
     def test_empty_target_rejected_naming_sizes(self, out_h, out_w):
         with pytest.raises(ValueError, match=re.escape(f"({out_h}, {out_w}) must be >= 1, input shape (1, 2, 5, 6)")):
-            T.bilinear_resize(T.zeros((1, 2, 5, 6)), out_h, out_w)
+            T.bilinear_resize(T.Tensor(np.zeros((1, 2, 5, 6), np.float32)), out_h, out_w)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_same_size_returns_input_and_passes_gradient(self, dtype):
@@ -366,15 +422,15 @@ class TestBilinearResize:
 
 class TestConcatAndArithmetic:
     def test_concat_shape(self):
-        a, b = T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4))
+        a, b = T.Tensor(np.zeros((1, 2, 4, 4), np.float32)), T.Tensor(np.zeros((1, 3, 4, 4), np.float32))
         assert T.concat_channels(a, b).shape == (1, 5, 4, 4)
 
     def test_concat_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError, match=re.escape("(1, 1, 4, 4) vs (1, 1, 5, 4)")):
-            T.concat_channels(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 5, 4)))
+            T.concat_channels(T.Tensor(np.zeros((1, 1, 4, 4), np.float32)), T.Tensor(np.zeros((1, 1, 5, 4), np.float32)))
 
     def test_concat_dtype_mismatch_names_dtypes_and_shapes(self):
-        a, b = T.zeros((1, 2, 4, 4), dtype=np.float32), T.zeros((1, 3, 4, 4), dtype=np.float64)
+        a, b = T.Tensor(np.zeros((1, 2, 4, 4), np.float32)), T.Tensor(np.zeros((1, 3, 4, 4)))
         with pytest.raises(ValueError, match=re.escape("float32 (1, 2, 4, 4) vs float64 (1, 3, 4, 4)")):
             T.concat_channels(a, b)
 
@@ -387,12 +443,12 @@ class TestConcatAndArithmetic:
 
     def test_add_zero_and_scale_zero(self):
         x = randn((1, 2, 3, 3), seed=27, requires_grad=False)
-        np.testing.assert_array_equal(T.add(x, T.zeros(x.shape, dtype=np.float64)).data, x.data)
+        np.testing.assert_array_equal(T.add(x, T.Tensor(np.zeros(x.shape))).data, x.data)
         np.testing.assert_array_equal(T.scale(x, 0.0).data, np.zeros_like(x.data))
 
     def test_add_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            T.add(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 2, 3)))
+            T.add(T.Tensor(np.zeros((1, 1, 2, 2), np.float32)), T.Tensor(np.zeros((1, 1, 2, 3), np.float32)))
 
     def test_elementwise_gradients(self):
         a = randn((2, 2, 3, 3), seed=28)
@@ -419,7 +475,7 @@ class TestPoolAndDense:
     which is a 1x1 conv on the pooled (n, c, 1, 1) tensor."""
 
     def test_pool_of_constant(self):
-        assert T.global_avg_pool(T.full((2, 3, 5, 5), 7.0)).data.ravel().tolist() == [7.0] * 6
+        assert T.global_avg_pool(T.Tensor(np.full((2, 3, 5, 5), 7.0, np.float32))).data.ravel().tolist() == [7.0] * 6
 
     def test_gradients(self):
         x = randn((3, 4, 2, 3), seed=37)
@@ -606,7 +662,7 @@ class TestFiniteness:
         rng = np.random.default_rng(48)
         x = T.Tensor(rng.standard_normal((2, 3, 6, 6)) * 10, dtype=np.float64)
         w = T.Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=np.float64)
-        b = T.zeros((1, 4, 1, 1), dtype=np.float64)
+        b = T.Tensor(np.zeros((1, 4, 1, 1)))
         outs = [
             T.conv2d(x, w, b, 1, 1),
             T.relu(x),
@@ -618,8 +674,8 @@ class TestFiniteness:
             assert np.isfinite(o.data).all()
 
     def test_div_reports_nonfinite(self):
-        a = T.full((1, 1, 1, 1), 1.0)
-        z = T.zeros((1, 1, 1, 1))
+        a = T.Tensor(np.full((1, 1, 1, 1), 1.0, np.float32))
+        z = T.Tensor(np.zeros((1, 1, 1, 1), np.float32))
         with pytest.raises(FloatingPointError):
             T.div(a, z)
 
