@@ -200,10 +200,13 @@ class GuidedUpsampler(Module):
         if self.s_guide is not None and getattr(guide, "shape", None) != want:
             raise ValueError(f"guide must be {want}, got {getattr(guide, 'shape', None)}")
         h_up = bilinear_resize(z, 2 * h, 2 * w)
-        h_t = self.s_target.forward(h_up, train)
-        joint = h_t if self.s_guide is None else concat_channels(h_t, self.s_guide.forward(guide, train))
-        h_res = self.s_res.forward(self.se.forward(joint), train)
+        # only h_up stays alive until the residual add: no local holds the joint or gated features
+        h_res = self.s_res.forward(self.se.forward(self._joint(h_up, guide, train)), train)
         return self.reduce.forward(add(h_up, h_res))
+
+    def _joint(self, h_up: Tensor, guide: Tensor | None, train: bool) -> Tensor:
+        h_t = self.s_target.forward(h_up, train)
+        return h_t if self.s_guide is None else concat_channels(h_t, self.s_guide.forward(guide, train))
 
 
 class Encoder(Module):

@@ -364,8 +364,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
       (a 3-channel 3x3 conv): all tap slices are copied into one
       ``(n, kh * kw * c_in, m)`` operand and each product below is one
       matmul. A matmul over 3 channels costs about as much as one over 27;
-      over 16 channels, copying 2 taps cost more than the matmul it saved.
-      The backward copies the slices again, so the graph does not hold them;
+      over 16 channels, copying 2 taps cost more than the matmul it saved;
     - per tap, otherwise: one matmul per tap on its strided slice as it is.
 
     Then:
@@ -381,6 +380,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     The junk columns of the last grid row can read past the bottom padding,
     so the padded input gets as many extra zero rows as keep every slice in
     bounds.
+
+    The graph keeps ``x`` and neither the padded input nor the stacked
+    operand: the backward builds both again from ``x.data``, trading one
+    ``np.pad`` (and one copy of the taps when stacked) for their memory.
+    The forward frees them, and its matmul buffer, before the crop copy.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -402,25 +406,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         )
 
     p = padding
-    hp, wp = h + 2 * p, w + 2 * p
+    wp = w + 2 * p
     m = oh * wp
     # the last tap's slice ends (kh - 1) * wp + kw + stride * (m - 1) into the flat input
-    extra = max(0, -(-((kh - 1) * wp + kw + stride * (m - 1)) // wp) - hp)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p + extra), (p, p))) if p or extra else x.data
-    xf = xp.reshape(n, ci, -1)
+    rows = max(h + 2 * p, -(-((kh - 1) * wp + kw + stride * (m - 1)) // wp))
     wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
     stacked = kh * kw > 1 and ci * kh * kw <= STACK_MAX_K
     k = wt.shape[1] if stacked else ci  # weight columns per operand
 
-    def operands():  # called again by the backward, so the graph does not hold a stacked copy
-        views = _taps(xf, kh, kw, wp, stride, m)
+    def operands():  # called again by the backward
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, rows - h - p), (p, p))) if rows > h or p else x.data
+        views = _taps(xp.reshape(n, ci, -1), kh, kw, wp, stride, m)
         return [np.concatenate(views, axis=1)] if stacked else views
 
-    first, *rest = operands()
-    grid = wt[:, :k] @ first
-    tmp = np.empty_like(grid)
-    for t, op in enumerate(rest, 1):
-        grid += np.matmul(wt[:, t * k : (t + 1) * k], op, out=tmp)
+    ops = operands()
+    grid = wt[:, :k] @ ops[0]
+    if len(ops) > 1:
+        tmp = np.empty_like(grid)
+        for t in range(1, len(ops)):
+            grid += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
+        del tmp
+    del ops  # frees the padded input before the crop copies the output
     out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
 
     def back(g):
@@ -432,7 +438,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             dw = np.concatenate([(gg @ op.swapaxes(1, 2)).sum(axis=0) for op in operands()], axis=1)
             _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dxf = np.zeros(xf.shape, dtype=xf.dtype)
+            dxf = np.zeros((n, ci, rows * wp), dtype=x.dtype)
             dviews = _taps(dxf, kh, kw, wp, stride, m)
             if stacked:
                 prod = wt.T @ gg
@@ -444,7 +450,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 tmp = np.empty((n, ci, m), dtype=dxf.dtype)
                 for t in range(1, len(dviews)):
                     dviews[t] += np.matmul(wt[:, t * ci : (t + 1) * ci].T, gg, out=tmp)
-            _accum(x, dxf.reshape(xp.shape)[:, :, p : p + h, p : p + w])
+            _accum(x, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
 

@@ -3,6 +3,8 @@ plain reference implementations for parity tests."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from guidedepth import evaluate as E
@@ -151,6 +153,27 @@ def graph_bytes(loss: T.Tensor) -> int:
         elif getattr(obj, "__closure__", None):  # a backward rule or a function it calls
             stack.extend(cell.cell_contents for cell in obj.__closure__)
     return sum(buffers.values())
+
+
+def traced(f):
+    """Run ``f()`` under tracemalloc and return ``(f(), held, peak)``.
+
+    ``held`` is the bytes of numpy array buffers allocated by ``f`` and still
+    alive when it returns, such as those of its result and of a graph that
+    result keeps; Python's object free lists, which refill over dozens of
+    calls, are not counted. ``peak`` is the highest traced memory of any kind
+    while ``f`` ran, above where it started.
+    """
+    only_arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        snap = tracemalloc.take_snapshot().filter_traces(only_arrays)
+    finally:
+        tracemalloc.stop()
+    return out, sum(stat.size for stat in snap.statistics("filename")), peak
 
 
 def metrics_reference(y, yhat, mask=None) -> E.MetricValues:

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from guidedepth import gdt
 from guidedepth import losses as L
 from guidedepth import tensor as T
 from guidedepth.evaluate import depth_to_normalized
-from helpers import check_grads, directional_grad_check, graph_bytes, perturb_params
+from helpers import check_grads, directional_grad_check, graph_bytes, perturb_params, traced
 
 
 def rand_image(shape, seed=0, dtype=np.float64):
@@ -260,45 +259,62 @@ class TestDepthNet:
             assert z.shape[2:] == (2 * h, 2 * w)
 
     def test_forwards_without_backward_do_not_accumulate_memory(self):
-        """An abandoned train-mode graph is freed by reference counting alone.
-
-        Only numpy's array buffers are counted: Python's object free lists
-        keep filling for dozens of calls and would hide or fake a trend.
-        """
-
-        def array_bytes():
-            only_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
-            snap = tracemalloc.take_snapshot().filter_traces([only_arrays])
-            return sum(stat.size for stat in snap.statistics("filename"))
-
+        """An abandoned train-mode graph is freed by reference counting alone:
+        the array buffers still alive after 100 forwards stay below 16 KiB."""
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=7)
         x = rand_image((1, 3, 16, 16), seed=32, dtype=np.float32)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            model.forward(x, train=True)  # warm caches such as the resize matrices
-            before = array_bytes()
+        model.forward(x, train=True)  # warm caches such as the resize matrices
+
+        def forwards():
             for _ in range(100):
                 model.forward(x, train=True)
-            growth = array_bytes() - before
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _, growth, _ = traced(forwards)
         finally:
-            tracemalloc.stop()
             if was_enabled:
                 gc.enable()
         assert growth < 16 * 1024, f"array memory grew by {growth} bytes over 100 forwards"
 
-    def test_graph_after_forward_and_loss_holds_at_most_240_mib(self):
+    def test_graph_after_forward_and_loss_holds_at_most_200_mib(self):
         """Each train-mode batch norm keeps only its output beside the conv
-        output it reads; keeping its pre-ReLU output and its centred input
-        as well makes 352 MiB."""
+        output it reads, and each conv keeps its input but not a padded copy
+        of it. Keeping the pre-ReLU output and the centred input of each batch
+        norm as well makes 352 MiB; keeping the padded inputs, 230 MiB."""
         rng = np.random.default_rng(38)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
         y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 96, 128)), dtype=np.float32)
         loss = L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"]
         held = graph_bytes(loss) / 2**20
-        assert held <= 240, f"graph holds {held:.1f} MiB after forward and loss"
+        assert held <= 200, f"graph holds {held:.1f} MiB after forward and loss"
+
+    def test_eval_forward_peaks_at_most_13_mib(self):
+        """A batch-1 eval forward of ``guidedepth`` at 96x128 frees each conv's
+        padded input and matmul buffer before its crop, and each stage holds
+        only ``h_up`` across its residual branch: 17.3 MiB when neither did."""
+        model = B.build_model(B.preset_config("guidedepth"), seed=0)
+        x = rand_image((1, 3, 96, 128), seed=39, dtype=np.float32)
+        with T.no_grad():
+            model.forward(x, train=True)  # fills the running statistics and warms the resize matrices
+        _, _, peak = traced(lambda: model.forward(x))
+        assert peak <= 13 * 2**20, f"eval forward peaks at {peak / 2**20:.1f} MiB"
+
+    def test_no_grad_train_forward_peaks_at_most_28_mib(self):
+        """The same for a train-mode forward that records no graph: ``guidedepth-s``,
+        batch 4 at 64x208 (37.3 MiB when neither was freed)."""
+        model = B.build_model(B.preset_config("guidedepth-s"), seed=0)
+        x = rand_image((4, 3, 64, 208), seed=40, dtype=np.float32)
+
+        def forward():
+            with T.no_grad():
+                return model.forward(x, train=True)
+
+        forward()  # warms the resize matrices
+        _, _, peak = traced(forward)
+        assert peak <= 28 * 2**20, f"train-mode no-grad forward peaks at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
     def test_indivisible_input_rejected(self, gtype):

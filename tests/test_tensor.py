@@ -2,14 +2,13 @@
 
 import re
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from guidedepth import gdt
 from guidedepth import tensor as T
-from helpers import check_grads, conv2d_reference, finite_diff_grad, rel_err
+from helpers import check_grads, conv2d_reference, finite_diff_grad, rel_err, traced
 
 
 def randn(shape, seed=0, dtype=np.float64, requires_grad=True):
@@ -191,23 +190,28 @@ class TestConv2d:
 
     def test_stacked_conv_graph_keeps_no_stacked_operand(self):
         """A 3-channel 3x3 conv copies its 9 tap slices into one (n, 27, m) operand.
-        The backward copies them again, so after the forward the graph holds the
-        output and the padded input, and not that operand."""
+        The backward builds it again from the input, so after the forward the
+        graph holds the output and not that operand."""
         rng = np.random.default_rng(34)
         x = T.Tensor(rng.standard_normal((4, 3, 96, 128)).astype(np.float32), requires_grad=True)
         w = T.Tensor(0.1 * rng.standard_normal((16, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = T.Tensor(np.zeros((1, 16, 1, 1), np.float32), requires_grad=True)
-        padded = 4 * 3 * 99 * 130 * 4  # rows: 96 + 2 padding + 1 that keeps the last tap's slice in bounds
         operand = 4 * 27 * 96 * 130 * 4  # m = 96 output rows of 130 padded columns
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            y = T.conv2d(x, w, b, 1, 1)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
+        y, held, _ = traced(lambda: T.conv2d(x, w, b, 1, 1))
         assert y.requires_grad
-        assert held - y.data.nbytes - padded < operand, f"graph holds {held} bytes"
+        assert held - y.data.nbytes < operand, f"graph holds {held} bytes"
+
+    def test_padded_conv_graph_keeps_no_padded_input(self):
+        """The backward pads ``x`` again, so after a grad-recording padded 3x3
+        conv the graph holds its output and less than half a padded input."""
+        rng = np.random.default_rng(35)
+        x = T.Tensor(rng.standard_normal((4, 32, 96, 128)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(0.1 * rng.standard_normal((32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros((1, 32, 1, 1), np.float32), requires_grad=True)
+        padded = 4 * 32 * 99 * 130 * 4  # rows: 96 + 2 padding + 1 that keeps the last tap's slice in bounds
+        y, held, _ = traced(lambda: T.conv2d(x, w, b, 1, 1))
+        assert y.requires_grad
+        assert held - y.data.nbytes < padded / 2, f"graph holds {held - y.data.nbytes} bytes beside its output"
 
     def test_forward_builds_no_window_matrix(self):
         """A 3x3 window matrix of the input alone would be 9x its bytes."""
@@ -215,14 +219,8 @@ class TestConv2d:
         x = T.Tensor(rng.standard_normal((4, 64, 48, 64)).astype(np.float32))
         w = T.Tensor(0.1 * rng.standard_normal((64, 64, 3, 3)).astype(np.float32))
         b = T.Tensor(np.zeros((1, 64, 1, 1), np.float32))
-        tracemalloc.start()
-        try:
-            with T.no_grad():
-                base = tracemalloc.get_traced_memory()[0]
-                T.conv2d(x, w, b, 1, 1)
-                peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        with T.no_grad():
+            _, _, peak = traced(lambda: T.conv2d(x, w, b, 1, 1))
         assert peak < 9 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
     def test_linearity_in_input(self):
