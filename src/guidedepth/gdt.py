@@ -80,9 +80,9 @@ def _parse_meta(text: str, path: Path) -> dict[str, str]:
         key, eq, value = line.partition("=")
         key = key.strip()
         if not eq or not key:
-            raise ValueError(f"{path}, line {number}: expected 'key = value', got {raw!r}")
+            raise GdtError(f"{path}, line {number}: expected 'key = value', got {raw!r}")
         if key in pairs:
-            raise ValueError(f"{path}, line {number}: key {key!r} given twice")
+            raise GdtError(f"{path}, line {number}: key {key!r} given twice")
         pairs[key] = value.strip()
     return pairs
 
@@ -90,7 +90,7 @@ def _parse_meta(text: str, path: Path) -> dict[str, str]:
 def _fill_record(directory: Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
     text = "".join(f"{key} = {value}\n" for key, value in meta.items())
     if _parse_meta(text, directory / META) != meta:
-        raise ValueError(f"meta {meta!r} would not read back as written")
+        raise GdtError(f"meta {meta!r} would not read back as written")
     directory.mkdir(exist_ok=True)
     for name, arr in arrays.items():
         write_array(directory / f"{name}.gdt", arr)

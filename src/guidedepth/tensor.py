@@ -67,10 +67,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
+        if dtype is None:
+            dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
+        elif np.dtype(dtype) not in (np.float32, np.float64):
+            raise ValueError(f"tensors are float32 or float64, got dtype {np.dtype(dtype)}")
+        arr = arr.astype(dtype, copy=False)
         if arr.ndim != 4:
             raise ValueError(f"tensors are rank 4 (n, c, h, w), got shape {arr.shape}")
         n, c, h, w = arr.shape
@@ -336,10 +337,8 @@ STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * 
 
 
 def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
-    """``flat[..., stride * q + k * row + l] for q < m`` for each kernel tap ``(k, l)``, row-major.
-
-    Each view is a basic strided slice, so it shares memory with ``flat``.
-    """
+    """``flat[..., stride * q + k * row + l] for q < m`` for each kernel tap ``(k, l)``,
+    row-major; each is a basic strided slice, so writing to it writes ``flat``."""
     span = stride * (m - 1) + 1
     offsets = (k * row + l for k in range(kh) for l in range(kw))
     return [flat[..., o : o + span : stride] for o in offsets]
@@ -357,33 +356,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     grid of ``oh`` rows by ``wp`` columns every tap is one strided slice of
     the flat input (see ``_taps``) and no window matrix is built.
 
-    The conv's shapes pick one of two layouts of the matmul operands ``X_t``,
-    with ``W_t`` the weight columns of each:
+    The conv's shapes pick one of two layouts of the forward's operands
+    ``X_t``, with ``W_t`` the weight columns of each:
 
-    - stacked, when ``kh * kw > 1`` and ``c_in * kh * kw <= STACK_MAX_K``
-      (a 3-channel 3x3 conv): all tap slices are copied into one
-      ``(n, kh * kw * c_in, m)`` operand and each product below is one
-      matmul. A matmul over 3 channels costs about as much as one over 27;
-      over 16 channels, copying 2 taps cost more than the matmul it saved;
+    - stacked, when ``kh * kw > 1`` and ``c_in * kh * kw <= STACK_MAX_K`` (a
+      3-channel 3x3 conv): all tap slices are copied into one operand, as a
+      matmul over 3 channels costs about as much as one over 27 (over 16,
+      copying 2 taps cost more than the matmul it saved);
     - per tap, otherwise: one matmul per tap on its strided slice as it is.
 
-    Then:
+    The forward is ``grid = sum over t of W_t @ X_t``, cropped of the junk
+    columns ``ow..wp`` of each row; the padded input gets the extra zero rows
+    the last row's junk columns read. The backward shifts the gradient, not
+    the input (kn2row, arXiv 1709.03395): per sample, plane ``t`` of a zeroed
+    stack ``G`` of ``kh * kw`` flat padded inputs holds the output gradient in
+    tap ``t``'s slice. With ``W`` the weight as ``(kh * kw * c_out, c_in)`` and
+    ``X`` the sample's flat padded input, ``dx_flat = W.T @ G`` and, per tap,
+    ``dW += G @ X.T``. Stacked, ``dW = sum over n of g_grid @ X_0.T`` with the
+    gradient zero-padded to the grid is 2-3x faster. At stride ``s``, ``G`` is
+    ``s**2`` times sparser, so strided per-tap convs multiply mostly zeros.
 
-    - forward: ``grid = sum over t of W_t @ X_t``, then the ``wp - ow``
-      junk columns of each grid row are cropped;
-    - weight gradient: ``dW_t = sum over n of g_grid @ X_t.T``, where
-      ``g_grid`` is the output gradient on the grid, zero in the junk
-      columns, so what the junk columns read adds nothing;
-    - input gradient: each tap's rows of ``W_t.T @ g_grid`` are added into
-      that tap's slice of ``dx_flat``; then the padding is cropped.
-
-    The junk columns of the last grid row can read past the bottom padding,
-    so the padded input gets as many extra zero rows as keep every slice in
-    bounds.
-
-    The graph keeps ``x`` and neither the padded input nor the stacked
-    operand: the backward builds both again from ``x.data``, trading one
-    ``np.pad`` (and one copy of the taps when stacked) for their memory.
+    The graph keeps ``x`` but neither the padded input nor the stacked operand:
+    the backward builds them again from ``x.data`` (per sample when per tap).
     The forward frees them, and its matmul buffer, before the crop copy.
     """
     n, ci, h, w = x.shape
@@ -432,25 +426,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     def back(g):
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
-        gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))) if wp > ow else g
-        gg = gg.reshape(n, co, m)
-        if weight.requires_grad:
-            dw = np.concatenate([(gg @ op.swapaxes(1, 2)).sum(axis=0) for op in operands()], axis=1)
+        if stacked and weight.requires_grad:
+            gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))).reshape(n, co, m)
+            dw = (gg @ operands()[0].swapaxes(1, 2)).sum(axis=0)
             _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        if x.requires_grad:
-            dxf = np.zeros((n, ci, rows * wp), dtype=x.dtype)
-            dviews = _taps(dxf, kh, kw, wp, stride, m)
-            if stacked:
-                prod = wt.T @ gg
-                for t, dv in enumerate(dviews):
-                    dv += prod[:, t * ci : (t + 1) * ci]
-            else:
-                # the first tap writes straight into its zero-filled slice
-                np.matmul(wt[:, :ci].T, gg, out=dviews[0])
-                tmp = np.empty((n, ci, m), dtype=dxf.dtype)
-                for t in range(1, len(dviews)):
-                    dviews[t] += np.matmul(wt[:, t * ci : (t + 1) * ci].T, gg, out=tmp)
-            _accum(x, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
+        tap_dw = weight.requires_grad and not stacked
+        if not (tap_dw or x.requires_grad):
+            return
+        gs = np.zeros((kh * kw, co, rows * wp), dtype=x.dtype)
+        slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
+        gs = gs.reshape(-1, rows * wp)
+        wg = weight.data.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
+        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=x.dtype)
+        xp = np.zeros((ci, rows, wp), dtype=x.dtype) if rows > h or p else None  # one padded sample
+        for s in range(n):
+            for slot in slots:
+                slot[...] = g[s]
+            if tap_dw:
+                if xp is not None:
+                    xp[:, p : p + h, p : p + w] = x.data[s]
+                dw += gs @ (x.data[s] if xp is None else xp).reshape(ci, -1).T
+            if x.requires_grad:
+                np.matmul(wg.T, gs, out=dxf[s])
+        if tap_dw:
+            _accum(weight, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
+        _accum(x, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
 

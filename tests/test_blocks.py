@@ -291,6 +291,22 @@ class TestDepthNet:
         held = graph_bytes(loss) / 2**20
         assert held <= 200, f"graph holds {held:.1f} MiB after forward and loss"
 
+    def test_train_step_peaks_at_most_210_mib(self):
+        """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. A
+        per-tap conv's backward pads its input one sample at a time: padding
+        the whole batch at once makes 213 MiB."""
+        rng = np.random.default_rng(41)
+        model = B.build_model(B.preset_config("guidedepth"), seed=0)
+        x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
+        y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 96, 128)), dtype=np.float32)
+
+        def step():
+            T.backward(L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"])
+
+        step()  # warms the resize matrices
+        _, _, peak = traced(step)
+        assert peak <= 210 * 2**20, f"train step peaks at {peak / 2**20:.1f} MiB"
+
     def test_eval_forward_peaks_at_most_13_mib(self):
         """A batch-1 eval forward of ``guidedepth`` at 96x128 frees each conv's
         padded input and matmul buffer before its crop, and each stage holds
