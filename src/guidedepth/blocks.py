@@ -109,56 +109,49 @@ class Conv(Module):
         return conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
-class BatchNorm(Module):
-    def __init__(self, channels, dtype=np.float32):
-        self.gamma = Tensor(np.ones((1, channels, 1, 1), dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype), requires_grad=True)
-        self.stats = RunningStats.for_channels(channels, dtype)
+class ConvBN(Conv):
+    """conv -> batch norm -> ReLU, padded by ``kernel // 2``.
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Train-mode batch norm then ReLU; eval mode folds into the conv before (see ``fold``)."""
-        return batch_norm_relu(x, self.gamma, self.beta, self.stats)
+    Batch norm subtracts the batch mean, so a conv bias would cancel (Ioffe &
+    Szegedy, arXiv 1502.03167): the zero bias of ``Conv`` is a constant here.
+    Eval mode folds the running statistics into the conv on every forward
+    (Jacob et al., arXiv 1712.05877): with ``a = gamma / sqrt(var + eps)`` per
+    output channel, weight ``weight * a`` and bias ``beta - mean * a``, both
+    constants, so the eval forward passes no gradient on.
+    """
 
-    def fold(self, conv: Conv) -> tuple[Tensor, Tensor]:
-        """Constant weight and bias of one conv that computes eval-mode batch norm of ``conv``.
+    def __init__(self, c_in, c_out, kernel, rng, stride=1, dtype=np.float32):
+        super().__init__(c_in, c_out, kernel, rng, stride=stride, padding=kernel // 2, dtype=dtype)
+        self.bias.requires_grad = False
+        self.gamma = Tensor(np.ones((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
+        self.stats = RunningStats.for_channels(c_out, dtype)
 
-        Eval-mode batch norm normalizes with the running statistics, so it is a
-        per-channel affine map and folds into the conv before it (Jacob et al.,
-        arXiv 1712.05877): with ``a = gamma / sqrt(var + eps)`` per output
-        channel, ``weight' = weight * a`` and ``bias' = (bias - mean) * a + beta``.
-        Raises if the running statistics were never updated.
-        """
+    def forward(self, x: Tensor, train: bool) -> Tensor:
+        if train:
+            return batch_norm_relu(super().forward(x), self.gamma, self.beta, self.stats)
         if not self.stats.initialized:
-            raise RuntimeError("BatchNorm.fold: eval mode before any running-stat update")
-        dt = conv.weight.dtype
+            raise RuntimeError("ConvBN: eval mode before any running-stat update")
+        dt = self.weight.dtype
         a = self.gamma.data * (1.0 / np.sqrt(self.stats.var + BN_EPS)).astype(dt, copy=False)
-        bias = (conv.bias.data - self.stats.mean.astype(dt, copy=False)) * a + self.beta.data
-        return Tensor(conv.weight.data * a.reshape(-1, 1, 1, 1)), Tensor(bias)
+        weight = Tensor(self.weight.data * a.reshape(-1, 1, 1, 1))
+        bias = Tensor(self.beta.data - self.stats.mean.astype(dt, copy=False) * a)
+        return relu(conv2d(x, weight, bias, self.stride, self.padding))
 
 
 class StackedConv(Module):
-    """conv3x3 -> BN -> ReLU -> conv1x1 -> BN -> ReLU.
+    """conv3x3 -> BN -> ReLU -> conv1x1 -> BN -> ReLU, as two ``ConvBN``.
 
     Spatial dims are preserved at stride 1; the encoder uses stride 2 on the
-    3x3 convolution to halve them. In eval mode each BN is folded into the
-    conv before it (``BatchNorm.fold``), on every forward, so the folded
-    weights always follow the current parameters; they are constants, so the
-    eval forward passes no gradient to any conv or BN parameter.
+    3x3 convolution to halve them.
     """
 
     def __init__(self, c_in, c_out, rng, stride=1, dtype=np.float32):
-        self.conv3 = Conv(c_in, c_out, 3, rng, stride=stride, padding=1, dtype=dtype)
-        self.bn3 = BatchNorm(c_out, dtype)
-        self.conv1 = Conv(c_out, c_out, 1, rng, stride=1, padding=0, dtype=dtype)
-        self.bn1 = BatchNorm(c_out, dtype)
+        self.conv3 = ConvBN(c_in, c_out, 3, rng, stride=stride, dtype=dtype)
+        self.conv1 = ConvBN(c_out, c_out, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        for conv, bn in ((self.conv3, self.bn3), (self.conv1, self.bn1)):
-            if train:
-                x = bn.forward(conv.forward(x))
-            else:
-                x = relu(conv2d(x, *bn.fold(conv), conv.stride, conv.padding))
-        return x
+        return self.conv1.forward(self.conv3.forward(x, train), train)
 
 
 class SqueezeExcite(Module):
@@ -267,7 +260,7 @@ class DepthNet(Module):
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> DepthNet:
     """Seed-deterministic model construction (Kaiming fan-in conv weights,
-    unit BN gammas, zero biases)."""
+    unit BN gammas, zero BN betas and conv biases; a ``ConvBN``'s is a constant)."""
     return DepthNet(config, np.random.default_rng(seed), dtype)
 
 
@@ -294,10 +287,10 @@ def save_checkpoint(directory: str | Path, model: DepthNet) -> None:
     """Write the model to ``directory`` as one record (see ``gdt``), replacing
     any checkpoint already there; BN statistics are saved once initialized."""
     arrays = {name: p.data for name, p in model.named_parameters()}
-    for path, bn in model.named_modules():
-        if isinstance(bn, BatchNorm) and bn.stats.initialized:
-            arrays[f"{path}.running_mean"] = bn.stats.mean
-            arrays[f"{path}.running_var"] = bn.stats.var
+    for path, m in model.named_modules():
+        if isinstance(m, ConvBN) and m.stats.initialized:
+            arrays[f"{path}.running_mean"] = m.stats.mean
+            arrays[f"{path}.running_var"] = m.stats.var
     gdt.write_record(directory, asdict(model.config), arrays)
 
 
@@ -306,6 +299,11 @@ def load_checkpoint(directory: str | Path) -> DepthNet:
     validated against the stored config before it is accepted."""
     meta, arrays = gdt.read_record(directory)
     model = DepthNet(_parse_config(meta, Path(directory) / gdt.META), None)  # no rng: zero conv weights
+    params = dict(model.named_parameters())
+    convbns = {path: m for path, m in model.named_modules() if isinstance(m, ConvBN)}
+    unknown = arrays.keys() - params.keys() - {f"{path}.running_{s}" for path in convbns for s in ("mean", "var")}
+    if unknown:  # first, so that a checkpoint of an older format is named by its old arrays
+        raise ValueError(f"{directory}: checkpoint holds unknown arrays {sorted(unknown)[:5]}")
 
     def take(name: str, like: np.ndarray) -> np.ndarray:
         if name not in arrays:
@@ -315,13 +313,11 @@ def load_checkpoint(directory: str | Path) -> DepthNet:
             raise ValueError(f"{directory}: array {name!r} has shape {arr.shape}, expected {like.shape}")
         return arr.astype(like.dtype, copy=False)
 
-    for name, p in model.named_parameters():
+    for name, p in params.items():
         p.data = take(name, p.data)
-    for path, bn in model.named_modules():
+    for path, m in convbns.items():
         keys = (f"{path}.running_mean", f"{path}.running_var")
-        if isinstance(bn, BatchNorm) and (keys[0] in arrays or keys[1] in arrays):  # take() rejects half a pair
-            bn.stats.mean, bn.stats.var = (take(key, bn.stats.mean) for key in keys)
-            bn.stats.initialized = True
-    if arrays:
-        raise ValueError(f"{directory}: checkpoint holds unknown arrays {sorted(arrays)[:5]}")
+        if keys[0] in arrays or keys[1] in arrays:  # take() rejects half a pair
+            m.stats.mean, m.stats.var = (take(key, m.stats.mean) for key in keys)
+            m.stats.initialized = True
     return model

@@ -87,26 +87,28 @@ def _parse_meta(text: str, path: Path) -> dict[str, str]:
     return pairs
 
 
-def _fill_record(directory: Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+def _meta_text(meta: dict[str, str], path: Path) -> str:
     text = "".join(f"{key} = {value}\n" for key, value in meta.items())
-    if _parse_meta(text, directory / META) != meta:
-        raise GdtError(f"meta {meta!r} would not read back as written")
-    directory.mkdir(exist_ok=True)
-    for name, arr in arrays.items():
-        write_array(directory / f"{name}.gdt", arr)
-    (directory / META).write_text(text)
+    if _parse_meta(text, path) != meta:
+        raise GdtError(f"{path}: meta {meta!r} would not read back as written")
+    return text
 
 
 def _replace_directory(directory: str | Path, records: dict[str, tuple[dict, dict]], replaceable) -> None:
     directory = Path(directory)
+    # checked before anything is staged, so that errors name the meta file as it will be
+    texts = {name: _meta_text(meta, directory / name / META) for name, (meta, _) in records.items()}
     if directory.exists() and not replaceable(directory):
         raise FileExistsError(f"{directory} holds files other than GDT records; not replacing it")
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
     staging.mkdir(parents=True)
     try:
-        for name, (meta, arrays) in records.items():
-            _fill_record(staging / name, meta, arrays)
+        for name, (_, arrays) in records.items():
+            (staging / name).mkdir(exist_ok=True)
+            for key, arr in arrays.items():
+                write_array(staging / name / f"{key}.gdt", arr)
+            (staging / name / META).write_text(texts[name])
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

@@ -481,7 +481,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     """Train-mode per-channel normalization over (n, h, w), then ReLU, as one op.
 
     Normalizes with batch statistics (biased variance) and updates the running
-    averages in place; eval mode folds them into the conv before (``blocks.BatchNorm.fold``).
+    averages in place; in eval mode ``blocks.ConvBN`` folds them into the conv before.
     With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
     output is ``max((x - m) * a + beta, 0)``; the op keeps only ``x``, the output and
     per-channel vectors (Rota Bulo et al., arXiv 1712.02616). The backward is exact

@@ -28,8 +28,8 @@ class TestStackedConv:
 
     def test_zero_bn_gammas_zero_output(self):
         sc = B.StackedConv(2, 3, np.random.default_rng(1), dtype=np.float64)
-        sc.bn3.gamma.data[...] = 0.0
-        sc.bn1.gamma.data[...] = 0.0
+        sc.conv3.gamma.data[...] = 0.0
+        sc.conv1.gamma.data[...] = 0.0
         out = sc.forward(rand_image((1, 2, 6, 6), seed=2), train=True)
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
@@ -61,29 +61,43 @@ class TestStackedConv:
             x = T.Tensor(rng.standard_normal((2, 5, 12, 10)), dtype=dtype)
             got = sc.forward(x, train=False).data
             want = x
-            for conv, bn in ((sc.conv3, sc.bn3), (sc.conv1, sc.bn1)):
-                y = T.conv2d(want, conv.weight, conv.bias, conv.stride, conv.padding).data
-                norm = (y - bn.stats.mean) * bn.gamma.data / np.sqrt(bn.stats.var + T.BN_EPS) + bn.beta.data
+            for cb in (sc.conv3, sc.conv1):
+                y = T.conv2d(want, cb.weight, cb.bias, cb.stride, cb.padding).data
+                norm = (y - cb.stats.mean) * cb.gamma.data / np.sqrt(cb.stats.var + T.BN_EPS) + cb.beta.data
                 want = T.relu(T.Tensor(norm, dtype=dtype))
         assert got.dtype == dtype
         err = np.max(np.abs(got - want.data)) / np.max(np.abs(want.data))
         assert err < tol, f"folded eval forward off by {err:.2e}"
 
 
-class TestBatchNorm:
+class TestConvBN:
     def test_eval_before_update_raises(self):
-        """Eval mode folds into the conv, and needs running statistics to fold."""
-        conv = B.Conv(3, 2, 3, np.random.default_rng(0))
+        """Eval mode folds batch norm into the conv, and needs running statistics to fold."""
+        cb = B.ConvBN(3, 2, 3, np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="running-stat"):
-            B.BatchNorm(2).fold(conv)
+            cb.forward(rand_image((1, 3, 5, 5), seed=1, dtype=np.float32), train=False)
 
     def test_fold_gives_constants(self):
-        conv = B.Conv(3, 2, 3, np.random.default_rng(1))
-        bn = B.BatchNorm(2)
-        bn.forward(conv.forward(rand_image((2, 3, 5, 5), seed=2, dtype=np.float32)))
-        weight, bias = bn.fold(conv)
-        assert weight.shape == (2, 3, 3, 3) and bias.shape == (1, 2, 1, 1)
-        assert not weight.requires_grad and not bias.requires_grad
+        """The folded eval forward records no graph even with gradients on."""
+        cb = B.ConvBN(3, 2, 3, np.random.default_rng(1))
+        x = rand_image((2, 3, 5, 5), seed=2, dtype=np.float32)
+        assert cb.forward(x, train=True).requires_grad
+        out = cb.forward(x, train=False)
+        assert out.shape == (2, 2, 5, 5) and not out.requires_grad and out._node is None
+
+    @pytest.mark.parametrize("kernel,stride,shape", [(3, 1, (1, 4, 6, 8)), (3, 2, (1, 4, 3, 4)), (1, 1, (1, 4, 6, 8))])
+    def test_padding_and_parameters(self, kernel, stride, shape):
+        """Padding ``kernel // 2``; the parameters are the weight and the BN affine, and no bias."""
+        cb = B.ConvBN(3, 4, kernel, np.random.default_rng(2), stride=stride)
+        assert cb.forward(T.Tensor(np.ones((1, 3, 6, 8), np.float32)), train=True).shape == shape
+        assert [name for name, _ in cb.named_parameters()] == ["weight", "gamma", "beta"]
+
+    def test_draws_conv_weights_in_conv_order(self):
+        """Two ConvBN draw the weights two Conv draw from the same generator."""
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        convbns = [B.ConvBN(3, 4, 3, a), B.ConvBN(4, 4, 1, a)]
+        convs = [B.Conv(3, 4, 3, b), B.Conv(4, 4, 1, b)]
+        assert all(np.array_equal(cb.weight.data, c.weight.data) for cb, c in zip(convbns, convs))
 
 
 class TestSqueezeExcite:
@@ -151,10 +165,9 @@ class TestGuidedUpsampler:
     def test_zeroed_residual_path_reduces_to_upsample(self):
         """Zero BN affines in the correction branch leave reduce(upsample(z)) exactly."""
         gub = B.GuidedUpsampler(4, 2, True, np.random.default_rng(12), dtype=np.float64)
-        gub.s_res.bn3.gamma.data[...] = 0.0
-        gub.s_res.bn3.beta.data[...] = 0.0
-        gub.s_res.bn1.gamma.data[...] = 0.0
-        gub.s_res.bn1.beta.data[...] = 0.0
+        for cb in (gub.s_res.conv3, gub.s_res.conv1):
+            cb.gamma.data[...] = 0.0
+            cb.beta.data[...] = 0.0
         z = rand_image((1, 4, 4, 4), seed=13)
         guide = rand_image((1, 3, 8, 8), seed=14)
         out = gub.forward(z, guide, train=True)
@@ -456,6 +469,32 @@ class TestDepthNet:
         err = np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1])
         assert err <= 1e-4, f"float32 gradients off the float64 shadow by {err:.2e}"
 
+    @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
+    def test_no_parameter_is_dead(self, gtype):
+        """One float64 train step: every parameter's gradient norm is at least
+        1e-6 of the largest. A conv bias in front of batch norm reads 1e-17 to
+        2e-15 of it, as batch norm cancels it."""
+        samples = D.generate_dataset(2, base_seed=0, height=32, width=48)
+        x = np.concatenate([s.image.data for s in samples])
+        y = np.concatenate([depth_to_normalized(s.depth.data, s.d_max) for s in samples])
+        model = B.build_model(B.preset_config("guidedepth", gtype), seed=0, dtype=np.float64)
+        pred = model.forward(T.Tensor(x, dtype=np.float64), train=True)
+        T.backward(L.loss_terms(T.Tensor(y, dtype=np.float64), pred, L.LossConfig())["total"])
+        norms = {name: np.linalg.norm(p.grad) for name, p in model.named_parameters()}
+        dead = {name: n for name, n in norms.items() if n < 1e-6 * max(norms.values())}
+        assert not dead, f"parameters with no gradient to speak of: {dead}"
+
+    def test_parameter_and_checkpoint_counts(self, tmp_path):
+        """``guidedepth`` with image guidance: 92 parameter tensors, and 140
+        checkpoint arrays once the 24 batch norms hold running statistics."""
+        model = B.build_model(B.preset_config("guidedepth"), seed=0)
+        params = dict(model.named_parameters())
+        assert len(params) == 92 and sum(p.data.size for p in params.values()) == 337_633
+        with T.no_grad():
+            model.forward(rand_image((2, 3, 16, 16), seed=42, dtype=np.float32), train=True)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+        assert len(gdt.read_record(tmp_path / "ckpt")[1]) == 140
+
     def test_full_model_gradients_directional(self):
         cfg = B.preset_config("guidedepth-tiny")
         model = B.build_model(cfg, seed=4, dtype=np.float64)
@@ -529,8 +568,8 @@ class TestModelConfig:
         assert [f.name for f in dataclasses.fields(B.ModelConfig)] == ["preset", "guidance_type"]
 
 
-def batchnorms(model):
-    return [m for _, m in model.named_modules() if isinstance(m, B.BatchNorm)]
+def convbns(model):
+    return [m for _, m in model.named_modules() if isinstance(m, B.ConvBN)]
 
 
 class TestCheckpoints:
@@ -546,7 +585,7 @@ class TestCheckpoints:
         for (na, pa), (nb, pb) in zip(model.named_parameters(), loaded.named_parameters()):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
-        for ba, bb in zip(batchnorms(model), batchnorms(loaded)):
+        for ba, bb in zip(convbns(model), convbns(loaded)):
             assert bb.stats.initialized
             assert np.array_equal(ba.stats.mean, bb.stats.mean)
             assert np.array_equal(ba.stats.var, bb.stats.var)
@@ -559,15 +598,15 @@ class TestCheckpoints:
         meta, arrays = gdt.read_record(tmp_path / "ckpt")
         assert meta == {"preset": "guidedepth-tiny", "guidance_type": "image"}
         assert np.array_equal(arrays["stages.0.se.squeeze.weight"], model.stages[0].se.squeeze.weight.data)
-        assert np.array_equal(arrays["encoder.stage1.bn3.running_var"], model.encoder.stage1.bn3.stats.var)
+        assert np.array_equal(arrays["encoder.stage1.conv3.running_var"], model.encoder.stage1.conv3.stats.var)
 
     def test_bn_that_never_ran(self, tmp_path):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
         B.save_checkpoint(tmp_path / "ckpt", model)
         assert not any("running_" in p.name for p in (tmp_path / "ckpt").iterdir())
         loaded = B.load_checkpoint(tmp_path / "ckpt")
-        assert batchnorms(loaded) and not any(bn.stats.initialized for bn in batchnorms(loaded))
-        with pytest.raises(RuntimeError, match="BatchNorm.fold"):
+        assert convbns(loaded) and not any(cb.stats.initialized for cb in convbns(loaded))
+        with pytest.raises(RuntimeError, match="ConvBN: eval mode before any running-stat update"):
             loaded.forward(rand_image((1, 3, 16, 16), seed=36, dtype=np.float32))
 
     def test_shape_validation_on_load(self, tmp_path):
@@ -620,9 +659,25 @@ class TestCheckpoints:
         with T.no_grad():
             model.forward(rand_image((2, 3, 16, 16), seed=34, dtype=np.float32), train=True)
         B.save_checkpoint(tmp_path / "ckpt", model)
-        key = f"encoder.stage1.bn3.{stat}"
+        key = f"encoder.stage1.conv3.{stat}"
         (tmp_path / "ckpt" / f"{key}.gdt").unlink()
         with pytest.raises(ValueError, match=key):
+            B.load_checkpoint(tmp_path / "ckpt")
+
+    def test_older_format_named_by_its_old_arrays(self, tmp_path):
+        """A checkpoint with a bias for every conv and separate batch-norm
+        modules is rejected for its unknown arrays before any missing one."""
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        arrays = {}
+        for name, p in model.named_parameters():
+            path, _, leaf = name.rpartition(".")
+            if path.endswith(("conv3", "conv1")) and leaf != "weight":
+                arrays[f"{path[:-5]}bn{path[-1]}.{leaf}"] = p.data
+                arrays[f"{path}.bias"] = np.zeros_like(p.data)
+            else:
+                arrays[name] = p.data
+        gdt.write_record(tmp_path / "ckpt", dataclasses.asdict(model.config), arrays)
+        with pytest.raises(ValueError, match=r"unknown arrays \['encoder\.stage1\.bn1\.beta'"):
             B.load_checkpoint(tmp_path / "ckpt")
 
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):

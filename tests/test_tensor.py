@@ -791,15 +791,23 @@ class TestGdtRecord:
 
     @pytest.mark.parametrize(
         "meta",
-        [{"a=b": "1"}, {"x": "1\ny = 2"}, {"#x": "1"}, {"x ": "1"}],
-        ids=["equals-in-key", "newline-in-value", "comment-key", "padded-key"],
+        [{"a=b": "1"}, {"x": "1\ny = 2"}, {"#x": "1"}, {"x ": "1"}, {"": "x"}],
+        ids=["equals-in-key", "newline-in-value", "comment-key", "padded-key", "empty-key"],
     )
     def test_unreadable_meta_not_written(self, tmp_path, meta):
+        """Meta is checked before anything is staged, so the error names the
+        meta file the record would have had, for a record and for a record in
+        a directory of them, and the target is left as it was."""
         gdt.write_record(tmp_path / "r", {"x": "1"}, {})
-        with pytest.raises(gdt.GdtError, match="would not read back"):
-            gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))})
-        assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
-        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+        for write, path in (
+            (lambda: gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))}), tmp_path / "r" / "meta"),
+            (lambda: gdt.write_records(tmp_path / "r", {"s": (meta, {})}), tmp_path / "r" / "s" / "meta"),
+        ):
+            what = ", line 1: expected 'key = value'" if "" in meta else ": meta .* would not read back"
+            with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}{what}"):
+                write()
+            assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
+            assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
     def test_missing_meta(self, tmp_path):
         (tmp_path / "r").mkdir()
