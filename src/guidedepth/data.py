@@ -1,5 +1,7 @@
 """Desk-scale data: ray-cast synthetic RGB-D scenes, training augmentations,
-and sample/dataset file I/O.
+and dataset file I/O: a dataset is one GDT record (see ``gdt``) whose ``meta``
+holds the samples' shared ``d_max`` and whose arrays are ``<i>.image`` and
+``<i>.depth`` for samples i = 0..n-1, read back in that order.
 
 Scenes are rendered by intersecting per-pixel view rays with a handful of
 primitives (spheres, boxes, tilted plane patches) in front of a backdrop
@@ -235,20 +237,25 @@ def augment(sample: DepthSample, rng: np.random.Generator) -> DepthSample:
 
 
 # ---------------------------------------------------------------------------
-# Sample and dataset I/O
+# Dataset I/O
 # ---------------------------------------------------------------------------
 
 
-def _record(sample: DepthSample) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    return {"d_max": repr(sample.d_max)}, {"image": sample.image.data, "depth": sample.depth.data}
+def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:
+    """Write the samples as one record (see ``gdt``) that holds their shared ``d_max``,
+    replacing a dataset or empty directory at ``directory``; no samples, or samples of
+    mixed ``d_max``, is an error."""
+    if not samples:
+        raise ValueError(f"no samples to write to {directory}")
+    d_maxes = sorted({s.d_max for s in samples})
+    if len(d_maxes) > 1:
+        raise ValueError(f"{directory}: a dataset has one d_max, the samples have {d_maxes}")
+    arrays = {f"{i}.{key}": getattr(s, key).data for i, s in enumerate(samples) for key in ("image", "depth")}
+    gdt.write_record(directory, {"d_max": repr(float(d_maxes[0]))}, arrays)
 
 
-def write_sample(directory: str | Path, sample: DepthSample) -> None:
-    """Write the sample as one record (see ``gdt``), replacing any sample already there."""
-    gdt.write_record(directory, *_record(sample))
-
-
-def read_sample(directory: str | Path) -> DepthSample:
+def read_dataset(directory: str | Path) -> list[DepthSample]:
+    """The samples of the dataset record at ``directory``, in index order."""
     meta, arrays = gdt.read_record(directory)
     meta_path = Path(directory) / gdt.META
     try:
@@ -257,24 +264,15 @@ def read_sample(directory: str | Path) -> DepthSample:
         raise ValueError(f"{meta_path}: no numeric d_max") from exc
     if not (math.isfinite(d_max) and d_max > 0):
         raise ValueError(f"{meta_path}: d_max must be finite and > 0, got {d_max}")
-    try:
-        return DepthSample(image=Tensor(arrays["image"]), depth=Tensor(arrays["depth"]), d_max=d_max)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{directory}: no image and depth of one size ({exc!r})") from exc
-
-
-def write_dataset(directory: str | Path, samples: list[DepthSample]) -> None:
-    """Write one sample record per subdirectory, replacing the whole dataset directory unless
-    a non-hidden entry there is not a sample; no samples is an error, as in ``read_dataset``."""
-    if not samples:
-        raise ValueError(f"no samples to write to {directory}")
-    gdt.write_records(directory, {f"{i:04d}": _record(sample) for i, sample in enumerate(samples)})
-
-
-def read_dataset(directory: str | Path) -> list[DepthSample]:
-    """Every non-hidden subdirectory is a sample; hidden ones (``.name``) are skipped."""
-    directory = Path(directory)
-    subdirs = sorted(d for d in directory.iterdir() if d.is_dir() and not d.name.startswith("."))
-    if not subdirs:
-        raise FileNotFoundError(f"no sample subdirectories in {directory}")
-    return [read_sample(d) for d in subdirs]
+    n = max(1, (len(arrays) + 1) // 2)
+    names = {f"{i}.{key}" for i in range(n) for key in ("image", "depth")}
+    if arrays.keys() != names:
+        missing, extra = sorted(names - arrays.keys()), sorted(arrays.keys() - names)
+        raise ValueError(f"{directory}: not <i>.image and <i>.depth for i < n (missing {missing}, extra {extra})")
+    samples = []
+    for i in range(n):
+        try:
+            samples.append(DepthSample(Tensor(arrays[f"{i}.image"]), Tensor(arrays[f"{i}.depth"]), d_max))
+        except ValueError as exc:
+            raise ValueError(f"{directory}: sample {i} has no image and depth of one size ({exc!r})") from exc
+    return samples

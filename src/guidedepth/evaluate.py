@@ -5,7 +5,9 @@ Metrics are computed in metric depth space. Per image:
 
 1. resize the input image to the model resolution;
 2. predict, and check that the prediction is finite;
-3. convert the prediction back to meters;
+3. convert the prediction back to meters, capped to the depth range: the
+   normalized map is clipped to ``[1, d_max / DEPTH_FLOOR]``, so each
+   predicted depth lies in ``[DEPTH_FLOOR, d_max]``;
 4. upsample it to the ground-truth resolution, computing only the rows and
    columns the crop keeps (the values are those of upsampling the whole map
    and then cropping);
@@ -66,20 +68,19 @@ def crop_slices(kind: str, h: int, w: int) -> tuple[slice, slice]:
 def depth_to_normalized(depth: np.ndarray, d_max: float) -> np.ndarray:
     """Map metric depth to the network's working space: y = d_max / depth.
 
-    Nonpositive inputs are an error; positive values below the floor are
-    clamped before the division.
+    Nonpositive and NaN inputs are an error; positive values below the floor
+    are clamped before the division.
     """
     depth = np.asarray(depth)
-    if (depth <= 0).any():
-        raise ValueError("depth_to_normalized: nonpositive depth values")
+    if not (depth > 0).all():
+        raise ValueError("depth_to_normalized: nonpositive or NaN depth values")
     return d_max / np.maximum(depth, DEPTH_FLOOR)
 
 
 def normalized_to_depth(norm: np.ndarray, d_max: float) -> np.ndarray:
-    """Invert the normalization; predictions at or below the floor are clamped
+    """Invert the normalization, capping the depth to ``[DEPTH_FLOOR, d_max]``
     (an untrained network can emit anything)."""
-    norm = np.asarray(norm)
-    return d_max / np.maximum(norm, DEPTH_FLOOR)
+    return d_max / np.clip(norm, 1.0, d_max / DEPTH_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ u8 rank (always 4), four little-endian u32 dims, then the raw little-endian
 payload. Round trips are bit-exact.
 
 A record is a directory of ``meta``, one ``key = value`` pair per line (``#``
-comments and blank lines skipped), and one ``<name>.gdt`` per array. A
-checkpoint is a record (config; arrays by module path), so is a sample
-(``d_max``; ``image``, ``depth``), and a dataset is a directory of samples.
-Writes fill a hidden sibling and swap it in: a failed write leaves what was
-there, and no file of an earlier write outlives a later one.
+comments and blank lines skipped), and one ``<name>.gdt`` per array; hidden
+entries (``.name``) are not part of it. A checkpoint is a record (config;
+arrays by module path), and so is a dataset (``d_max``, shared by every
+sample; ``<i>.image`` and ``<i>.depth`` for samples i = 0..n-1). A write
+fills a hidden sibling and swaps it in: a failed write leaves what was there,
+and no file of an earlier write outlives a later one. It replaces only a
+record or an empty directory, so a directory holding anything else is kept.
 """
 
 from __future__ import annotations
@@ -94,21 +96,24 @@ def _meta_text(meta: dict[str, str], path: Path) -> str:
     return text
 
 
-def _replace_directory(directory: str | Path, records: dict[str, tuple[dict, dict]], replaceable) -> None:
+def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+    """Write one record to ``directory``, which must be absent, empty or a record: a
+    ``meta`` file and otherwise only ``.gdt`` files, hidden entries aside."""
     directory = Path(directory)
-    # checked before anything is staged, so that errors name the meta file as it will be
-    texts = {name: _meta_text(meta, directory / name / META) for name, (meta, _) in records.items()}
-    if directory.exists() and not replaceable(directory):
-        raise FileExistsError(f"{directory} holds files other than GDT records; not replacing it")
+    text = _meta_text(meta, directory / META)  # checked before anything is staged
+    if directory.exists():
+        entries = [e for e in directory.iterdir() if not e.name.startswith(".")]
+        stray = sorted(e.name for e in entries if not e.is_file() or (e.name != META and e.suffix != ".gdt"))
+        if stray or (entries and not (directory / META).is_file()):
+            what = ", ".join(stray[:5]) or "no meta"
+            raise FileExistsError(f"{directory} is not a GDT record ({what}); not replacing it")
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
     staging.mkdir(parents=True)
     try:
-        for name, (_, arrays) in records.items():
-            (staging / name).mkdir(exist_ok=True)
-            for key, arr in arrays.items():
-                write_array(staging / name / f"{key}.gdt", arr)
-            (staging / name / META).write_text(texts[name])
+        for key, arr in arrays.items():
+            write_array(staging / f"{key}.gdt", arr)
+        (staging / META).write_text(text)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
@@ -118,23 +123,11 @@ def _replace_directory(directory: str | Path, records: dict[str, tuple[dict, dic
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
-    """Write one record, replacing the record or empty directory at ``directory``."""
-    # the record's name is "": it fills the staging directory itself
-    _replace_directory(directory, {"": (meta, arrays)}, lambda d: (d / META).is_file() or not any(d.iterdir()))
-
-
-def write_records(directory: str | Path, records: dict[str, tuple[dict, dict]]) -> None:
-    """Write each ``(meta, arrays)`` of ``records`` as the record of its name
-    under ``directory``, replacing the whole directory unless one of its
-    non-hidden entries is not a record."""
-    _replace_directory(directory, records, lambda d: all((e / META).is_file() for e in d.iterdir() if e.name[0] != "."))
-
-
 def read_record(directory: str | Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """The ``meta`` pairs and the arrays, by name, of the record at ``directory``."""
     path = Path(directory) / META
     if not path.is_file():
         raise FileNotFoundError(f"no record at {directory}: {path} is missing")
     meta = _parse_meta(path.read_text(), path)
-    return meta, {p.stem: read_array(p) for p in sorted(path.parent.iterdir()) if p.suffix == ".gdt"}
+    arrays = sorted(p for p in path.parent.iterdir() if p.suffix == ".gdt" and not p.name.startswith("."))
+    return meta, {p.stem: read_array(p) for p in arrays}

@@ -719,6 +719,20 @@ class TestCheckpoints:
             B.save_checkpoint(tmp_path / "ckpt", B.build_model(B.preset_config("guidedepth-tiny"), seed=6))
         assert (tmp_path / "ckpt" / "notes.txt").read_text() == "keep me"
 
+    @pytest.mark.parametrize("entry", ["file", "directory"])
+    def test_checkpoint_with_stray_entry_not_replaced(self, tmp_path, entry):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
+        B.save_checkpoint(tmp_path / "ckpt", model)
+        stray = tmp_path / "ckpt" / "notes"
+        if entry == "file":
+            stray.write_text("keep me")
+        else:
+            stray.mkdir()
+        with pytest.raises(FileExistsError, match="notes"):
+            B.save_checkpoint(tmp_path / "ckpt", model)
+        assert stray.exists()
+        B.load_checkpoint(tmp_path / "ckpt")
+
     def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=6)
         B.save_checkpoint(tmp_path / "ckpt", model)

@@ -1,7 +1,8 @@
 """Scenes: bad sizes are rejected, and culling each primitive to its screen window renders
 the scenes a whole-frame ray cast does, bit for bit.
-Sample and dataset files: d_max is validated on read; hidden directories are not samples;
-writes replace what was there whole or not at all.
+Dataset files: one record whose samples read back in index order; d_max is shared and
+validated on read, the arrays must be exactly <i>.image and <i>.depth; writes replace what
+was there whole or not at all.
 Augmentation flips image and depth together and swaps image channels only."""
 
 import re
@@ -73,13 +74,38 @@ def test_view_rays_are_shared_read_only_and_left_unchanged():
     assert np.array_equal(rays, before)
 
 
+def _dataset(directory, seeds=(3, 4)):
+    samples = [D.generate_scene(s, height=16, width=24) for s in seeds]
+    D.write_dataset(directory, samples)
+    return samples
+
+
+def _same(back, samples):
+    return len(back) == len(samples) and all(
+        b.image.data.tobytes() == s.image.data.tobytes()
+        and b.depth.data.tobytes() == s.depth.data.tobytes()
+        and b.d_max == s.d_max
+        for b, s in zip(back, samples)
+    )
+
+
 def test_sample_roundtrip_bitwise(tmp_path):
-    sample = D.generate_scene(3, height=16, width=24)
-    D.write_sample(tmp_path / "s", sample)
-    back = D.read_sample(tmp_path / "s")
-    assert (back.image.data == sample.image.data).all()
-    assert (back.depth.data == sample.depth.data).all()
-    assert back.d_max == sample.d_max
+    samples = _dataset(tmp_path / "ds")
+    assert _same(D.read_dataset(tmp_path / "ds"), samples)
+
+
+def test_samples_read_back_in_index_order(tmp_path):
+    """Twelve samples: in string order 10 and 11 would come before 2."""
+    samples = _dataset(tmp_path / "ds", seeds=range(12))
+    assert _same(D.read_dataset(tmp_path / "ds"), samples)
+
+
+def test_mixed_d_max_refused(tmp_path):
+    first, second = _dataset(tmp_path / "ds")
+    second.d_max = 20.0
+    with pytest.raises(ValueError, match=r"one d_max, the samples have \[10.0, 20.0\]"):
+        D.write_dataset(tmp_path / "ds", [first, second])
+    assert [s.d_max for s in D.read_dataset(tmp_path / "ds")] == [10.0, 10.0]
 
 
 @pytest.mark.parametrize(
@@ -96,76 +122,81 @@ def test_sample_roundtrip_bitwise(tmp_path):
     ],
 )
 def test_bad_d_max_rejected_naming_meta_file(tmp_path, meta):
-    D.write_sample(tmp_path / "s", D.generate_scene(3, height=16, width=24))
-    (tmp_path / "s" / "meta").write_text(meta)
+    _dataset(tmp_path / "ds")
+    (tmp_path / "ds" / "meta").write_text(meta)
     with pytest.raises(ValueError, match="d_max") as info:
-        D.read_sample(tmp_path / "s")
-    assert str(tmp_path / "s" / "meta") in str(info.value)
+        D.read_dataset(tmp_path / "ds")
+    assert str(tmp_path / "ds" / "meta") in str(info.value)
 
 
 def test_sample_layout(tmp_path):
-    D.write_sample(tmp_path / "s", D.generate_scene(3, height=16, width=24))
-    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["depth.gdt", "image.gdt", "meta"]
-    assert (tmp_path / "s" / "meta").read_text() == "d_max = 10.0\n"
+    _dataset(tmp_path / "ds")
+    names = ["0.depth.gdt", "0.image.gdt", "1.depth.gdt", "1.image.gdt", "meta"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
+    assert (tmp_path / "ds" / "meta").read_text() == "d_max = 10.0\n"
 
 
 def test_sample_missing_array_named(tmp_path):
-    D.write_sample(tmp_path / "s", D.generate_scene(3, height=16, width=24))
-    (tmp_path / "s" / "depth.gdt").unlink()
-    with pytest.raises(ValueError, match="depth") as info:
-        D.read_sample(tmp_path / "s")
-    assert str(tmp_path / "s") in str(info.value)
+    _dataset(tmp_path / "ds")
+    (tmp_path / "ds" / "1.depth.gdt").unlink()
+    with pytest.raises(ValueError, match=re.escape("missing ['1.depth'], extra []")) as info:
+        D.read_dataset(tmp_path / "ds")
+    assert str(tmp_path / "ds") in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["0.mask", "01.depth", "image"])
+def test_extra_array_named(tmp_path, name):
+    _dataset(tmp_path / "ds")
+    gdt.write_array(tmp_path / "ds" / f"{name}.gdt", np.zeros((1, 1, 16, 24), np.float32))
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        D.read_dataset(tmp_path / "ds")
+
+
+def test_sample_of_mismatched_sizes_named(tmp_path):
+    _dataset(tmp_path / "ds")
+    gdt.write_array(tmp_path / "ds" / "1.depth.gdt", np.ones((1, 1, 8, 24), np.float32))
+    with pytest.raises(ValueError, match="sample 1 has no image and depth of one size"):
+        D.read_dataset(tmp_path / "ds")
 
 
 def test_failed_write_sample_keeps_earlier_sample(tmp_path, monkeypatch):
-    old = D.generate_scene(3, height=16, width=24)
-    D.write_sample(tmp_path / "s", old)
+    old = _dataset(tmp_path / "ds")
     write, calls = gdt.write_array, []
 
     def failing_write(path, arr):
         calls.append(path)
-        if len(calls) == 2:
+        if len(calls) == 3:
             raise OSError("disk full")
         write(path, arr)
 
     monkeypatch.setattr(gdt, "write_array", failing_write)
     with pytest.raises(OSError, match="disk full"):
-        D.write_sample(tmp_path / "s", D.generate_scene(4, height=16, width=24))
+        _dataset(tmp_path / "ds", seeds=(5, 6))
     monkeypatch.undo()
-    back = D.read_sample(tmp_path / "s")
-    assert back.image.data.tobytes() == old.image.data.tobytes()
-    assert back.depth.data.tobytes() == old.depth.data.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["s"]
-
-
-def _two_sample_dataset(directory):
-    samples = [D.generate_scene(s, height=16, width=24) for s in (3, 4)]
-    D.write_dataset(directory, samples)
-    return samples
+    assert _same(D.read_dataset(tmp_path / "ds"), old)
+    assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
 
 def test_read_dataset_skips_hidden_directories(tmp_path):
-    samples = _two_sample_dataset(tmp_path)
+    samples = _dataset(tmp_path)
     (tmp_path / ".ipynb_checkpoints").mkdir()
-    back = D.read_dataset(tmp_path)
-    assert len(back) == 2
-    assert all((b.depth.data == s.depth.data).all() for b, s in zip(back, samples))
+    gdt.write_array(tmp_path / ".2.image.gdt", np.zeros((1, 3, 16, 24), np.float32))
+    assert _same(D.read_dataset(tmp_path), samples)
 
 
 def test_read_dataset_directory_without_meta_named(tmp_path):
-    _two_sample_dataset(tmp_path)
-    (tmp_path / "stray").mkdir()
+    _dataset(tmp_path / "ds")
+    (tmp_path / "ds" / "meta").unlink()
     with pytest.raises(FileNotFoundError) as info:
-        D.read_dataset(tmp_path)
-    assert str(tmp_path / "stray") in str(info.value)
+        D.read_dataset(tmp_path / "ds")
+    assert str(tmp_path / "ds" / "meta") in str(info.value)
 
 
 def test_write_dataset_replaces_a_larger_one(tmp_path):
-    D.write_dataset(tmp_path / "ds", [D.generate_scene(s, height=16, width=24) for s in range(4)])
-    samples = _two_sample_dataset(tmp_path / "ds")
-    back = D.read_dataset(tmp_path / "ds")
-    assert len(back) == 2
-    assert all((b.depth.data == s.depth.data).all() for b, s in zip(back, samples))
+    _dataset(tmp_path / "ds", seeds=range(4))
+    samples = _dataset(tmp_path / "ds")
+    assert _same(D.read_dataset(tmp_path / "ds"), samples)
+    assert len(list((tmp_path / "ds").iterdir())) == 5
     assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
 
@@ -178,16 +209,17 @@ def test_write_dataset_rejects_no_samples(tmp_path):
 
 @pytest.mark.parametrize("entry", ["file", "directory"])
 def test_write_dataset_refuses_directory_with_other_entries(tmp_path, entry):
-    _two_sample_dataset(tmp_path / "ds")
+    _dataset(tmp_path / "ds")
     stray = tmp_path / "ds" / "notes"
     if entry == "file":
         stray.write_text("keep me")
     else:
         stray.mkdir()
     with pytest.raises(FileExistsError, match="ds"):
-        _two_sample_dataset(tmp_path / "ds")
+        _dataset(tmp_path / "ds")
     assert stray.exists()
-    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == ["0000", "0001", "notes"]
+    names = ["0.depth.gdt", "0.image.gdt", "1.depth.gdt", "1.image.gdt", "meta", "notes"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == names
 
 
 def _random_sample(seed=0):

@@ -39,10 +39,16 @@ class TestInverseDepthTransform:
         with pytest.raises(ValueError):
             E.depth_to_normalized(np.array([[[[-1.0]]]]), 10.0)
 
+    def test_nan_depth_rejected(self):
+        """A NaN ground-truth pixel would become a NaN training target."""
+        with pytest.raises(ValueError, match="NaN"):
+            E.depth_to_normalized(np.array([[[[np.nan, 2.0]]]]), 10.0)
+
     def test_prediction_conversion_clamps_instead(self):
-        # untrained networks can emit nonpositive values; conversion clamps
-        out = E.normalized_to_depth(np.array([[[[-3.0]]]]), 10.0)
-        assert out[0, 0, 0, 0] == 10.0 / E.DEPTH_FLOOR
+        """Untrained networks can emit anything; conversion caps the depth to
+        [DEPTH_FLOOR, d_max] instead of rejecting it."""
+        out = E.normalized_to_depth(np.array([[[[-3.0, 0.5, 1.0, 4.0, 1e6]]]]), 10.0)
+        assert out.tolist() == [[[[10.0, 10.0, 10.0, 2.5, E.DEPTH_FLOOR]]]]
 
 
 class TestComputeMetrics:
@@ -232,6 +238,19 @@ class TestEvaluatePipeline:
         rep = E.evaluate(E.oracle_predictor(), samples, (96, 128), crop_kind="kitti", flip_average=True)
         assert rep.d1 > 0.99
         assert rep.rmse < 0.5
+
+    def test_out_of_range_prediction_scores_as_its_clipped_map(self):
+        """Values below 0, below 1 and above d_max / DEPTH_FLOOR give the
+        metrics of the map clipped to [1, d_max / DEPTH_FLOOR]."""
+        sample = D.generate_scene(5, height=24, width=32)
+        values = np.array([-3.0, 0.0, 0.5, 1.0, 2.0, 7.0, 1e4, 1e6], np.float32)
+        raw = np.resize(values, (1, 1, 12, 16))
+        clipped = np.clip(raw, 1.0, sample.d_max / E.DEPTH_FLOOR)
+        reports = [
+            E.evaluate(lambda image, s, m=m: Tensor(m), [sample], (12, 16), crop_kind="none", flip_average=True)
+            for m in (raw, clipped)
+        ]
+        assert reports[0] == reports[1]
 
     def test_flip_average_with_equivariant_predictor(self):
         """The oracle predictor is mirror-equivariant, so averaging over the

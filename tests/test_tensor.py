@@ -650,7 +650,7 @@ _RULE_CASES = {
 
 
 # names in ``T.__all__`` that record no backward rule of their own
-_NOT_RULES = {"Tensor", "RunningStats", "no_grad", "backward", "zeros", "full", "bilinear_resize"}
+_NOT_RULES = {"Tensor", "RunningStats", "no_grad", "backward", "bilinear_resize"}
 
 
 class TestGradientOwnership:
@@ -671,6 +671,7 @@ class TestGradientOwnership:
 
     def test_every_differentiable_op_has_a_rule_case(self):
         """A rule case is keyed ``op`` or ``op-variant``; a new op needs one."""
+        assert _NOT_RULES <= set(T.__all__)
         assert {case.partition("-")[0] for case in _RULE_CASES} == set(T.__all__) - _NOT_RULES
 
     def test_later_backward_leaves_shared_gradient_alone(self):
@@ -796,18 +797,41 @@ class TestGdtRecord:
     )
     def test_unreadable_meta_not_written(self, tmp_path, meta):
         """Meta is checked before anything is staged, so the error names the
-        meta file the record would have had, for a record and for a record in
-        a directory of them, and the target is left as it was."""
+        meta file the record would have had, and the target is left as it was."""
         gdt.write_record(tmp_path / "r", {"x": "1"}, {})
-        for write, path in (
-            (lambda: gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))}), tmp_path / "r" / "meta"),
-            (lambda: gdt.write_records(tmp_path / "r", {"s": (meta, {})}), tmp_path / "r" / "s" / "meta"),
-        ):
-            what = ", line 1: expected 'key = value'" if "" in meta else ": meta .* would not read back"
-            with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}{what}"):
-                write()
-            assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
-            assert [p.name for p in tmp_path.iterdir()] == ["r"]
+        path = tmp_path / "r" / "meta"
+        what = ", line 1: expected 'key = value'" if "" in meta else ": meta .* would not read back"
+        with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}{what}"):
+            gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))})
+        assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
+    def test_record_or_hidden_entries_only_replaced(self, tmp_path):
+        (tmp_path / "r" / ".hidden").mkdir(parents=True)
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {"a": np.zeros((1, 1, 1, 1))})
+        (tmp_path / "r" / ".notes").write_text("")
+        gdt.write_record(tmp_path / "r", {"x": "2"}, {})
+        assert [p.name for p in (tmp_path / "r").iterdir()] == ["meta"]
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
+    @pytest.mark.parametrize("stray", ["notes.txt", "notes", "a.gdt"], ids=["file", "directory", "gdt-directory"])
+    def test_record_with_stray_entry_not_replaced(self, tmp_path, stray):
+        """Besides its meta, a record holds only .gdt files; anything else is refused and kept."""
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {})
+        if stray == "notes.txt":
+            (tmp_path / "r" / stray).write_text("keep me")
+        else:
+            (tmp_path / "r" / stray).mkdir()
+        with pytest.raises(FileExistsError, match=re.escape(stray)):
+            gdt.write_record(tmp_path / "r", {"x": "2"}, {})
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(["meta", stray])
+        assert (tmp_path / "r" / "meta").read_text() == "x = 1\n"
+
+    def test_gdt_files_without_meta_not_replaced(self, tmp_path):
+        gdt.write_array(tmp_path / "a.gdt", np.zeros((1, 1, 1, 1)))
+        with pytest.raises(FileExistsError, match="no meta"):
+            gdt.write_record(tmp_path, {"x": "1"}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["a.gdt"]
 
     def test_missing_meta(self, tmp_path):
         (tmp_path / "r").mkdir()
