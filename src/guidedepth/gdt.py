@@ -130,4 +130,7 @@ def read_record(directory: str | Path) -> tuple[dict[str, str], dict[str, np.nda
         raise FileNotFoundError(f"no record at {directory}: {path} is missing")
     meta = _parse_meta(path.read_text(), path)
     arrays = sorted(p for p in path.parent.iterdir() if p.suffix == ".gdt" and not p.name.startswith("."))
+    stray = [p for p in arrays if not p.is_file()]
+    if stray:
+        raise GdtError(f"{stray[0]}: not a file; a record holds its arrays as .gdt files")
     return meta, {p.stem: read_array(p) for p in arrays}

@@ -1,13 +1,27 @@
 """Rank-4 tensors (batch, channel, height, width) with graph-based reverse-mode autodiff.
 
 float32 is the working precision; float64 acts as a shadow mode for tight
-gradient checks. An operation whose output participates in gradient
-tracking gives that output a node: a creation sequence number, the inputs
-that require grad, and the backward rule. ``backward`` collects the nodes
-reachable from the loss, runs their rules newest first and releases each
-node once its rule has run, so each forward graph supports exactly one
-backward pass. Graphs share no state, and a graph nobody runs backward on
-is freed with its tensors.
+gradient checks. Each tensor has a small grad record: ``requires_grad``,
+``grad`` and ``node``. An operation whose output participates in gradient
+tracking gives the output's record a node: a creation sequence number, the
+records of the inputs that require grad, and the backward rule. The graph
+links records, never tensors, so it holds no activation by itself: a rule
+captures the records it accumulates into and only the arrays it reads.
+
+- ``conv2d``: the input and the weight;
+- ``mul``: the other operand of each input that requires grad;
+- ``div``: the divisor and the output;
+- ``absolute``: the input; ``relu`` and ``sigmoid``: the output;
+- ``batch_norm_relu``: the input, a 1-bit mask of its positive outputs and
+  per-channel vectors;
+- ``spatial_map``: its two constant maps;
+- ``add``, ``sub``, ``scale``, ``add_scalar``, ``sum_all``, ``mean_all``,
+  ``concat_channels`` and ``global_avg_pool``: no array.
+
+``backward`` collects the nodes reachable from the loss, runs their rules
+newest first and releases each node once its rule has run, so each forward
+graph supports exactly one backward pass. Graphs share no state, and a graph
+nobody runs backward on is freed with its tensors.
 
 Gradient arrays are shared, never copied: a rule may hand its incoming
 gradient ``g``, or a view of it, to several inputs, and ``_accum`` keeps the
@@ -54,6 +68,18 @@ __all__ = [
 ]
 
 
+class _GradRecord:
+    """The part of a tensor the graph links: whether it takes a gradient, the
+    gradient so far, and the node of the op that made it (``None`` for a leaf)."""
+
+    __slots__ = ("requires_grad", "grad", "node")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self.node = None  # (sequence, parent records, back) while recorded; _CONSUMED after backward
+
+
 class Tensor:
     """Dense (n, c, h, w) float array, optionally participating in gradient recording.
 
@@ -61,9 +87,10 @@ class Tensor:
     same shape and dtype as ``data`` and may share memory with other
     gradients, so it is never written in place. It may also be a read-only
     broadcast view, as the gradient of a sum, a mean or a pooled average is.
+    ``requires_grad`` and ``grad`` live in the tensor's grad record.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "_rec")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -78,9 +105,23 @@ class Tensor:
         if n < 1 or c < 1 or h < 1 or w < 1:
             raise ValueError(f"invalid tensor shape {arr.shape}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._node = None  # (sequence, parents, back) while recorded; _CONSUMED after backward
+        self._rec = _GradRecord(bool(requires_grad))
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._rec.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._rec.requires_grad = bool(value)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._rec.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._rec.grad = value
 
     @property
     def shape(self) -> Shape4:
@@ -107,7 +148,7 @@ class Tensor:
 
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar("guidedepth_grad_enabled", default=True)
 _SEQ = itertools.count()  # creation order of nodes; backward runs them newest first
-_CONSUMED = object()  # replaces the node of a tensor whose backward rule has run
+_CONSUMED = object()  # replaces a record's node once its backward rule has run
 
 
 @contextlib.contextmanager
@@ -121,37 +162,44 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+def _parents(*inputs: Tensor) -> tuple[_GradRecord, ...]:
+    """Records of the inputs that require grad; none while not recording."""
+    if not _GRAD_ENABLED.get():
+        return ()
+    return tuple(t._rec for t in inputs if t._rec.requires_grad)
+
+
 def _track(data: np.ndarray, back: Callable[[np.ndarray], None], *inputs: Tensor) -> Tensor:
     """Wrap an op's output; while recording, give it a node when any input requires grad."""
-    parents = tuple(t for t in inputs if t.requires_grad) if _GRAD_ENABLED.get() else ()
+    parents = _parents(*inputs)
     out = Tensor(data, requires_grad=bool(parents))
     if parents:
-        out._node = (next(_SEQ), parents, back)
+        out._rec.node = (next(_SEQ), parents, back)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``; the first gradient is stored by reference, so
-    neither array may be written to afterwards (see the module docstring)."""
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _accum(r: _GradRecord, g: np.ndarray) -> None:
+    """Add ``g`` to the record's gradient; the first gradient is stored by reference,
+    so neither array may be written to afterwards (see the module docstring)."""
+    if r.requires_grad:
+        r.grad = g if r.grad is None else r.grad + g
 
 
-def _graph(loss: Tensor) -> list[Tensor]:
-    """Tensors with a node reachable from ``loss``, in ascending creation order."""
+def _graph(loss: _GradRecord) -> list[_GradRecord]:
+    """Records with a node reachable from ``loss``, in ascending creation order."""
     found, seen, stack = [], {id(loss)}, [loss]
     while stack:
-        t = stack.pop()
-        if t._node is None:
+        r = stack.pop()
+        if r.node is None:
             continue
-        if t._node is _CONSUMED:
+        if r.node is _CONSUMED:
             raise RuntimeError("backward through a graph that an earlier backward already consumed")
-        found.append(t)
-        for p in t._node[1]:
+        found.append(r)
+        for p in r.node[1]:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    found.sort(key=lambda t: t._node[0])
+    found.sort(key=lambda r: r.node[0])
     return found
 
 
@@ -166,15 +214,15 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
     if not loss.requires_grad:
         raise RuntimeError("loss does not participate in gradient recording")
-    if loss._node is None:
+    if loss._rec.node is None:
         raise RuntimeError("loss is a leaf: no operation was recorded")
-    nodes = _graph(loss)
+    nodes = _graph(loss._rec)
     loss.grad = np.ones_like(loss.data)
     while nodes:
-        t = nodes.pop()
-        back, t._node = t._node[2], _CONSUMED
-        if t.grad is not None:
-            back(t.grad)
+        r = nodes.pop()
+        back, r.node = r.node[2], _CONSUMED
+        if r.grad is not None:
+            back(r.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +239,22 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
+    ra, rb = a._rec, b._rec
 
     def back(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(ra, g)
+        _accum(rb, g)
 
     return _track(a.data + b.data, back, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
+    ra, rb = a._rec, b._rec
 
     def back(g):
-        _accum(a, g)
-        _accum(b, -g)
+        _accum(ra, g)
+        _accum(rb, -g)
 
     return _track(a.data - b.data, back, a, b)
 
@@ -222,12 +272,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
+    keep_b = b.data if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
+    keep_a = a.data if rb.requires_grad else None
 
     def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+        if keep_b is not None:
+            _accum(ra, _unbroadcast(g * keep_b, a_shape))
+        if keep_a is not None:
+            _accum(rb, _unbroadcast(g * keep_a, b_shape))
 
     return _track(data, back, a, b)
 
@@ -238,48 +291,53 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     if not np.isfinite(data).all():
         raise FloatingPointError("div produced non-finite values")
+    ra, rb, bd = a._rec, b._rec, b.data
 
     def back(g):
-        if a.requires_grad:
-            _accum(a, g / b.data)
-        if b.requires_grad:
-            _accum(b, -g * data / b.data)
+        if ra.requires_grad:
+            _accum(ra, g / bd)
+        if rb.requires_grad:
+            _accum(rb, -g * data / bd)
 
     return _track(data, back, a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = a.data.dtype.type(s)
+    ra = a._rec
 
     def back(g):
-        _accum(a, g * s)
+        _accum(ra, g * s)
 
     return _track(a.data * s, back, a)
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
+    ra = a._rec
 
     def back(g):
-        _accum(a, g)
+        _accum(ra, g)
 
     return _track(a.data + c, back, a)
 
 
 def absolute(a: Tensor) -> Tensor:
     # subgradient at 0 is 0, via sign(0) == 0
+    ra, ad = a._rec, a.data
 
     def back(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(ra, g * np.sign(ad))
 
     return _track(np.abs(a.data), back, a)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
+    ra = a._rec
 
     def back(g):
-        _accum(a, np.multiply(g, out > 0, dtype=g.dtype))
+        _accum(ra, np.multiply(g, out > 0, dtype=g.dtype))
 
     return _track(out, back, a)
 
@@ -289,26 +347,28 @@ def sigmoid(a: Tensor) -> Tensor:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    ra = a._rec
 
     def back(g):
-        _accum(a, g * s * (1.0 - s))
+        _accum(ra, g * s * (1.0 - s))
 
     return _track(s, back, a)
 
 
 def sum_all(a: Tensor) -> Tensor:
+    ra, dt, shape = a._rec, a.data.dtype, a.shape
 
     def back(g):
-        _accum(a, np.broadcast_to(g.reshape(()).astype(a.data.dtype, copy=False), a.shape))
+        _accum(ra, np.broadcast_to(g.reshape(()).astype(dt, copy=False), shape))
 
     return _track(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1), back, a)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    count = a.data.size
+    ra, dt, shape, count = a._rec, a.data.dtype, a.shape, a.data.size
 
     def back(g):
-        _accum(a, np.broadcast_to((g.reshape(()) / count).astype(a.data.dtype, copy=False), a.shape))
+        _accum(ra, np.broadcast_to((g.reshape(()) / count).astype(dt, copy=False), shape))
 
     return _track((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), back, a)
 
@@ -320,10 +380,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"concat_channels: spatial/batch mismatch {a.shape} vs {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"concat_channels: dtype mismatch {a.data.dtype} {a.shape} vs {b.data.dtype} {b.shape}")
+    ra, rb = a._rec, b._rec
 
     def back(g):
-        _accum(a, g[:, :ca])
-        _accum(b, g[:, ca:])
+        _accum(ra, g[:, :ca])
+        _accum(rb, g[:, ca:])
 
     return _track(np.concatenate([a.data, b.data], axis=1), back, a, b)
 
@@ -370,14 +431,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     the last row's junk columns read. The backward shifts the gradient, not
     the input (kn2row, arXiv 1709.03395): per sample, plane ``t`` of a zeroed
     stack ``G`` of ``kh * kw`` flat padded inputs holds the output gradient in
-    tap ``t``'s slice. With ``W`` the weight as ``(kh * kw * c_out, c_in)`` and
+    tap ``t``'s slice; a 1x1, stride-1, unpadded conv's one plane is the
+    output gradient itself. With ``W`` the weight as ``(kh * kw * c_out, c_in)`` and
     ``X`` the sample's flat padded input, ``dx_flat = W.T @ G`` and, per tap,
     ``dW += G @ X.T``. Stacked, ``dW = sum over n of g_grid @ X_0.T`` with the
     gradient zero-padded to the grid is 2-3x faster. At stride ``s``, ``G`` is
     ``s**2`` times sparser, so strided per-tap convs multiply mostly zeros.
 
-    The graph keeps ``x`` but neither the padded input nor the stacked operand:
-    the backward builds them again from ``x.data`` (per sample when per tap).
+    The graph keeps ``x.data`` and ``weight.data`` but neither the padded input
+    nor the stacked operand: the backward builds them again from ``x.data``
+    (per sample when per tap).
     The forward frees them, and its matmul buffer, before the crop copy.
     """
     n, ci, h, w = x.shape
@@ -407,9 +470,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
     stacked = kh * kw > 1 and ci * kh * kw <= STACK_MAX_K
     k = wt.shape[1] if stacked else ci  # weight columns per operand
+    xd, wd, rx, rw, rb = x.data, weight.data, x._rec, weight._rec, bias._rec
 
     def operands():  # called again by the backward
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, rows - h - p), (p, p))) if rows > h or p else x.data
+        xp = np.pad(xd, ((0, 0), (0, 0), (p, rows - h - p), (p, p))) if rows > h or p else xd
         views = _taps(xp.reshape(n, ci, -1), kh, kw, wp, stride, m)
         return [np.concatenate(views, axis=1)] if stacked else views
 
@@ -424,33 +488,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
 
     def back(g):
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
-        if stacked and weight.requires_grad:
+        if rb.requires_grad:
+            _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+        if stacked and rw.requires_grad:
             gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))).reshape(n, co, m)
             dw = (gg @ operands()[0].swapaxes(1, 2)).sum(axis=0)
-            _accum(weight, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        tap_dw = weight.requires_grad and not stacked
-        if not (tap_dw or x.requires_grad):
+            _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+        tap_dw = rw.requires_grad and not stacked
+        if not (tap_dw or rx.requires_grad):
             return
-        gs = np.zeros((kh * kw, co, rows * wp), dtype=x.dtype)
-        slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
-        gs = gs.reshape(-1, rows * wp)
-        wg = weight.data.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
-        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=x.dtype)
-        xp = np.zeros((ci, rows, wp), dtype=x.dtype) if rows > h or p else None  # one padded sample
+        direct = kh * kw == stride == 1 and not p  # the one plane is the whole of g[s]
+        if not direct:
+            gs = np.zeros((kh * kw, co, rows * wp), dtype=xd.dtype)
+            slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
+            gs = gs.reshape(-1, rows * wp)
+        wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
+        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=xd.dtype)
+        xp = np.zeros((ci, rows, wp), dtype=xd.dtype) if rows > h or p else None  # one padded sample
         for s in range(n):
-            for slot in slots:
-                slot[...] = g[s]
+            if direct:
+                gs = np.ascontiguousarray(g[s]).reshape(co, -1)
+            else:
+                for slot in slots:
+                    slot[...] = g[s]
             if tap_dw:
                 if xp is not None:
-                    xp[:, p : p + h, p : p + w] = x.data[s]
-                dw += gs @ (x.data[s] if xp is None else xp).reshape(ci, -1).T
-            if x.requires_grad:
+                    xp[:, p : p + h, p : p + w] = xd[s]
+                dw += gs @ (xd[s] if xp is None else xp).reshape(ci, -1).T
+            if rx.requires_grad:
                 np.matmul(wg.T, gs, out=dxf[s])
         if tap_dw:
-            _accum(weight, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
-        _accum(x, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
+            _accum(rw, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
+        _accum(rx, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
 
@@ -483,9 +552,10 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     Normalizes with batch statistics (biased variance) and updates the running
     averages in place; in eval mode ``blocks.ConvBN`` folds them into the conv before.
     With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
-    output is ``max((x - m) * a + beta, 0)``; the op keeps only ``x``, the output and
-    per-channel vectors (Rota Bulo et al., arXiv 1712.02616). The backward is exact
-    through the batch statistics (Ioffe & Szegedy, arXiv 1502.03167): with ``gm = g * (out > 0)``,
+    output is ``max((x - m) * a + beta, 0)``. While it records a node the op keeps
+    only ``x``, a 1-bit mask of ``out > 0`` (``np.packbits``) and per-channel vectors
+    (Rota Bulo et al., arXiv 1712.02616). The backward is exact through the batch
+    statistics (Ioffe & Szegedy, arXiv 1502.03167): with ``gm = g * (out > 0)``,
     ``s1 = sum(gm)`` and ``s2 = sum(gm * x) - m * s1`` (no full-size temporary) over the N = n * h * w
     positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
     ``dgamma = inv * s2`` and ``dbeta = s1``.
@@ -496,10 +566,10 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
             f"batch_norm_relu: gamma {gamma.shape} and beta {beta.shape} must be (1, {c}, 1, 1), input {x.shape}"
         )
     axes = (0, 2, 3)
-    dt = x.data.dtype
+    xd, dt = x.data, x.data.dtype
 
-    m = x.data.mean(axis=axes, keepdims=True)
-    d = x.data - m
+    m = xd.mean(axis=axes, keepdims=True)
+    d = xd - m
     out = np.square(d)
     v = out.mean(axis=axes, keepdims=True)
     stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
@@ -512,19 +582,21 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     out += beta.data
     np.maximum(out, 0, out=out)
     count = n * h * w
+    rx, rg, rb = x._rec, gamma._rec, beta._rec
+    mask = np.packbits(out > 0) if _parents(x, gamma, beta) else None  # read only by a recorded node
 
     def back(g):
-        gm = np.multiply(g, out > 0, dtype=dt)
+        gm = np.multiply(g, np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape), dtype=dt)
         s1 = gm.sum(axis=axes, keepdims=True)
-        s2 = np.einsum("ncp,ncp->c", gm.reshape(n, c, -1), x.data.reshape(n, c, -1)).reshape(m.shape) - m * s1
-        _accum(beta, s1)
-        _accum(gamma, inv * s2)
-        if x.requires_grad:
+        s2 = np.einsum("ncp,ncp->c", gm.reshape(n, c, -1), xd.reshape(n, c, -1)).reshape(m.shape) - m * s1
+        _accum(rb, s1)
+        _accum(rg, inv * s2)
+        if rx.requires_grad:
             k = a * inv * inv * s2 / count
             gm *= a
-            gm -= x.data * k
+            gm -= xd * k
             gm += k * m - a * s1 / count
-            _accum(x, gm)
+            _accum(rx, gm)
 
     return _track(out, back, x, gamma, beta)
 
@@ -576,11 +648,12 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     n, c, h, w = x.shape
     a, b = row_map.shape[0], col_map.shape[0]
     y = row_map @ (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
+    rx, dt = x._rec, x.data.dtype
 
     def back(g):
-        if x.requires_grad:
+        if rx.requires_grad:
             dx = row_map.T @ (g.reshape(-1, b) @ col_map).reshape(n, c, a, w)
-            _accum(x, dx.astype(x.data.dtype, copy=False))
+            _accum(rx, dx.astype(dt, copy=False))
 
     return _track(y.astype(x.data.dtype, copy=False), back, x)
 
@@ -605,9 +678,10 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
+    rx, dt = x._rec, x.data.dtype
 
     def back(g):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to((g / (h * w)).astype(x.data.dtype, copy=False), x.shape))
+        if rx.requires_grad:
+            _accum(rx, np.broadcast_to((g / (h * w)).astype(dt, copy=False), (n, c, h, w)))
 
     return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)

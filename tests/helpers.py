@@ -126,32 +126,39 @@ def directional_grad_check(build_loss, tensors, rng, step=1e-4):
     return analytic, numeric
 
 
-def graph_bytes(loss: T.Tensor) -> int:
-    """Bytes of the distinct arrays that the graph of ``loss`` keeps alive.
-
-    Walks every tensor reachable from ``loss`` through the graph, counting
-    its data and every array its backward rule captured, also inside lists,
-    tuples and nested closures. Each array is counted once, by the buffer
-    that owns its memory, so views and slices add nothing.
-    """
-    buffers, seen, stack = {}, set(), [loss]
+def graph_objects(out: T.Tensor) -> list:
+    """Every object the graph of ``out`` keeps alive: the grad records reachable
+    from the record of ``out`` through their nodes, their gradients, and what
+    each backward rule captured, also inside lists, tuples and nested closures."""
+    found, seen, stack = [], set(), [out._rec]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            while isinstance(obj.base, np.ndarray):
-                obj = obj.base
-            buffers[id(obj)] = obj.nbytes
-        elif isinstance(obj, T.Tensor):
-            stack.append(obj.data)
-            if isinstance(obj._node, tuple):
-                stack.extend(obj._node[1:])
+        found.append(obj)
+        if isinstance(obj, T._GradRecord):
+            stack.extend((obj.grad, obj.node))
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
         elif getattr(obj, "__closure__", None):  # a backward rule or a function it calls
             stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def graph_bytes(out: T.Tensor) -> int:
+    """Bytes of the distinct arrays among ``graph_objects(out)``.
+
+    A tensor's data counts only when a backward rule captured it. Each array
+    is counted once, by the buffer that owns its memory, so views and slices
+    add nothing.
+    """
+    buffers = {}
+    for obj in graph_objects(out):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
     return sum(buffers.values())
 
 

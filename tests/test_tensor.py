@@ -8,7 +8,7 @@ import pytest
 
 from guidedepth import gdt
 from guidedepth import tensor as T
-from helpers import check_grads, conv2d_reference, finite_diff_grad, rel_err, traced
+from helpers import check_grads, conv2d_reference, finite_diff_grad, graph_bytes, graph_objects, rel_err, traced
 
 
 def randn(shape, seed=0, dtype=np.float64, requires_grad=True):
@@ -327,6 +327,29 @@ class TestBatchNorm:
         assert abs(stats.mean.ravel()[0] - 2.0) < 0.05
         assert abs(stats.var.ravel()[0] - 0.25) < 0.05
 
+    def test_graph_keeps_input_and_1_bit_mask(self):
+        """A recorded batch norm keeps ``x``, one bit per output and per-channel
+        vectors, and not its float output."""
+        x = randn((4, 8, 16, 16), seed=14, dtype=np.float32)
+        g, b = (T.Tensor(np.full((1, 8, 1, 1), v, np.float32), requires_grad=True) for v in (1.0, 0.0))
+        out = T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(8))
+        held = graph_bytes(out) - x.data.nbytes
+        assert held <= out.data.size // 8 + 1024, f"graph holds {held} bytes beside the input"
+
+    def test_mask_built_only_for_a_node(self, monkeypatch):
+        """A forward that records no node packs no mask; one that does packs one."""
+        calls = []
+        packbits = np.packbits
+        monkeypatch.setattr(np, "packbits", lambda *args, **kw: calls.append(1) or packbits(*args, **kw))
+        x = randn((2, 3, 4, 4), seed=15)
+        g, b = randn((1, 3, 1, 1), seed=16), randn((1, 3, 1, 1), seed=17)
+        stats = T.RunningStats.for_channels(3, np.float64)
+        with T.no_grad():
+            T.batch_norm_relu(x, g, b, stats)
+        assert not calls
+        T.batch_norm_relu(x, g, b, stats)
+        assert len(calls) == 1
+
     def test_gradient_matches_finite_differences(self):
         """Backward through the batch statistics and the ReLU mask must be exact.
 
@@ -527,7 +550,7 @@ class TestPoolAndDense:
         x = T.Tensor(np.random.default_rng(41).standard_normal((2, 3, 4, 5)), requires_grad=True, dtype=dtype)
         out = getattr(T, op)(x)
         g = np.random.default_rng(42).standard_normal(out.shape).astype(dtype)
-        out._node[2](g)
+        out._rec.node[2](g)
         want = np.broadcast_to(g / (1 if op == "sum_all" else x.data.size // g.size), x.shape)
         assert x.grad.dtype == dtype and not x.grad.flags.writeable
         np.testing.assert_array_equal(x.grad, want.astype(dtype))
@@ -567,7 +590,7 @@ class TestBackwardSemantics:
         with T.no_grad():
             y = T.sum_all(T.mul(x, x))
         assert not y.requires_grad
-        assert y._node is None
+        assert y._rec.node is None
 
     def test_backward_through_consumed_subgraph_rejected(self):
         x = randn((1, 1, 2, 2), seed=49)
@@ -664,10 +687,18 @@ class TestGradientOwnership:
         g = rng.standard_normal(out.shape)
         want = g.copy()
         g.flags.writeable = False
-        back = out._node[2]
+        back = out._rec.node[2]
         back(g)
         back(g)  # as a second consumer would: adds onto the gradients the first call stored
         np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("op", list(_RULE_CASES))
+    def test_rule_captures_no_tensor(self, op):
+        """A node links the grad records of its inputs, and its rule keeps arrays
+        it reads; nothing reachable from the node is a ``Tensor``."""
+        out = _RULE_CASES[op](np.random.default_rng(63))
+        held = [obj for obj in graph_objects(out) if isinstance(obj, T.Tensor)]
+        assert not held, f"{op}: the graph holds {held}"
 
     def test_every_differentiable_op_has_a_rule_case(self):
         """A rule case is keyed ``op`` or ``op-variant``; a new op needs one."""
@@ -826,6 +857,13 @@ class TestGdtRecord:
             gdt.write_record(tmp_path / "r", {"x": "2"}, {})
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(["meta", stray])
         assert (tmp_path / "r" / "meta").read_text() == "x = 1\n"
+
+    def test_gdt_directory_not_read(self, tmp_path):
+        """A directory named like an array is refused with an error naming it."""
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {"b": np.zeros((1, 1, 1, 1))})
+        (tmp_path / "r" / "a.gdt").mkdir()
+        with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(tmp_path / 'r' / 'a.gdt'))}: "):
+            gdt.read_record(tmp_path / "r")
 
     def test_gdt_files_without_meta_not_replaced(self, tmp_path):
         gdt.write_array(tmp_path / "a.gdt", np.zeros((1, 1, 1, 1)))
