@@ -16,6 +16,7 @@ record or an empty directory, so a directory holding anything else is kept.
 
 from __future__ import annotations
 
+import os
 import shutil
 import struct
 import uuid
@@ -98,9 +99,13 @@ def _meta_text(meta: dict[str, str], path: Path) -> str:
 
 def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
     """Write one record to ``directory``, which must be absent, empty or a record: a
-    ``meta`` file and otherwise only ``.gdt`` files, hidden entries aside."""
+    ``meta`` file and otherwise only ``.gdt`` files, hidden entries aside. An array
+    name may not be empty, start with ``.`` or hold a path separator."""
     directory = Path(directory)
-    text = _meta_text(meta, directory / META)  # checked before anything is staged
+    text = _meta_text(meta, directory / META)  # meta and names are checked before anything is staged
+    for name in arrays:  # a hidden, nameless or nested .gdt file would not read back
+        if not name or name.startswith(".") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise GdtError(f"{directory / f'{name}.gdt'}: array name {name!r} would not read back as written")
     if directory.exists():
         entries = [e for e in directory.iterdir() if not e.name.startswith(".")]
         stray = sorted(e.name for e in entries if not e.is_file() or (e.name != META and e.suffix != ".gdt"))

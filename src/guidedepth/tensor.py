@@ -4,11 +4,12 @@ float32 is the working precision; float64 acts as a shadow mode for tight
 gradient checks. Each tensor has a small grad record: ``requires_grad``,
 ``grad`` and ``node``. An operation whose output participates in gradient
 tracking gives the output's record a node: a creation sequence number, the
-records of the inputs that require grad, and the backward rule. The graph
-links records, never tensors, so it holds no activation by itself: a rule
-captures the records it accumulates into and only the arrays it reads.
+records of the inputs that require grad, the backward rule and, for some
+ops, a rebuild. The graph links records, never tensors, so it holds no
+activation by itself: a rule captures the records it accumulates into and
+only the arrays it reads.
 
-- ``conv2d``: the input and the weight;
+- ``conv2d``: the input (only when the weight takes a gradient) and the weight;
 - ``mul``: the other operand of each input that requires grad;
 - ``div``: the divisor and the output;
 - ``absolute``: the input; ``relu`` and ``sigmoid``: the output;
@@ -17,6 +18,16 @@ captures the records it accumulates into and only the arrays it reads.
 - ``spatial_map``: its two constant maps;
 - ``add``, ``sub``, ``scale``, ``add_scalar``, ``sum_all``, ``mean_all``,
   ``concat_channels`` and ``global_avg_pool``: no array.
+
+A rule that reads an input's array captures ``_kept(input)``, a function that
+returns it. A rebuild is a zero-argument function that recomputes the op's
+output, bitwise, from arrays its node keeps anyway; while the producer's node
+is live, ``_kept`` hands out that rebuild instead of the output array
+(recomputation instead of storage, Chen et al., arXiv 1604.06174). Two ops
+offer one: ``batch_norm_relu``, from its input and per-channel vectors, and
+``mul`` when both operands require grad and so are both kept. So a batch norm
+output that a conv reads, or a gated product, is freed during the forward and
+built again when its reader's rule runs.
 
 ``backward`` collects the nodes reachable from the loss, runs their rules
 newest first and releases each node once its rule has run, so each forward
@@ -77,7 +88,8 @@ class _GradRecord:
     def __init__(self, requires_grad: bool):
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.node = None  # (sequence, parent records, back) while recorded; _CONSUMED after backward
+        # (sequence, parent records, back rule, rebuild or None) while recorded; _CONSUMED after backward
+        self.node = None
 
 
 class Tensor:
@@ -169,13 +181,32 @@ def _parents(*inputs: Tensor) -> tuple[_GradRecord, ...]:
     return tuple(t._rec for t in inputs if t._rec.requires_grad)
 
 
-def _track(data: np.ndarray, back: Callable[[np.ndarray], None], *inputs: Tensor) -> Tensor:
-    """Wrap an op's output; while recording, give it a node when any input requires grad."""
+def _track(
+    data: np.ndarray,
+    back: Callable[[np.ndarray], None],
+    *inputs: Tensor,
+    rebuild: Callable[[], np.ndarray] | None = None,
+) -> Tensor:
+    """Wrap an op's output; while recording, give it a node when any input requires grad.
+
+    ``rebuild``, when given, recomputes ``data`` bitwise from arrays the node keeps
+    anyway (see ``_kept``).
+    """
     parents = _parents(*inputs)
     out = Tensor(data, requires_grad=bool(parents))
     if parents:
-        out._rec.node = (next(_SEQ), parents, back)
+        out._rec.node = (next(_SEQ), parents, back, rebuild)
     return out
+
+
+def _kept(t: Tensor) -> Callable[[], np.ndarray]:
+    """A function returning ``t.data``, for a rule to capture: the rebuild of the node
+    that made ``t`` while that node is live, otherwise one that holds ``t.data``."""
+    node = t._rec.node
+    if node is not None and node is not _CONSUMED and node[3] is not None:
+        return node[3]
+    data = t.data
+    return lambda: data
 
 
 def _accum(r: _GradRecord, g: np.ndarray) -> None:
@@ -273,16 +304,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
     ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
-    keep_b = b.data if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
-    keep_a = a.data if rb.requires_grad else None
+    keep_b = _kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
+    keep_a = _kept(a) if rb.requires_grad else None
 
     def back(g):
         if keep_b is not None:
-            _accum(ra, _unbroadcast(g * keep_b, a_shape))
+            _accum(ra, _unbroadcast(g * keep_b(), a_shape))
         if keep_a is not None:
-            _accum(rb, _unbroadcast(g * keep_a, b_shape))
+            _accum(rb, _unbroadcast(g * keep_a(), b_shape))
 
-    return _track(data, back, a, b)
+    both = keep_a is not None and keep_b is not None
+    return _track(data, back, a, b, rebuild=(lambda: keep_a() * keep_b()) if both else None)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -291,9 +323,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     if not np.isfinite(data).all():
         raise FloatingPointError("div produced non-finite values")
-    ra, rb, bd = a._rec, b._rec, b.data
+    ra, rb, keep_b = a._rec, b._rec, _kept(b)
 
     def back(g):
+        bd = keep_b()
         if ra.requires_grad:
             _accum(ra, g / bd)
         if rb.requires_grad:
@@ -324,10 +357,10 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     # subgradient at 0 is 0, via sign(0) == 0
-    ra, ad = a._rec, a.data
+    ra, keep_a = a._rec, _kept(a)
 
     def back(g):
-        _accum(ra, g * np.sign(ad))
+        _accum(ra, g * np.sign(keep_a()))
 
     return _track(np.abs(a.data), back, a)
 
@@ -438,10 +471,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     gradient zero-padded to the grid is 2-3x faster. At stride ``s``, ``G`` is
     ``s**2`` times sparser, so strided per-tap convs multiply mostly zeros.
 
-    The graph keeps ``x.data`` and ``weight.data`` but neither the padded input
-    nor the stacked operand: the backward builds them again from ``x.data``
-    (per sample when per tap).
-    The forward frees them, and its matmul buffer, before the crop copy.
+    The graph keeps ``weight.data`` and, only when the weight takes a gradient,
+    ``_kept(x)``, but neither the padded input nor the stacked operand: the
+    backward gets the input once at its start (rebuilding a batch norm output)
+    and builds them again from it (per sample when per tap). The forward frees
+    them, and its matmul buffer, before the crop copy.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -470,14 +504,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
     stacked = kh * kw > 1 and ci * kh * kw <= STACK_MAX_K
     k = wt.shape[1] if stacked else ci  # weight columns per operand
-    xd, wd, rx, rw, rb = x.data, weight.data, x._rec, weight._rec, bias._rec
+    wd, rx, rw, rb, dt = weight.data, x._rec, weight._rec, bias._rec, x.data.dtype
 
-    def operands():  # called again by the backward
+    def operands(xd):  # called again by the backward
         xp = np.pad(xd, ((0, 0), (0, 0), (p, rows - h - p), (p, p))) if rows > h or p else xd
         views = _taps(xp.reshape(n, ci, -1), kh, kw, wp, stride, m)
         return [np.concatenate(views, axis=1)] if stacked else views
 
-    ops = operands()
+    ops = operands(x.data)
     grid = wt[:, :k] @ ops[0]
     if len(ops) > 1:
         tmp = np.empty_like(grid)
@@ -486,25 +520,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         del tmp
     del ops  # frees the padded input before the crop copies the output
     out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
+    keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
     def back(g):
+        xd = None if keep_x is None else keep_x()
         if rb.requires_grad:
             _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         if stacked and rw.requires_grad:
             gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))).reshape(n, co, m)
-            dw = (gg @ operands()[0].swapaxes(1, 2)).sum(axis=0)
+            dw = (gg @ operands(xd)[0].swapaxes(1, 2)).sum(axis=0)
             _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         tap_dw = rw.requires_grad and not stacked
         if not (tap_dw or rx.requires_grad):
             return
         direct = kh * kw == stride == 1 and not p  # the one plane is the whole of g[s]
         if not direct:
-            gs = np.zeros((kh * kw, co, rows * wp), dtype=xd.dtype)
+            gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
             slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
             gs = gs.reshape(-1, rows * wp)
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
-        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=xd.dtype)
-        xp = np.zeros((ci, rows, wp), dtype=xd.dtype) if rows > h or p else None  # one padded sample
+        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=dt)
+        xp = np.zeros((ci, rows, wp), dtype=dt) if rows > h or p else None  # one padded sample
         for s in range(n):
             if direct:
                 gs = np.ascontiguousarray(g[s]).reshape(co, -1)
@@ -554,7 +590,10 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
     output is ``max((x - m) * a + beta, 0)``. While it records a node the op keeps
     only ``x``, a 1-bit mask of ``out > 0`` (``np.packbits``) and per-channel vectors
-    (Rota Bulo et al., arXiv 1712.02616). The backward is exact through the batch
+    (Rota Bulo et al., arXiv 1712.02616). Its node's rebuild recomputes the output
+    from ``x``, ``m``, ``a`` and ``beta`` with the forward's own ops in the forward's
+    order, so bitwise: a conv that reads the output captures that rebuild (``_kept``)
+    and not the output. The backward is exact through the batch
     statistics (Ioffe & Szegedy, arXiv 1502.03167): with ``gm = g * (out > 0)``,
     ``s1 = sum(gm)`` and ``s2 = sum(gm * x) - m * s1`` (no full-size temporary) over the N = n * h * w
     positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
@@ -577,9 +616,9 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     stats.initialized = True
 
     inv = 1.0 / np.sqrt(v + dt.type(BN_EPS))
-    a = (gamma.data * inv).astype(dt, copy=False)
+    a, bd = (gamma.data * inv).astype(dt, copy=False), beta.data
     np.multiply(d, a, out=out)
-    out += beta.data
+    out += bd
     np.maximum(out, 0, out=out)
     count = n * h * w
     rx, rg, rb = x._rec, gamma._rec, beta._rec
@@ -598,7 +637,13 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
             gm += k * m - a * s1 / count
             _accum(rx, gm)
 
-    return _track(out, back, x, gamma, beta)
+    def rebuild():
+        r = np.subtract(xd, m)
+        r *= a
+        r += bd
+        return np.maximum(r, 0, out=r)
+
+    return _track(out, back, x, gamma, beta, rebuild=rebuild)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,8 @@ def directional_grad_check(build_loss, tensors, rng, step=1e-4):
 def graph_objects(out: T.Tensor) -> list:
     """Every object the graph of ``out`` keeps alive: the grad records reachable
     from the record of ``out`` through their nodes, their gradients, and what
-    each backward rule captured, also inside lists, tuples and nested closures."""
+    each backward rule and rebuild captured, also inside lists, tuples and
+    nested closures."""
     found, seen, stack = [], set(), [out._rec]
     while stack:
         obj = stack.pop()
@@ -149,9 +150,10 @@ def graph_objects(out: T.Tensor) -> list:
 def graph_bytes(out: T.Tensor) -> int:
     """Bytes of the distinct arrays among ``graph_objects(out)``.
 
-    A tensor's data counts only when a backward rule captured it. Each array
-    is counted once, by the buffer that owns its memory, so views and slices
-    add nothing.
+    An array counts only when a backward rule, or a rebuild it captured,
+    reads it; an output that a reader rebuilds is not counted. Each array is
+    counted once, by the buffer that owns its memory, so views and slices add
+    nothing.
     """
     buffers = {}
     for obj in graph_objects(out):

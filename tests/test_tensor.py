@@ -2,6 +2,7 @@
 
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,59 @@ class TestBatchNorm:
         check_grads(f, {"x": x, "gamma": g, "beta": b}, tol=1e-3)
 
 
+def _bn_relu(seed, dtype, shape=(2, 3, 6, 5)):
+    c = shape[1]
+    x = randn(shape, seed=seed, dtype=dtype)
+    g, b = randn((1, c, 1, 1), seed=seed + 1, dtype=dtype), randn((1, c, 1, 1), seed=seed + 2, dtype=dtype)
+    return T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(c, dtype))
+
+
+class TestRebuild:
+    """A node's rebuild recomputes its output from what the node keeps anyway,
+    so a reader of the output captures the rebuild, not the output."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda dt: _bn_relu(70, dt),
+            lambda dt: T.mul(randn((2, 3, 4, 5), seed=73, dtype=dt), randn((2, 3, 4, 5), seed=74, dtype=dt)),
+            lambda dt: T.mul(randn((2, 3, 4, 5), seed=75, dtype=dt), randn((1, 3, 1, 1), seed=76, dtype=dt)),
+        ],
+        ids=["batch_norm_relu", "mul", "mul-broadcast"],
+    )
+    def test_rebuild_is_bitwise_the_output(self, op, dtype):
+        out = op(dtype)
+        np.testing.assert_array_equal(out._rec.node[3](), out.data)
+
+    def test_mul_by_a_constant_has_no_rebuild(self):
+        """Only one operand is kept, so the product cannot be built again."""
+        out = T.mul(randn((2, 3, 4, 5), seed=77), randn((2, 3, 4, 5), seed=78, requires_grad=False))
+        assert out._rec.node[3] is None
+
+    def test_batch_norm_output_read_only_by_a_conv_freed_during_forward(self):
+        out = _bn_relu(79, np.float32)
+        data = weakref.ref(out.data)
+        w, b = randn((4, 3, 3, 3), seed=82, dtype=np.float32), randn((1, 4, 1, 1), seed=83, dtype=np.float32)
+        y = T.conv2d(out, w, b, 1, 1)
+        del out
+        assert data() is None
+        assert y.requires_grad
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_after_batch_norm_gets_the_gradients_of_a_kept_input(self, kernel):
+        """The conv reads the rebuilt batch norm output: its gradients are bitwise
+        those of the same conv on a leaf holding a copy of that output."""
+        out = _bn_relu(84, np.float32, (2, 3, 7, 6))
+        w, b = randn((4, 3, kernel, kernel), seed=87, dtype=np.float32), randn((1, 4, 1, 1), seed=88, dtype=np.float32)
+        leaf = T.Tensor(out.data.copy(), requires_grad=True)
+        w_leaf = T.Tensor(w.data.copy(), requires_grad=True)
+        g = randn((2, 4, 7, 6), seed=89, dtype=np.float32, requires_grad=False)
+        for x, weight in ((out, w), (leaf, w_leaf)):
+            T.backward(T.sum_all(T.mul(T.conv2d(x, weight, b, 1, kernel // 2), g)))
+        np.testing.assert_array_equal(w.grad, w_leaf.grad)
+
+
 class TestActivations:
     def test_relu_values(self):
         x = T.Tensor(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3))
@@ -647,6 +701,12 @@ def _positive(rng, shape=(2, 3, 4, 5)):
     return T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True, dtype=np.float64)
 
 
+def _rule_case_bn(rng):
+    return T.batch_norm_relu(
+        _signed(rng), _signed(rng, (1, 3, 1, 1)), _signed(rng, (1, 3, 1, 1)), T.RunningStats.for_channels(3, np.float64)
+    )
+
+
 # one recorded output per op with a backward rule; every input requires grad
 _RULE_CASES = {
     "add": lambda r: T.add(_signed(r), _signed(r)),
@@ -664,8 +724,10 @@ _RULE_CASES = {
     "concat_channels": lambda r: T.concat_channels(_signed(r), _signed(r, (2, 1, 4, 5))),
     "conv2d-3x3": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 3, 3)), _signed(r, (1, 2, 1, 1)), 1, 1),
     "conv2d-1x1": lambda r: T.conv2d(_signed(r), _signed(r, (2, 3, 1, 1)), _signed(r, (1, 2, 1, 1))),
-    "batch_norm_relu": lambda r: T.batch_norm_relu(
-        _signed(r), _signed(r, (1, 3, 1, 1)), _signed(r, (1, 3, 1, 1)), T.RunningStats.for_channels(3, np.float64)
+    "batch_norm_relu": _rule_case_bn,
+    # the conv's rule holds the batch norm's rebuild in place of its output
+    "conv2d-after-batch_norm_relu": lambda r: T.conv2d(
+        _rule_case_bn(r), _signed(r, (2, 3, 3, 3)), _signed(r, (1, 2, 1, 1)), 1, 1
     ),
     "spatial_map": lambda r: T.bilinear_resize(_signed(r), 7, 3),
     "global_avg_pool": lambda r: T.global_avg_pool(_signed(r)),
@@ -834,6 +896,18 @@ class TestGdtRecord:
         what = ", line 1: expected 'key = value'" if "" in meta else ": meta .* would not read back"
         with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}{what}"):
             gdt.write_record(tmp_path / "r", meta, {"a": np.zeros((1, 1, 1, 1))})
+        assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
+    @pytest.mark.parametrize("name", [".hidden", "", "a/b"], ids=["hidden", "empty", "slash"])
+    def test_unreadable_array_name_not_written(self, tmp_path, name):
+        """A hidden or empty name would be skipped by ``read_record`` and one with
+        a separator would land in a subdirectory: each is refused before anything
+        is staged, naming the file it would have had, and the target is kept."""
+        gdt.write_record(tmp_path / "r", {"x": "1"}, {})
+        path = tmp_path / "r" / f"{name}.gdt"
+        with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}: array name "):
+            gdt.write_record(tmp_path / "r", {"x": "2"}, {"ok": np.zeros((1, 1, 1, 1)), name: np.ones((1, 1, 1, 1))})
         assert gdt.read_record(tmp_path / "r") == ({"x": "1"}, {})
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
