@@ -117,7 +117,9 @@ class ConvBN(Conv):
     Eval mode folds the running statistics into the conv on every forward
     (Jacob et al., arXiv 1712.05877): with ``a = gamma / sqrt(var + eps)`` per
     output channel, weight ``weight * a`` and bias ``beta - mean * a``, both
-    constants, so the eval forward passes no gradient on.
+    constants, so the eval forward passes no gradient on. When the conv output
+    records no node (the input takes no gradient), nothing else holds that
+    fresh array, and the ReLU runs in place on it.
     """
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1, dtype=np.float32):
@@ -136,14 +138,20 @@ class ConvBN(Conv):
         a = self.gamma.data * (1.0 / np.sqrt(self.stats.var + BN_EPS)).astype(dt, copy=False)
         weight = Tensor(self.weight.data * a.reshape(-1, 1, 1, 1))
         bias = Tensor(self.beta.data - self.stats.mean.astype(dt, copy=False) * a)
-        return relu(conv2d(x, weight, bias, self.stride, self.padding))
+        y = conv2d(x, weight, bias, self.stride, self.padding)
+        if y.requires_grad:
+            return relu(y)
+        np.maximum(y.data, 0, out=y.data)
+        return y
 
 
 class StackedConv(Module):
     """conv3x3 -> BN -> ReLU -> conv1x1 -> BN -> ReLU, as two ``ConvBN``.
 
     Spatial dims are preserved at stride 1; the encoder uses stride 2 on the
-    3x3 convolution to halve them.
+    3x3 convolution to halve them. The input is dropped once ``conv3`` has read
+    it, so an input the caller passed on is freed before ``conv1`` runs (a
+    ``ConvBN`` needs no such step: this frame holds its input meanwhile).
     """
 
     def __init__(self, c_in, c_out, rng, stride=1, dtype=np.float32):
@@ -151,7 +159,9 @@ class StackedConv(Module):
         self.conv1 = ConvBN(c_out, c_out, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        return self.conv1.forward(self.conv3.forward(x, train), train)
+        y = self.conv3.forward(x, train)
+        del x
+        return self.conv1.forward(y, train)
 
 
 class SqueezeExcite(Module):

@@ -444,8 +444,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     weight is (c_out, c_in, kh, kw); bias is broadcast as (1, c_out, 1, 1); all
     three share one dtype. Gradients are produced for the input, the weight and the bias.
 
-    Layout: the padded input, with rows of length ``wp``, is flattened to
-    ``(n, c_in, rows * wp)``. Output ``(i, j)`` then reads flat position
+    Layout: a padded sample, with rows of length ``wp``, is flattened to
+    ``(c_in, rows * wp)``. Output ``(i, j)`` then reads flat position
     ``stride * (i * wp + j) + k * wp + l`` for tap ``(k, l)``, so on an output
     grid of ``oh`` rows by ``wp`` columns every tap is one strided slice of
     the flat input (see ``_taps``) and no window matrix is built.
@@ -461,7 +461,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     The forward is ``grid = sum over t of W_t @ X_t``, cropped of the junk
     columns ``ow..wp`` of each row; the padded input gets the extra zero rows
-    the last row's junk columns read. The backward shifts the gradient, not
+    the last row's junk columns read. The forward runs one sample at a time:
+    it copies each sample into one reused zero-padded buffer (a stacked conv
+    builds that sample's operand from it) and sums the taps into the sample's
+    rows of ``grid`` through a one-sample matmul buffer, so no whole-batch
+    padded copy, stacked operand or matmul buffer exists, and each sample
+    runs the GEMMs of a batch of one.
+
+    The backward shifts the gradient, not
     the input (kn2row, arXiv 1709.03395): per sample, plane ``t`` of a zeroed
     stack ``G`` of ``kh * kw`` flat padded inputs holds the output gradient in
     tap ``t``'s slice; a 1x1, stride-1, unpadded conv's one plane is the
@@ -474,8 +481,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     The graph keeps ``weight.data`` and, only when the weight takes a gradient,
     ``_kept(x)``, but neither the padded input nor the stacked operand: the
     backward gets the input once at its start (rebuilding a batch norm output)
-    and builds them again from it (per sample when per tap). The forward frees
-    them, and its matmul buffer, before the crop copy.
+    and builds them again from it, one sample at a time. The forward frees its
+    padded sample and matmul buffer before the crop copy.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -506,19 +513,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     k = wt.shape[1] if stacked else ci  # weight columns per operand
     wd, rx, rw, rb, dt = weight.data, x._rec, weight._rec, bias._rec, x.data.dtype
 
-    def operands(xd):  # called again by the backward
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, rows - h - p), (p, p))) if rows > h or p else xd
-        views = _taps(xp.reshape(n, ci, -1), kh, kw, wp, stride, m)
-        return [np.concatenate(views, axis=1)] if stacked else views
+    def padded(xd):  # each sample flat, (ci, rows * wp), through one reused zero-padded buffer
+        xp = np.zeros((ci, rows, wp), dtype=dt) if rows > h or p else None
+        for xs in xd:
+            if xp is not None:
+                xp[:, p : p + h, p : p + w] = xs
+                xs = xp
+            yield xs.reshape(ci, -1)
 
-    ops = operands(x.data)
-    grid = wt[:, :k] @ ops[0]
-    if len(ops) > 1:
-        tmp = np.empty_like(grid)
+    def operands(xf):  # of one flat padded sample
+        views = _taps(xf, kh, kw, wp, stride, m)
+        return [np.concatenate(views)] if stacked else views
+
+    grid = np.empty((n, co, m), dtype=dt)  # output rows, junk columns included
+    tmp = np.empty((co, m), dtype=dt) if not stacked and kh * kw > 1 else None  # one sample's
+    for s, xf in enumerate(padded(x.data)):
+        ops = operands(xf)
+        np.matmul(wt[:, :k], ops[0], out=grid[s])
         for t in range(1, len(ops)):
-            grid += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
-        del tmp
-    del ops  # frees the padded input before the crop copies the output
+            grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
+    del xf, ops, tmp  # frees the padded sample and the matmul buffer before the crop copies the output
     out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
     keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
@@ -527,8 +541,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         if rb.requires_grad:
             _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         if stacked and rw.requires_grad:
-            gg = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow))).reshape(n, co, m)
-            dw = (gg @ operands(xd)[0].swapaxes(1, 2)).sum(axis=0)
+            dw = np.zeros((co, kh * kw * ci), dtype=dt)
+            for gs, xf in zip(g, padded(xd)):  # in the order a sum over the batch axis adds them
+                dw += np.pad(gs, ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T
             _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
         tap_dw = rw.requires_grad and not stacked
         if not (tap_dw or rx.requires_grad):
@@ -540,7 +555,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             gs = gs.reshape(-1, rows * wp)
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
         dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=dt)
-        xp = np.zeros((ci, rows, wp), dtype=dt) if rows > h or p else None  # one padded sample
+        xfs = padded(xd) if tap_dw else None
         for s in range(n):
             if direct:
                 gs = np.ascontiguousarray(g[s]).reshape(co, -1)
@@ -548,9 +563,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 for slot in slots:
                     slot[...] = g[s]
             if tap_dw:
-                if xp is not None:
-                    xp[:, p : p + h, p : p + w] = xd[s]
-                dw += gs @ (xd[s] if xp is None else xp).reshape(ci, -1).T
+                dw += gs @ next(xfs).T
             if rx.requires_grad:
                 np.matmul(wg.T, gs, out=dxf[s])
         if tap_dw:
@@ -588,12 +601,14 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     Normalizes with batch statistics (biased variance) and updates the running
     averages in place; in eval mode ``blocks.ConvBN`` folds them into the conv before.
     With ``m`` the batch mean, ``inv = 1 / sqrt(var + eps)`` and ``a = gamma * inv`` the
-    output is ``max((x - m) * a + beta, 0)``. While it records a node the op keeps
-    only ``x``, a 1-bit mask of ``out > 0`` (``np.packbits``) and per-channel vectors
-    (Rota Bulo et al., arXiv 1712.02616). Its node's rebuild recomputes the output
-    from ``x``, ``m``, ``a`` and ``beta`` with the forward's own ops in the forward's
-    order, so bitwise: a conv that reads the output captures that rebuild (``_kept``)
-    and not the output. The backward is exact through the batch
+    output is ``max((x - m) * a + beta, 0)``. The forward builds it in one array:
+    ``x - m``, squared in place for the variance, is overwritten by the rebuild.
+    While it records a node the op keeps only ``x``, a 1-bit mask of ``out > 0``
+    (``np.packbits``) and per-channel vectors (Rota Bulo et al., arXiv
+    1712.02616). Its node's rebuild recomputes the output from ``x``, ``m``,
+    ``a`` and ``beta`` with the forward's own ops, so bitwise: a conv that reads
+    the output captures that rebuild (``_kept``) and not the output. The
+    backward is exact through the batch
     statistics (Ioffe & Szegedy, arXiv 1502.03167): with ``gm = g * (out > 0)``,
     ``s1 = sum(gm)`` and ``s2 = sum(gm * x) - m * s1`` (no full-size temporary) over the N = n * h * w
     positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
@@ -608,18 +623,22 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     xd, dt = x.data, x.data.dtype
 
     m = xd.mean(axis=axes, keepdims=True)
-    d = xd - m
-    out = np.square(d)
-    v = out.mean(axis=axes, keepdims=True)
+    out = np.subtract(xd, m)
+    v = np.square(out, out=out).mean(axis=axes, keepdims=True)
     stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
     stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
     stats.initialized = True
 
     inv = 1.0 / np.sqrt(v + dt.type(BN_EPS))
     a, bd = (gamma.data * inv).astype(dt, copy=False), beta.data
-    np.multiply(d, a, out=out)
-    out += bd
-    np.maximum(out, 0, out=out)
+
+    def rebuild(r=None):  # the output, written into ``r`` when given
+        r = np.subtract(xd, m, out=r)
+        r *= a
+        r += bd
+        return np.maximum(r, 0, out=r)
+
+    rebuild(out)  # over the squared deviations, so that no second full-size array exists
     count = n * h * w
     rx, rg, rb = x._rec, gamma._rec, beta._rec
     mask = np.packbits(out > 0) if _parents(x, gamma, beta) else None  # read only by a recorded node
@@ -636,12 +655,6 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
             gm -= xd * k
             gm += k * m - a * s1 / count
             _accum(rx, gm)
-
-    def rebuild():
-        r = np.subtract(xd, m)
-        r *= a
-        r += bd
-        return np.maximum(r, 0, out=r)
 
     return _track(out, back, x, gamma, beta, rebuild=rebuild)
 

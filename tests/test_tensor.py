@@ -217,10 +217,30 @@ class TestConv2d:
             err = np.max(np.abs(stacked - per_tap)) / np.max(np.abs(per_tap))
             assert err < 1e-12, f"{name}: relative difference {err:.2e}"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ci", [3, 16], ids=["stacked", "per-tap"])
+    def test_batch_is_per_sample_results_stacked(self, ci, stride, dtype):
+        """The forward and the input gradient run one sample at a time, so a batch
+        gives bitwise the results of its samples run alone."""
+        rng = np.random.default_rng(36)
+        x = T.Tensor(rng.standard_normal((3, ci, 9, 8)), requires_grad=True, dtype=dtype)
+        w = T.Tensor(rng.standard_normal((5, ci, 3, 3)), dtype=dtype)
+        b = T.Tensor(rng.standard_normal((1, 5, 1, 1)), dtype=dtype)
+        y = T.conv2d(x, w, b, stride, 1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        T.backward(T.sum_all(T.mul(y, T.Tensor(g))))
+        for s in range(3):
+            xs = T.Tensor(x.data[s : s + 1], requires_grad=True)
+            ys = T.conv2d(xs, w, b, stride, 1)
+            T.backward(T.sum_all(T.mul(ys, T.Tensor(g[s : s + 1]))))
+            assert np.array_equal(y.data[s : s + 1], ys.data), f"output of sample {s}"
+            assert np.array_equal(x.grad[s : s + 1], xs.grad), f"input gradient of sample {s}"
+
     def test_stacked_conv_graph_keeps_no_stacked_operand(self):
-        """A 3-channel 3x3 conv copies its 9 tap slices into one (n, 27, m) operand.
-        The backward builds it again from the input, so after the forward the
-        graph holds the output and not that operand."""
+        """A 3-channel 3x3 conv copies each sample's 9 tap slices into one (27, m)
+        operand. The backward builds them again from the input, so after the
+        forward the graph holds the output and not those operands."""
         rng = np.random.default_rng(34)
         x = T.Tensor(rng.standard_normal((4, 3, 96, 128)).astype(np.float32), requires_grad=True)
         w = T.Tensor(0.1 * rng.standard_normal((16, 3, 3, 3)).astype(np.float32), requires_grad=True)
