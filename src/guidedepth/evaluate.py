@@ -17,6 +17,13 @@ With flip averaging the same is done on the mirrored sample, whose arrays
 are reversed views of the original, and the two per-image results are
 averaged.
 
+The passes (sample 0 plain, sample 0 mirrored, sample 1 plain, ...) are
+independent, so ``tensor.parallel_map`` runs them on up to one thread per
+core, and a predictor must be safe to call from several threads at once.
+While they run, numpy's BLAS runs one thread per pass. Each image's pair is
+averaged in pass order and the images in sample order, so the metrics do not
+depend on which pass finished first.
+
 Both resizes sample like ``tensor.bilinear_resize`` (its taps come from
 ``tensor._bilinear_taps``) but read only the two taps of each output, rows
 first and then columns, as ``a + (b - a) * t``: a constant map comes back
@@ -34,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from guidedepth.data import DepthSample
-from guidedepth.tensor import Tensor, _bilinear_taps
+from guidedepth.tensor import Tensor, _bilinear_taps, parallel_map
 
 DEPTH_FLOOR = 1e-3  # clamp floor for the inverse depth transform
 
@@ -173,7 +180,9 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
 
 # Predictors take the resized input image plus the originating sample (so
 # oracle predictors can peek at the ground truth) and return a depth map in
-# normalized space at the image's resolution.
+# normalized space at the image's resolution. ``evaluate`` may run several
+# passes at once, so a predictor must be thread-safe; BLAS runs one thread per
+# pass while they do.
 Predictor = Callable[[Tensor, DepthSample], Tensor]
 
 
@@ -260,16 +269,17 @@ def evaluate(
         gt_c = _as_map(gt_np[..., rs, cs])
         return compute_metrics(gt_c, _resize(pred_metric, gh, gw, rs, cs), gt_c > 0)
 
-    per_image: list[MetricValues] = []
+    passes = []  # sample 0 plain, sample 0 mirrored, sample 1 plain, ...
     for i, sample in enumerate(samples):
-        plain = run_one(sample, f"sample {i} (plain pass)")
+        passes.append((sample, f"sample {i} (plain pass)"))
         if flip_average:
             mirrored = DepthSample(
                 image=Tensor(sample.image.data[..., ::-1]),
                 depth=Tensor(sample.depth.data[..., ::-1]),
                 d_max=sample.d_max,
             )
-            plain = MetricValues.average([plain, run_one(mirrored, f"sample {i} (mirrored pass)")])
-        per_image.append(plain)
-
-    return MetricValues.average(per_image)
+            passes.append((mirrored, f"sample {i} (mirrored pass)"))
+    results = parallel_map(lambda p: run_one(*p), passes)
+    if flip_average:
+        results = [MetricValues.average(results[k : k + 2]) for k in range(0, len(results), 2)]
+    return MetricValues.average(results)

@@ -39,16 +39,27 @@ gradient ``g``, or a view of it, to several inputs, and ``_accum`` keeps the
 first gradient a tensor receives by reference. So no backward rule and no
 ``_accum`` writes into ``g`` or into a stored ``.grad``; each builds any array
 it changes itself.
+
+``parallel_map(fn, items)`` is ``[fn(item) for item in items]`` spread over one
+worker per core: the calling thread and a thread pool this module owns. Each
+call runs in a copy of the caller's context (so ``no_grad`` holds in it), and
+numpy's bundled OpenBLAS is held at one thread while the calls run, so that
+the workers, not BLAS, use the cores. ``evaluate`` maps its passes with it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -482,7 +493,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     ``_kept(x)``, but neither the padded input nor the stacked operand: the
     backward gets the input once at its start (rebuilding a batch norm output)
     and builds them again from it, one sample at a time. The forward frees its
-    padded sample and matmul buffer before the crop copy.
+    padded sample and matmul buffer before the crop copy. A grid with no junk
+    columns (``wp == ow``, as in a 1x1 unpadded conv) takes the bias in place
+    and is itself the output, so it is not copied.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -533,7 +546,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         for t in range(1, len(ops)):
             grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
     del xf, ops, tmp  # frees the padded sample and the matmul buffer before the crop copies the output
-    out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
+    if wp == ow:  # no junk columns: the grid is the output
+        out_data = grid.reshape(n, co, oh, ow)
+        out_data += bias.data
+    else:
+        out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
     keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
     def back(g):
@@ -743,3 +760,138 @@ def global_avg_pool(x: Tensor) -> Tensor:
             _accum(rx, np.broadcast_to((g / (h * w)).astype(dt, copy=False), (n, c, h, w)))
 
     return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)
+
+
+# ---------------------------------------------------------------------------
+# Parallel map
+# ---------------------------------------------------------------------------
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+_IN_MAP: contextvars.ContextVar[bool] = contextvars.ContextVar("guidedepth_in_parallel_map", default=False)
+
+
+class _OpenBlas:
+    """The thread count of numpy's bundled OpenBLAS, held at 1 while any map runs.
+
+    The count is process-wide, so overlapping maps share one pin: the first
+    saves the count and sets 1, the last restores it.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._get = lib.scipy_openblas_get_num_threads64_
+        self._get.argtypes, self._get.restype = [], ctypes.c_int
+        self._set = lib.scipy_openblas_set_num_threads64_
+        self._set.argtypes, self._set.restype = [ctypes.c_int], None
+        self._lock = threading.Lock()
+        self._pins = 0
+        self._saved = 1
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        with self._lock:
+            if not self._pins:
+                self._saved = self._get()
+                self._set(1)
+            self._pins += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._pins -= 1
+                if not self._pins:
+                    self._set(self._saved)
+
+
+_OPENBLAS_LOCK = threading.Lock()
+
+
+def _openblas() -> _OpenBlas | None:
+    """numpy's bundled OpenBLAS, or ``None`` when this numpy build has none; one
+    object for all threads, so that they share its pin."""
+    with _OPENBLAS_LOCK:
+        return _find_openblas()
+
+
+@lru_cache(maxsize=1)
+def _find_openblas() -> _OpenBlas | None:
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            return _OpenBlas(ctypes.CDLL(str(path)))  # the loaded library: dlopen returns its handle
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="guidedepth-map")
+
+
+def _call(fn: Callable[[_T], _R], item: _T) -> _R:
+    _IN_MAP.set(True)  # in the call's own context copy
+    return fn(item)
+
+
+def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
+    """``[fn(item) for item in items]``, in item order, with the calls spread over
+    ``min(len(items), cores)`` workers, cores being ``os.sched_getaffinity(0)``.
+
+    The calling thread is one worker and a pool owned by this module supplies
+    the rest; each worker takes the next item not yet started. Independent
+    calls that release the interpreter lock, as numpy does, then run at once.
+    While they run, numpy's bundled OpenBLAS is held at one thread (and set
+    back after, also on error), since a second BLAS thread per call would
+    compete with the other workers for the same cores. A numpy without those
+    symbols keeps its BLAS threads and runs the calls on the calling thread.
+
+    - Each call runs in its own ``contextvars.copy_context()`` of the caller,
+      so ``no_grad`` and other context variables of the caller hold in it.
+    - A call made from inside ``fn`` runs its items on its own thread.
+    - It returns or raises only after every call it started has finished.
+      Once a call fails, no further item starts, and the exception of the
+      first failed item, in item order, is raised: the one a plain loop would
+      raise.
+
+    ``fn`` must be safe to run on several threads at once.
+    """
+    items = list(items)
+    workers = 1 if _IN_MAP.get() else min(len(items), len(os.sched_getaffinity(0)))
+    blas = _openblas() if workers > 1 else None
+    contexts = [contextvars.copy_context() for _ in items]
+    results: list = [None] * len(items)
+    errors: list[Exception | None] = [None] * len(items)
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+    failed = False
+
+    def drain():
+        nonlocal failed
+        while True:
+            with lock:
+                i = None if failed else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = contexts[i].run(_call, fn, items[i])
+            except Exception as e:
+                errors[i] = e
+                with lock:
+                    failed = True
+
+    if blas is None:
+        drain()
+    else:
+        with blas.one_thread():
+            futures = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+            try:
+                drain()
+            finally:
+                wait(futures)
+            for f in futures:
+                f.result()  # drain keeps fn's exceptions; this raises only what escaped it
+    for e in errors:
+        if e is not None:
+            raise e
+    return results

@@ -345,11 +345,12 @@ class TestDepthNet:
         held = graph_bytes(loss) / 2**20
         assert held <= 120, f"graph holds {held:.1f} MiB after forward and loss"
 
-    def test_train_forward_and_loss_peaks_at_most_122_mib(self):
+    def test_train_forward_and_loss_peaks_at_most_119_mib(self):
         """Forward and loss of ``guidedepth``, batch 4 at 96x128, while recording.
         A conv pads and multiplies one sample at a time, a batch norm builds its
         output in one array, and a ``StackedConv`` drops its input once its
-        first conv has read it: 129.4 MiB without those."""
+        first conv has read it: 129.4 MiB without those. A 1x1 conv adds its
+        bias in place: 115.9 MiB without that."""
         rng = np.random.default_rng(42)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
@@ -360,7 +361,7 @@ class TestDepthNet:
 
         forward_and_loss()  # warms the resize matrices
         _, _, peak = traced(forward_and_loss)
-        assert peak <= 122 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
+        assert peak <= 119 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
 
     def test_train_step_peaks_at_most_150_mib(self):
         """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. The

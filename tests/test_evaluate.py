@@ -2,7 +2,9 @@
 and the full resize/predict/upsample/flip/crop pipeline."""
 
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -353,20 +355,21 @@ class TestEvaluatePipeline:
         with pytest.raises(ValueError):
             E.evaluate(E.oracle_predictor(), [], (48, 64))
 
-    @pytest.mark.parametrize("bad_call, flip, where", [(3, True, "sample 1 (mirrored pass)"),
+    @pytest.mark.parametrize("bad_pass, flip, where", [(3, True, "sample 1 (mirrored pass)"),
                                                        (1, False, "sample 1 (plain pass)"),
                                                        (0, True, "sample 0 (plain pass)")])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_prediction_rejected(self, bad_call, flip, where, value):
+    def test_non_finite_prediction_rejected(self, bad_pass, flip, where, value):
         samples = D.generate_dataset(2, base_seed=70)
         mean = E.mean_predictor()
-        count = [0]
+        # passes may run concurrently, so the bad one is found by its sample, not by call count
+        bad_sample, bad_mirrored = divmod(bad_pass, 2) if flip else (bad_pass, 0)
 
         def predict(image, sample):
             pred = mean(image, sample)
-            if count[0] == bad_call:
+            mirrored = sample.depth.data.strides[-1] < 0  # a mirrored sample's depth is a reversed view
+            if np.shares_memory(sample.depth.data, samples[bad_sample].depth.data) and mirrored == bad_mirrored:
                 pred.data[0, 0, 3, 5] = value
-            count[0] += 1
             return pred
 
         with pytest.raises(ValueError, match=re.escape(where)):
@@ -410,23 +413,53 @@ class TestProtocolReference:
         for f in ("d1", "d2", "d3"):
             assert abs(getattr(got, f) - getattr(want, f)) <= 1e-5, f
 
+    def test_passes_run_on_two_threads(self, vga_scenes, tiny_model, monkeypatch):
+        """With 2 cores (set here, so that this holds on a 1-core machine too) the
+        plain and mirrored passes run at once: each waits for the other."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        barrier = threading.Barrier(2, timeout=10)
+        threads = set()
+        model_predict = E.model_predictor(tiny_model)
+
+        def predict(image, sample):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return model_predict(image, sample)
+
+        E.evaluate(predict, vga_scenes[:1], (96, 128), crop_kind="nyu", flip_average=True)
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_pool_matches_serial_path(self, vga_scenes, tiny_model, monkeypatch, flip):
+        """The pool holds BLAS at one thread and the serial path (no BLAS symbols)
+        leaves it alone, which changes float32 rounding and nothing else."""
+        predict = E.model_predictor(tiny_model)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = E.evaluate(predict, vga_scenes, (96, 128), crop_kind="nyu", flip_average=flip)
+        monkeypatch.setattr(T, "_openblas", lambda: None)
+        serial = E.evaluate(predict, vga_scenes, (96, 128), crop_kind="nyu", flip_average=flip)
+        for f in ("rmse", "rel", "log10"):
+            assert getattr(pooled, f) == pytest.approx(getattr(serial, f), rel=1e-5, abs=0), f
+        for f in ("d1", "d2", "d3"):
+            assert abs(getattr(pooled, f) - getattr(serial, f)) <= 1e-5, f
+
     def test_no_spatial_map_outside_the_predictor(self, vga_scenes, tiny_model, monkeypatch):
         calls = {"inside": 0, "outside": 0}
-        where = ["outside"]
+        where = threading.local()  # passes may run on two threads at once
         inner = T.spatial_map
 
         def spy(*args):
-            calls[where[0]] += 1
+            calls[getattr(where, "place", "outside")] += 1
             return inner(*args)
 
         model_predict = E.model_predictor(tiny_model)
 
         def predict(image, sample):
-            where[0] = "inside"
+            where.place = "inside"
             try:
                 return model_predict(image, sample)
             finally:
-                where[0] = "outside"
+                where.place = "outside"
 
         monkeypatch.setattr(T, "spatial_map", spy)
         E.evaluate(predict, vga_scenes[:1], (96, 128), crop_kind="nyu", flip_average=True)

@@ -1,7 +1,10 @@
 """Tensor engine: forward semantics, gradient oracles, graph behavior, GDT1 files."""
 
+import os
 import re
+import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -795,6 +798,135 @@ class TestGradientOwnership:
         T.backward(T.sum_all(a))
         np.testing.assert_array_equal(a.grad, np.full(a.shape, 2.0))
         np.testing.assert_array_equal(b.grad, np.ones(b.shape))
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """``parallel_map`` sees 2 cores, so a pool thread runs even on a 1-core machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's OpenBLAS at 2 threads, so that a pin to 1 and its undoing both show."""
+    blas = T._openblas()
+    before = blas._get()
+    blas._set(2)
+    try:
+        yield blas
+    finally:
+        blas._set(before)
+
+
+class TestParallelMap:
+    """``parallel_map`` against a plain loop. Where a test needs both workers to
+    take an item, a barrier holds the first until the second arrives."""
+
+    def test_items_come_back_in_item_order(self, two_cores):
+        assert T.parallel_map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+        assert T.parallel_map(lambda i: i, []) == []
+
+    def test_bundled_openblas_found(self):
+        """The numpy wheel CI installs bundles OpenBLAS with the symbols the pin uses."""
+        blas = T._openblas()
+        assert blas is not None and blas._get() >= 1
+
+    def test_calls_run_on_two_threads_in_the_callers_context(self, two_cores):
+        barrier = threading.Barrier(2, timeout=10)
+        x = randn((1, 1, 2, 2), seed=53)
+
+        def fn(i):
+            barrier.wait()
+            return threading.get_ident(), T.mul(x, x).requires_grad
+
+        with T.no_grad():
+            got = T.parallel_map(fn, range(2))
+        idents = {ident for ident, _ in got}
+        assert len(idents) == 2 and threading.get_ident() in idents  # the caller takes one share
+        assert [records for _, records in got] == [False, False]  # no_grad holds on the pool thread too
+
+    def test_nested_call_runs_inline(self, two_cores):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def outer(i):
+            barrier.wait()
+            return threading.get_ident(), T.parallel_map(lambda j: threading.get_ident(), range(4))
+
+        got = T.parallel_map(outer, range(2))
+        assert len({ident for ident, _ in got}) == 2
+        for ident, inner in got:
+            assert inner == [ident] * 4
+
+    def test_raises_after_every_started_call_finished(self, two_cores):
+        barrier = threading.Barrier(2, timeout=10)
+        finished = []
+
+        def fn(i):
+            barrier.wait()
+            if i == 0:
+                raise KeyError(i)
+            time.sleep(0.2)
+            finished.append(i)
+
+        with pytest.raises(KeyError):
+            T.parallel_map(fn, range(2))
+        assert finished == [1]
+
+    def test_first_failing_item_in_item_order_is_raised(self, two_cores):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def fn(i):
+            barrier.wait()
+            if i == 0:
+                time.sleep(0.2)  # item 1 fails first
+            raise ValueError(f"item {i}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            T.parallel_map(fn, range(2))
+
+    def test_no_item_starts_after_a_failure(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        started = []
+
+        def fn(i):
+            started.append(i)
+            raise ValueError(f"item {i}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            T.parallel_map(fn, range(3))
+        assert started == [0]
+
+    def test_blas_pinned_to_one_thread_and_restored_on_error(self, two_cores, blas_at_two_threads):
+        barrier = threading.Barrier(2, timeout=10)
+        seen = []
+
+        def fn(i):
+            barrier.wait()
+            seen.append(blas_at_two_threads._get())
+            raise RuntimeError(f"item {i}")
+
+        with pytest.raises(RuntimeError, match="item 0"):
+            T.parallel_map(fn, range(2))
+        assert seen == [1, 1]
+        assert blas_at_two_threads._get() == 2
+
+    def test_without_blas_symbols_runs_on_the_calling_thread(self, two_cores, blas_at_two_threads, monkeypatch):
+        monkeypatch.setattr(T, "_openblas", lambda: None)
+        got = T.parallel_map(lambda i: (threading.get_ident(), blas_at_two_threads._get()), range(4))
+        assert got == [(threading.get_ident(), 2)] * 4
+
+    def test_each_item_runs_once_under_contention(self, monkeypatch):
+        """More workers than cores, switching threads as often as the interpreter can."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = T.parallel_map(lambda i: calls.append(i) or -i, range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
 
 
 class TestFiniteness:
