@@ -134,7 +134,8 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
     each. Each block is copied once to float64 (its masked pixels only, unless
     every pixel of the map is valid), and its sums and counts are added to the
     totals. With ``r = g / p`` the log error is ``|log10 r|`` and the delta
-    ratio is ``max(r, 1 / r)``.
+    ratio is ``max(r, 1 / r)``. A nonpositive or non-finite depth under the
+    mask is an error.
     """
     gt = _as_map(y)
     pred = _as_map(yhat)
@@ -158,8 +159,9 @@ def compute_metrics(y, yhat, valid_mask=None) -> MetricValues:
             g, p = g[mask[rows]], p[mask[rows]]
         g = np.array(g, dtype=np.float64, order="C").ravel()
         p = np.array(p, dtype=np.float64, order="C").ravel()
-        if g.size and (g.min() <= 0 or p.min() <= 0):
-            raise ValueError("compute_metrics: nonpositive depths under the mask")
+        # chained comparisons, each False on NaN, so that NaN fails the check too
+        if g.size and not (0 < g.min() <= g.max() < math.inf and 0 < p.min() <= p.max() < math.inf):
+            raise ValueError("compute_metrics: nonpositive or non-finite depths under the mask")
         buf = g - p
         sq += np.dot(buf, buf)
         ae += np.divide(np.abs(buf, out=buf), g, out=buf).sum()

@@ -41,10 +41,11 @@ first gradient a tensor receives by reference. So no backward rule and no
 it changes itself.
 
 ``parallel_map(fn, items)`` is ``[fn(item) for item in items]`` spread over one
-worker per core: the calling thread and a thread pool this module owns. Each
-call runs in a copy of the caller's context (so ``no_grad`` holds in it), and
-numpy's bundled OpenBLAS is held at one thread while the calls run, so that
-the workers, not BLAS, use the cores. ``evaluate`` maps its passes with it.
+worker per core: a thread pool this module owns takes the items from the last,
+and the calling thread from the first, until they meet. Each call runs in a
+copy of the caller's context (so ``no_grad`` holds in it), and numpy's bundled
+OpenBLAS is held at one thread while the calls run, so that the workers, not
+BLAS, use the cores. ``evaluate`` maps its passes with it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -770,58 +771,44 @@ def global_avg_pool(x: Tensor) -> Tensor:
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 _IN_MAP: contextvars.ContextVar[bool] = contextvars.ContextVar("guidedepth_in_parallel_map", default=False)
-
-
-class _OpenBlas:
-    """The thread count of numpy's bundled OpenBLAS, held at 1 while any map runs.
-
-    The count is process-wide, so overlapping maps share one pin: the first
-    saves the count and sets 1, the last restores it.
-    """
-
-    def __init__(self, lib: ctypes.CDLL):
-        self._get = lib.scipy_openblas_get_num_threads64_
-        self._get.argtypes, self._get.restype = [], ctypes.c_int
-        self._set = lib.scipy_openblas_set_num_threads64_
-        self._set.argtypes, self._set.restype = [ctypes.c_int], None
-        self._lock = threading.Lock()
-        self._pins = 0
-        self._saved = 1
-
-    @contextlib.contextmanager
-    def one_thread(self):
-        with self._lock:
-            if not self._pins:
-                self._saved = self._get()
-                self._set(1)
-            self._pins += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._pins -= 1
-                if not self._pins:
-                    self._set(self._saved)
-
-
-_OPENBLAS_LOCK = threading.Lock()
-
-
-def _openblas() -> _OpenBlas | None:
-    """numpy's bundled OpenBLAS, or ``None`` when this numpy build has none; one
-    object for all threads, so that they share its pin."""
-    with _OPENBLAS_LOCK:
-        return _find_openblas()
+# OpenBLAS's thread count is process-wide, so overlapping maps share one pin:
+# the first map saves the count and sets 1, the last one restores it.
+_PIN_LOCK = threading.Lock()
+_pins = 0
+_saved_threads = 1
 
 
 @lru_cache(maxsize=1)
-def _find_openblas() -> _OpenBlas | None:
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or ``None``
+    when this numpy build has none."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
         try:
-            return _OpenBlas(ctypes.CDLL(str(path)))  # the loaded library: dlopen returns its handle
+            lib = ctypes.CDLL(str(path))  # the loaded library: dlopen returns its handle
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
-            pass
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(get: Callable[[], int], set_: Callable[[int], None]):
+    global _pins, _saved_threads
+    with _PIN_LOCK:
+        if not _pins:
+            _saved_threads = get()
+            set_(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pins -= 1
+            if not _pins:
+                set_(_saved_threads)
 
 
 @lru_cache(maxsize=None)
@@ -838,8 +825,10 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     """``[fn(item) for item in items]``, in item order, with the calls spread over
     ``min(len(items), cores)`` workers, cores being ``os.sched_getaffinity(0)``.
 
-    The calling thread is one worker and a pool owned by this module supplies
-    the rest; each worker takes the next item not yet started. Independent
+    The items are queued, last first, on a pool owned by this module, and the
+    calling thread walks them from the first: it runs each item no pool thread
+    has taken and waits for the others. When it meets a taken item, every later
+    item is taken too, so no worker idles while an item waits. Independent
     calls that release the interpreter lock, as numpy does, then run at once.
     While they run, numpy's bundled OpenBLAS is held at one thread (and set
     back after, also on error), since a second BLAS thread per call would
@@ -849,49 +838,23 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     - Each call runs in its own ``contextvars.copy_context()`` of the caller,
       so ``no_grad`` and other context variables of the caller hold in it.
     - A call made from inside ``fn`` runs its items on its own thread.
-    - It returns or raises only after every call it started has finished.
-      Once a call fails, no further item starts, and the exception of the
-      first failed item, in item order, is raised: the one a plain loop would
-      raise.
+    - It returns or raises only after every call it started has finished, and
+      raises the exception of the first failed item in item order, as a plain
+      loop would. On the calling thread alone no item starts after a failure;
+      on the pool, none starts once the calling thread, walking the items in
+      order, has run the failed item or waited for it.
 
     ``fn`` must be safe to run on several threads at once.
     """
-    items = list(items)
-    workers = 1 if _IN_MAP.get() else min(len(items), len(os.sched_getaffinity(0)))
+    calls = [partial(contextvars.copy_context().run, _call, fn, item) for item in items]
+    workers = 1 if _IN_MAP.get() else min(len(calls), len(os.sched_getaffinity(0)))
     blas = _openblas() if workers > 1 else None
-    contexts = [contextvars.copy_context() for _ in items]
-    results: list = [None] * len(items)
-    errors: list[Exception | None] = [None] * len(items)
-    order = iter(range(len(items)))
-    lock = threading.Lock()
-    failed = False
-
-    def drain():
-        nonlocal failed
-        while True:
-            with lock:
-                i = None if failed else next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = contexts[i].run(_call, fn, items[i])
-            except Exception as e:
-                errors[i] = e
-                with lock:
-                    failed = True
-
     if blas is None:
-        drain()
-    else:
-        with blas.one_thread():
-            futures = [_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
-            try:
-                drain()
-            finally:
-                wait(futures)
-            for f in futures:
-                f.result()  # drain keeps fn's exceptions; this raises only what escaped it
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
+        return [call() for call in calls]
+    with _one_blas_thread(*blas):
+        futures = [_pool(workers - 1).submit(call) for call in reversed(calls)][::-1]
+        try:
+            return [call() if f.cancel() else f.result() for f, call in zip(futures, calls)]
+        finally:
+            # started calls only: a future cancelled while queued is done once a pool thread dequeues it
+            wait([f for f in futures if not f.cancel()])

@@ -135,6 +135,18 @@ class TestComputeMetrics:
         mask[299, 7] = False
         assert E.compute_metrics(y, p, mask).rmse == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["ground truth", "prediction"])
+    def test_non_finite_depth_under_mask_rejected_in_any_block(self, where, bad):
+        y = np.full((1, 1, 300, 250), 2.0)
+        p = y.copy()
+        (y if where == "ground truth" else p)[0, 0, 299, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            E.compute_metrics(y, p)
+        mask = np.ones((300, 250), dtype=bool)
+        mask[299, 7] = False
+        assert E.compute_metrics(y, p, mask).rmse == 0.0
+
     def test_inputs_left_untouched(self):
         rng = np.random.default_rng(6)
         y = rng.uniform(0.5, 10.0, (1, 1, 9, 11))

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -808,14 +809,15 @@ def two_cores(monkeypatch):
 
 @pytest.fixture
 def blas_at_two_threads():
-    """numpy's OpenBLAS at 2 threads, so that a pin to 1 and its undoing both show."""
-    blas = T._openblas()
-    before = blas._get()
-    blas._set(2)
+    """numpy's OpenBLAS at 2 threads, so that a pin to 1 and its undoing both show;
+    yields the function that reads the count."""
+    get, set_ = T._openblas()
+    before = get()
+    set_(2)
     try:
-        yield blas
+        yield get
     finally:
-        blas._set(before)
+        set_(before)
 
 
 class TestParallelMap:
@@ -829,7 +831,7 @@ class TestParallelMap:
     def test_bundled_openblas_found(self):
         """The numpy wheel CI installs bundles OpenBLAS with the symbols the pin uses."""
         blas = T._openblas()
-        assert blas is not None and blas._get() >= 1
+        assert blas is not None and blas[0]() >= 1
 
     def test_calls_run_on_two_threads_in_the_callers_context(self, two_cores):
         barrier = threading.Barrier(2, timeout=10)
@@ -896,23 +898,84 @@ class TestParallelMap:
             T.parallel_map(fn, range(3))
         assert started == [0]
 
+    def test_queued_items_never_start_once_the_caller_meets_a_failure(self, two_cores):
+        """Item 0 fails on the calling thread while the pool works from the back."""
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("item 0")
+            time.sleep(0.02)
+
+        with pytest.raises(ValueError, match="item 0"):
+            T.parallel_map(fn, range(6))
+        at_raise = list(started)
+        time.sleep(0.2)  # longer than the pool thread would take over the items left
+        assert started == at_raise
+
     def test_blas_pinned_to_one_thread_and_restored_on_error(self, two_cores, blas_at_two_threads):
         barrier = threading.Barrier(2, timeout=10)
         seen = []
 
         def fn(i):
             barrier.wait()
-            seen.append(blas_at_two_threads._get())
+            seen.append(blas_at_two_threads())
             raise RuntimeError(f"item {i}")
 
         with pytest.raises(RuntimeError, match="item 0"):
             T.parallel_map(fn, range(2))
         assert seen == [1, 1]
-        assert blas_at_two_threads._get() == 2
+        assert blas_at_two_threads() == 2
+
+    def test_overlapping_maps_share_one_pin(self, two_cores, blas_at_two_threads):
+        """Two unrelated threads map at once: map A pins first and ends first, and
+        BLAS stays at 1 thread until map B ends too."""
+        a_running, b_running, a_ended = threading.Event(), threading.Event(), threading.Event()
+
+        def fa(i):
+            a_running.set()
+            return b_running.wait(10), blas_at_two_threads()
+
+        def fb(i):
+            b_running.set()
+            return a_ended.wait(10), blas_at_two_threads()
+
+        def map_a():
+            try:
+                return T.parallel_map(fa, range(2)), blas_at_two_threads()
+            finally:
+                a_ended.set()
+
+        with ThreadPoolExecutor(2) as callers:
+            a = callers.submit(map_a)
+            assert a_running.wait(10)
+            b = callers.submit(T.parallel_map, fb, range(2))
+            a_seen, after_a = a.result(timeout=30)
+            b_seen = b.result(timeout=30)
+        assert a_seen == b_seen == [(True, 1), (True, 1)]
+        assert after_a == 1  # map B still runs
+        assert blas_at_two_threads() == 2
+
+    @pytest.mark.parametrize("slow", [0, 1, 3])
+    def test_slow_item_does_not_hold_back_the_rest(self, two_cores, slow):
+        """4 items on 2 workers, where item ``slow`` waits until every other item
+        has run: the other worker must take all of them, which no split of the
+        items into two fixed pairs allows."""
+        ran = [threading.Event() for _ in range(4)]
+
+        def fn(i):
+            if i == slow:
+                return all(ran[j].wait(10) for j in range(4) if j != slow)
+            time.sleep(0.02)  # work, during which the other worker takes the next item
+            ran[i].set()
+            return i
+
+        assert T.parallel_map(fn, range(4)) == [True if i == slow else i for i in range(4)]
 
     def test_without_blas_symbols_runs_on_the_calling_thread(self, two_cores, blas_at_two_threads, monkeypatch):
         monkeypatch.setattr(T, "_openblas", lambda: None)
-        got = T.parallel_map(lambda i: (threading.get_ident(), blas_at_two_threads._get()), range(4))
+        got = T.parallel_map(lambda i: (threading.get_ident(), blas_at_two_threads()), range(4))
         assert got == [(threading.get_ident(), 2)] * 4
 
     def test_each_item_runs_once_under_contention(self, monkeypatch):
