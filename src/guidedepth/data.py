@@ -77,10 +77,9 @@ def _window(rays: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[slice, sl
 
 
 def _plane_basis(normal_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors spanning the plane with this unit normal."""
+    """Two unit vectors spanning the plane with this unit normal. A plane faces the
+    camera (its normal's z is nonzero), so the normal is never parallel to y."""
     e1 = np.cross(normal_vec, [0.0, 1.0, 0.0])
-    if np.linalg.norm(e1) < 1e-6:
-        e1 = np.cross(normal_vec, [1.0, 0.0, 0.0])
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(normal_vec, e1)
 

@@ -15,11 +15,10 @@ from guidedepth.tensor import (
     Tensor,
     absolute,
     add,
-    add_scalar,
+    affine,
     div,
     mean_all,
     mul,
-    scale,
     spatial_map,
     sub,
 )
@@ -99,14 +98,14 @@ def ssim(a: Tensor, b: Tensor, cfg: LossConfig) -> Tensor:
     var_a = sub(_blur(mul(a, a), win, sig), mu_aa)
     var_b = sub(_blur(mul(b, b), win, sig), mu_bb)
     cov = sub(_blur(mul(a, b), win, sig), mu_ab)
-    num = mul(add_scalar(scale(mu_ab, 2.0), cfg.c1), add_scalar(scale(cov, 2.0), cfg.c2))
-    den = mul(add_scalar(add(mu_aa, mu_bb), cfg.c1), add_scalar(add(var_a, var_b), cfg.c2))
+    num = mul(affine(mu_ab, 2.0, cfg.c1), affine(cov, 2.0, cfg.c2))
+    den = mul(affine(add(mu_aa, mu_bb), 1.0, cfg.c1), affine(add(var_a, var_b), 1.0, cfg.c2))
     return mean_all(div(num, den))
 
 
 def dssim_loss(y: Tensor, yhat: Tensor, cfg: LossConfig) -> Tensor:
     """(1 - SSIM) / 2, in [0, 1]; zero iff the maps are structurally identical."""
-    return scale(add_scalar(scale(ssim(y, yhat, cfg), -1.0), 1.0), 0.5)
+    return affine(ssim(y, yhat, cfg), -0.5, 0.5)
 
 
 def grad_loss(y: Tensor, yhat: Tensor) -> Tensor:
@@ -137,5 +136,5 @@ def loss_terms(y: Tensor, yhat: Tensor, cfg: LossConfig) -> dict[str, Tensor]:
         "grad": grad_loss(y, yhat),
         "l1": l1_loss(y, yhat),
     }
-    terms["total"] = add(add(terms["dssim"], terms["grad"]), scale(terms["l1"], cfg.lambda_l1))
+    terms["total"] = add(add(terms["dssim"], terms["grad"]), affine(terms["l1"], cfg.lambda_l1, 0.0))
     return terms

@@ -16,8 +16,8 @@ only the arrays it reads.
 - ``batch_norm_relu``: the input, a 1-bit mask of its positive outputs and
   per-channel vectors;
 - ``spatial_map``: its two constant maps;
-- ``add``, ``sub``, ``scale``, ``add_scalar``, ``sum_all``, ``mean_all``,
-  ``concat_channels`` and ``global_avg_pool``: no array.
+- ``add``, ``sub``, ``affine``, ``sum_all``, ``mean_all``, ``concat_channels``
+  and ``global_avg_pool``: no array.
 
 A rule that reads an input's array captures ``_kept(input)``, a function that
 returns it. A rebuild is a zero-argument function that recomputes the op's
@@ -75,8 +75,7 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "scale",
-    "add_scalar",
+    "affine",
     "absolute",
     "relu",
     "sigmoid",
@@ -256,9 +255,9 @@ def backward(loss: Tensor) -> None:
     if loss.shape != (1, 1, 1, 1):
         raise ValueError(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
     if not loss.requires_grad:
-        raise RuntimeError("loss does not participate in gradient recording")
+        raise RuntimeError(f"backward: loss {loss!r} does not participate in gradient recording")
     if loss._rec.node is None:
-        raise RuntimeError("loss is a leaf: no operation was recorded")
+        raise RuntimeError(f"backward: loss {loss!r} is a leaf: no operation was recorded")
     nodes = _graph(loss._rec)
     loss.grad = np.ones_like(loss.data)
     while nodes:
@@ -347,24 +346,15 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _track(data, back, a, b)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = a.data.dtype.type(s)
+def affine(a: Tensor, s: float, c: float) -> Tensor:
+    """``a * s + c`` elementwise, with ``s`` and ``c`` cast to ``a``'s dtype."""
+    s, c = a.data.dtype.type(s), a.data.dtype.type(c)
     ra = a._rec
 
     def back(g):
         _accum(ra, g * s)
 
-    return _track(a.data * s, back, a)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = a.data.dtype.type(c)
-    ra = a._rec
-
-    def back(g):
-        _accum(ra, g)
-
-    return _track(a.data + c, back, a)
+    return _track(a.data * s + c, back, a)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -509,7 +499,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         dtypes = f"input {x.dtype}, weight {weight.dtype}, bias {bias.dtype}"
         raise ValueError(f"conv2d: dtype mismatch: {dtypes} ({shapes})")
     if stride < 1 or padding < 0:
-        raise ValueError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}")
+        raise ValueError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding} ({shapes})")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:

@@ -417,6 +417,19 @@ class TestDepthNet:
         with pytest.raises(ValueError, match="divisible by 8"):
             model.forward(T.Tensor(np.zeros((1, 3, 50, 64), np.float32)))
 
+    def test_four_channel_input_rejected(self):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=2)
+        with pytest.raises(ValueError, match="^expected a 3-channel image, got 4 channels$"):
+            model.forward(T.Tensor(np.zeros((1, 4, 48, 64), np.float32)))
+
+    def test_zero_grad_clears_every_parameter_gradient(self):
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=3)
+        T.backward(T.mean_all(model.forward(rand_image((1, 3, 16, 16), seed=30, dtype=np.float32), train=True)))
+        params = model.parameters()
+        assert all(p.grad is not None for p in params)
+        model.zero_grad()
+        assert [p.grad for p in params] == [None] * len(params)
+
     @pytest.mark.parametrize("gtype,resizes", [("laplacian", 6), ("image", 2), ("none", 0)])
     def test_guidance_pyramid_resizes_each_level_once(self, monkeypatch, gtype, resizes):
         """Laplacian guidance reuses the image levels: x at 1/2, 1/4 and 1/8, then
@@ -517,7 +530,7 @@ class TestDepthNet:
 
         def replaying_bn_relu(x, gamma, beta, stats):
             unused = T.RunningStats.for_channels(x.shape[1], x.dtype)
-            neg = T.batch_norm_relu(x, T.scale(gamma, -1.0), T.scale(beta, -1.0), unused)
+            neg = T.batch_norm_relu(x, T.affine(gamma, -1.0, 0.0), T.affine(beta, -1.0, 0.0), unused)
             return replaying_relu(T.sub(T.batch_norm_relu(x, gamma, beta, stats), neg))
 
         grads = []

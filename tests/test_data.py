@@ -74,6 +74,11 @@ def test_view_rays_are_shared_read_only_and_left_unchanged():
     assert np.array_equal(rays, before)
 
 
+def test_sample_with_a_four_channel_image_rejected():
+    with pytest.raises(ValueError, match=re.escape("image must be (1, 3, h, w), got (1, 4, 6, 8)")):
+        D.DepthSample(Tensor(np.zeros((1, 4, 6, 8))), Tensor(np.ones((1, 1, 6, 8))), D.D_MAX)
+
+
 def _dataset(directory, seeds=(3, 4)):
     samples = [D.generate_scene(s, height=16, width=24) for s in seeds]
     D.write_dataset(directory, samples)

@@ -60,6 +60,14 @@ class TestComputeMetrics:
         assert m.rmse == 0 and m.rel == 0 and m.log10 == 0
         assert m.d1 == m.d2 == m.d3 == 1.0
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("compute_metrics: shape mismatch (6, 7) vs (6, 8)")):
+            E.compute_metrics(np.ones((6, 7)), np.ones((6, 8)))
+
+    def test_average_of_no_records_rejected(self):
+        with pytest.raises(ValueError, match="^cannot average zero metric records$"):
+            E.MetricValues.average([])
+
     def test_hand_computed_doubling(self):
         """y=[1,2], yhat=[2,4]: rel 1.0 and every ratio is 2 > 1.25^3 = 1.953125."""
         m = E.compute_metrics(as_depth([[1.0, 2.0]]), as_depth([[2.0, 4.0]]))
@@ -238,6 +246,10 @@ class TestCrops:
         with pytest.raises(ValueError):
             E.crop_slices("nyu", 96, 128)
 
+    def test_unknown_crop_kind_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("unknown crop kind 'eigen', choose none/nyu/kitti")):
+            E.crop_slices("eigen", 480, 640)
+
     def test_degenerate_crop_rejected(self):
         with pytest.raises(ValueError):
             E.crop_slices("kitti", 1, 5)
@@ -265,6 +277,12 @@ class TestEvaluatePipeline:
             for m in (raw, clipped)
         ]
         assert reports[0] == reports[1]
+
+    def test_prediction_of_the_wrong_shape_rejected(self):
+        sample = D.generate_scene(5, height=24, width=32)
+        want = "predictor returned (1, 1, 6, 8), expected (1, 1, 12, 16)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            E.evaluate(lambda image, s: Tensor(np.ones((1, 1, 6, 8))), [sample], (12, 16))
 
     def test_flip_average_with_equivariant_predictor(self):
         """The oracle predictor is mirror-equivariant, so averaging over the

@@ -112,7 +112,7 @@ class TestGradLoss:
         rng = np.random.default_rng(9)
         y = T.Tensor(rng.uniform(0, 5, (1, 1, 6, 7)), dtype=np.float64)
         p = T.Tensor(rng.uniform(0, 5, (1, 1, 6, 7)), dtype=np.float64)
-        shifted = T.add_scalar(p, 11.5)
+        shifted = T.affine(p, 1.0, 11.5)
         assert L.grad_loss(y, p).item() == L.grad_loss(y, shifted).item()
 
     def test_gradient(self):
@@ -157,6 +157,12 @@ class TestL1Loss:
         want = np.sign(p.data - y.data) / p.data.size
         np.testing.assert_allclose(p.grad, want)
         check_grads(lambda: L.l1_loss(y, p), {"p": p}, tol=1e-3, step=1e-5)
+
+    @pytest.mark.parametrize("term", ["grad_loss", "l1_loss"])
+    def test_shape_mismatch_rejected_naming_the_term(self, term):
+        y, p = tmap(np.zeros((4, 5))), tmap(np.zeros((4, 6)))
+        with pytest.raises(ValueError, match=rf"^{term}: shape mismatch \(1, 1, 4, 5\) vs \(1, 1, 4, 6\)$"):
+            getattr(L, term)(y, p)
 
 
 class TestCombinedLoss:
@@ -211,5 +217,7 @@ class TestLossConfig:
             L.LossConfig(lambda_l1=0.0)
         with pytest.raises(ValueError):
             L.LossConfig(ssim_window=10)
+        with pytest.raises(ValueError, match="^ssim_sigma must be positive$"):
+            L.LossConfig(ssim_sigma=0.0)
         with pytest.raises(ValueError):
             L.LossConfig(dynamic_range=0.0)

@@ -571,7 +571,7 @@ class TestConcatAndArithmetic:
     def test_add_zero_and_scale_zero(self):
         x = randn((1, 2, 3, 3), seed=27, requires_grad=False)
         np.testing.assert_array_equal(T.add(x, T.Tensor(np.zeros(x.shape))).data, x.data)
-        np.testing.assert_array_equal(T.scale(x, 0.0).data, np.zeros_like(x.data))
+        np.testing.assert_array_equal(T.affine(x, 0.0, 0.0).data, np.zeros_like(x.data))
 
     def test_add_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -594,7 +594,7 @@ class TestConcatAndArithmetic:
 
     def test_scale_gradient(self):
         x = randn((1, 2, 3, 3), seed=35)
-        check_grads(lambda: T.sum_all(T.mul(T.scale(x, 2.5), x)), {"x": x}, tol=1e-3)
+        check_grads(lambda: T.sum_all(T.mul(T.affine(x, 2.5, -0.75), x)), {"x": x}, tol=1e-3)
 
 
 class TestPoolAndDense:
@@ -642,7 +642,7 @@ class TestBackwardSemantics:
 
     def test_half_square_grad_is_x(self):
         x = randn((1, 2, 3, 3), seed=42)
-        T.backward(T.scale(T.sum_all(T.mul(x, x)), 0.5))
+        T.backward(T.affine(T.sum_all(T.mul(x, x)), 0.5, 0.0))
         np.testing.assert_allclose(x.grad, x.data, rtol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -682,7 +682,7 @@ class TestBackwardSemantics:
     def test_independent_graphs_backward_in_either_order(self, a_first):
         xa, xb = randn((1, 2, 3, 3), seed=50), randn((1, 2, 3, 3), seed=51)
         la = T.sum_all(T.mul(xa, xa))
-        lb = T.sum_all(T.scale(xb, 3.0))
+        lb = T.sum_all(T.affine(xb, 3.0, 0.0))
         for loss in (la, lb) if a_first else (lb, la):
             T.backward(loss)
         np.testing.assert_allclose(xa.grad, 2 * xa.data, rtol=1e-12)
@@ -712,9 +712,60 @@ class TestBackwardSemantics:
 
     def test_shared_subexpression_accumulates(self):
         x = randn((1, 1, 2, 2), seed=47)
-        y = T.scale(x, 3.0)
+        y = T.affine(x, 3.0, 0.0)
         T.backward(T.sum_all(T.add(y, y)))
         np.testing.assert_allclose(x.grad, 6 * np.ones_like(x.data))
+
+
+class TestErrorsNameTheOp:
+    """Each rejected call raises an error that names the op and the shapes or
+    dtypes that caused it."""
+
+    def test_backward_on_a_loss_that_takes_no_gradient(self):
+        loss = T.sum_all(randn((1, 2, 3, 3), seed=53, requires_grad=False))
+        want = "backward: loss Tensor(shape=(1, 1, 1, 1), dtype=float64) does not participate"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}"):
+            T.backward(loss)
+
+    def test_backward_on_a_leaf(self):
+        want = "backward: loss Tensor(shape=(1, 1, 1, 1), dtype=float64, requires_grad=True) is a leaf"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}"):
+            T.backward(randn((1, 1, 1, 1), seed=54))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "div"])
+    def test_same_shape_op_dtype_mismatch(self, op):
+        a, b = T.Tensor(np.ones((1, 2, 3, 3), np.float32)), T.Tensor(np.ones((1, 2, 3, 3)))
+        with pytest.raises(ValueError, match=rf"^{op}: dtype mismatch float32 vs float64$"):
+            getattr(T, op)(a, b)
+
+    def test_mul_dtype_mismatch(self):
+        a, b = T.Tensor(np.ones((1, 2, 3, 3))), T.Tensor(np.ones((1, 2, 1, 1), np.float32))
+        with pytest.raises(ValueError, match=r"^mul: dtype mismatch float64 vs float32$"):
+            T.mul(a, b)
+
+    def test_mul_shapes_that_do_not_broadcast(self):
+        a, b = T.Tensor(np.ones((1, 2, 3, 3))), T.Tensor(np.ones((1, 3, 3, 3)))
+        with pytest.raises(ValueError, match=re.escape("mul: shapes (1, 2, 3, 3) and (1, 3, 3, 3) do not broadcast")):
+            T.mul(a, b)
+
+    @pytest.mark.parametrize("stride, padding", [(0, 1), (1, -1)])
+    def test_conv2d_stride_and_padding(self, stride, padding):
+        x, w, b = randn((1, 2, 5, 5)), randn((3, 2, 3, 3)), randn((1, 3, 1, 1))
+        want = f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding}"
+        want += " (input (1, 2, 5, 5), weight (3, 2, 3, 3))"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.conv2d(x, w, b, stride, padding)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 4), (4, 6)])
+    def test_spatial_map_with_maps_that_do_not_fit(self, rows, cols):
+        x = randn((1, 1, 4, 5))
+        want = f"spatial_map: maps (2, {rows})/(3, {cols}) do not fit input (1, 1, 4, 5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.spatial_map(x, np.ones((2, rows)), np.ones((3, cols)))
+
+    def test_repr_names_shape_dtype_and_grad_flag(self):
+        assert repr(T.Tensor(np.zeros((1, 2, 3, 4), np.float32))) == "Tensor(shape=(1, 2, 3, 4), dtype=float32)"
+        assert repr(randn((2, 1, 1, 1))) == "Tensor(shape=(2, 1, 1, 1), dtype=float64, requires_grad=True)"
 
 
 def _signed(rng, shape=(2, 3, 4, 5)):
@@ -738,8 +789,8 @@ _RULE_CASES = {
     "mul": lambda r: T.mul(_signed(r), _signed(r)),
     "mul-broadcast": lambda r: T.mul(_signed(r), _signed(r, (1, 3, 1, 1))),
     "div": lambda r: T.div(_signed(r), _positive(r)),
-    "scale": lambda r: T.scale(_signed(r), -1.5),
-    "add_scalar": lambda r: T.add_scalar(_signed(r), 2.0),
+    "affine": lambda r: T.affine(_signed(r), -1.5, 0.0),
+    "affine-shift": lambda r: T.affine(_signed(r), 1.0, 2.0),
     "absolute": lambda r: T.absolute(_signed(r)),
     "relu": lambda r: T.relu(_signed(r)),
     "sigmoid": lambda r: T.sigmoid(_signed(r)),
@@ -1069,6 +1120,23 @@ class TestGdtFormat:
             gdt.write_array(path, np.zeros((2, 3)))
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: unsupported dtype int64"):
             gdt.write_array(path, np.zeros((1, 1, 1, 1), np.int64))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw: raw[:3], "file shorter than the magic"),
+            (lambda raw: raw[:21], "incomplete header"),
+            (lambda raw: raw[:4] + bytes([7]) + raw[5:], "unknown dtype code 7"),
+            (lambda raw: raw + bytes(1), "1 trailing bytes"),
+        ],
+        ids=["shorter-than-magic", "cut-header", "dtype-code-7", "trailing-byte"],
+    )
+    def test_corrupt_file_rejected_naming_the_path(self, tmp_path, corrupt, message):
+        path = tmp_path / "t.gdt"
+        gdt.write_array(path, np.zeros((1, 1, 2, 2), np.float32))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(gdt.GdtError, match=rf"^{re.escape(str(path))}: {message}$"):
+            gdt.read_array(path)
 
 
 class TestGdtRecord:
