@@ -257,9 +257,9 @@ class DepthNet(Module):
         records no graph, since its folded convs pass no gradient on."""
         n, c, h, w = x.shape
         if c != 3:
-            raise ValueError(f"expected a 3-channel image, got {c} channels")
+            raise ValueError(f"DepthNet: expected a 3-channel image, got {c} channels in input {x.shape}")
         if h % 8 or w % 8:
-            raise ValueError(f"input dims ({h}, {w}) must be divisible by 8")
+            raise ValueError(f"DepthNet: input dims ({h}, {w}) must be divisible by 8, input {x.shape}")
         with contextlib.nullcontext() if train else no_grad():
             guides = self.guidance_pyramid(x)
             z = self.encoder.forward(x, train)

@@ -264,7 +264,7 @@ def evaluate(
         image = Tensor(_resize(sample.image.data, mh, mw))
         pred_norm = predict(image, sample)
         if pred_norm.shape != (1, 1, mh, mw):
-            raise ValueError(f"predictor returned {pred_norm.shape}, expected (1, 1, {mh}, {mw})")
+            raise ValueError(f"predictor returned {pred_norm.shape} for {where}, expected (1, 1, {mh}, {mw})")
         if not np.isfinite(pred_norm.data).all():
             raise ValueError(f"predictor returned non-finite values for {where}")
         pred_metric = normalized_to_depth(pred_norm.data, sample.d_max)

@@ -33,13 +33,13 @@ class LossConfig:
 
     def __post_init__(self):
         if self.lambda_l1 <= 0:
-            raise ValueError("lambda_l1 must be positive")
+            raise ValueError(f"LossConfig: lambda_l1 must be positive, got {self.lambda_l1!r}")
         if self.ssim_window < 1 or self.ssim_window % 2 == 0:
-            raise ValueError("ssim_window must be odd and >= 1")
+            raise ValueError(f"LossConfig: ssim_window must be odd and >= 1, got {self.ssim_window!r}")
         if self.ssim_sigma <= 0:
-            raise ValueError("ssim_sigma must be positive")
+            raise ValueError(f"LossConfig: ssim_sigma must be positive, got {self.ssim_sigma!r}")
         if not self.dynamic_range > 0:
-            raise ValueError("dynamic_range must be positive")
+            raise ValueError(f"LossConfig: dynamic_range must be positive, got {self.dynamic_range!r}")
 
     @property
     def c1(self) -> float:

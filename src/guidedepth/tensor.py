@@ -46,6 +46,18 @@ and the calling thread from the first, until they meet. Each call runs in a
 copy of the caller's context (so ``no_grad`` holds in it), and numpy's bundled
 OpenBLAS is held at one thread while the calls run, so that the workers, not
 BLAS, use the cores. ``evaluate`` maps its passes with it.
+
+The heavy ops of a training step split their batch over it too. While
+gradients record and the batch has more than one sample, ``conv2d`` and
+``spatial_map`` cut the samples, and ``batch_norm_relu`` its channels, into one
+contiguous block per core, and run their forward, their backward rule and (for
+batch norm) their rebuild one block per worker; a GEMM an op runs over the
+whole batch runs with BLAS held at one thread too, so no GEMM of the step wakes
+a second BLAS thread to compete with the workers. Every block runs the code a
+serial run does on its samples or channels, so a split gives bitwise the
+numbers of the serial run with BLAS at one thread. A batch of one, a ``no_grad``
+forward and an op inside a ``parallel_map`` call (``evaluate``'s passes) run
+serially and do not touch the pool.
 """
 
 from __future__ import annotations
@@ -487,6 +499,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     padded sample and matmul buffer before the crop copy. A grid with no junk
     columns (``wp == ow``, as in a 1x1 unpadded conv) takes the bias in place
     and is itself the output, so it is not copied.
+
+    While gradients record and ``n > 1``, the samples are cut into one block per
+    core on ``parallel_map`` (see the module docstring): each block has its own
+    padded sample, matmul buffer and gradient stack, and writes its own rows of
+    ``grid`` and of ``dx``. The per-sample weight gradient products are summed
+    in sample order, as the serial loop adds them. A split backward runs two
+    passes: the weight gradients first, after which the input is dropped, and
+    only then is ``dx`` allocated for the input gradient pass.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -515,7 +535,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     wt = weight.data.transpose(0, 2, 3, 1).reshape(co, -1)  # (co, kh * kw * ci), tap-major columns
     stacked = kh * kw > 1 and ci * kh * kw <= STACK_MAX_K
     k = wt.shape[1] if stacked else ci  # weight columns per operand
-    wd, rx, rw, rb, dt = weight.data, x._rec, weight._rec, bias._rec, x.data.dtype
+    xd, wd, rx, rw, rb, dt = x.data, weight.data, x._rec, weight._rec, bias._rec, x.data.dtype
 
     def padded(xd):  # each sample flat, (ci, rows * wp), through one reused zero-padded buffer
         xp = np.zeros((ci, rows, wp), dtype=dt) if rows > h or p else None
@@ -529,14 +549,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         views = _taps(xf, kh, kw, wp, stride, m)
         return [np.concatenate(views)] if stacked else views
 
+    blocks = _blocks(n, n)
     grid = np.empty((n, co, m), dtype=dt)  # output rows, junk columns included
-    tmp = np.empty((co, m), dtype=dt) if not stacked and kh * kw > 1 else None  # one sample's
-    for s, xf in enumerate(padded(x.data)):
-        ops = operands(xf)
-        np.matmul(wt[:, :k], ops[0], out=grid[s])
-        for t in range(1, len(ops)):
-            grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
-    del xf, ops, tmp  # frees the padded sample and the matmul buffer before the crop copies the output
+
+    def fill(blk):  # the grid rows of the samples in ``blk``, through one padded sample and one matmul buffer
+        tmp = np.empty((co, m), dtype=dt) if not stacked and kh * kw > 1 else None
+        for s, xf in enumerate(padded(xd[blk]), blk.start):
+            ops = operands(xf)
+            np.matmul(wt[:, :k], ops[0], out=grid[s])
+            for t in range(1, len(ops)):
+                grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
+
+    _each(fill, blocks)  # its padded samples and matmul buffers are freed before the crop copies the output
     if wp == ow:  # no junk columns: the grid is the output
         out_data = grid.reshape(n, co, oh, ow)
         out_data += bias.data
@@ -545,38 +569,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
     def back(g):
-        xd = None if keep_x is None else keep_x()
+        direct = kh * kw == stride == 1 and not p  # a gradient stack's one plane is the whole of g[s]
+        wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in a gradient stack
+
+        def grads(blk, xd, dxf):
+            """Each sample's weight gradient product when ``xd`` is given, in sample
+            order, and its input gradient into ``dxf`` when that is given."""
+            dws = []
+            if stacked and xd is not None:
+                for s, xf in enumerate(padded(xd[blk]), blk.start):
+                    dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
+            xfs = None if stacked or xd is None else padded(xd[blk])
+            if xfs is None and dxf is None:
+                return dws
+            if not direct:
+                gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
+                slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
+                gs = gs.reshape(-1, rows * wp)
+            for s in range(blk.start, blk.stop):
+                if direct:
+                    gs = np.ascontiguousarray(g[s]).reshape(co, -1)
+                else:
+                    for slot in slots:
+                        slot[...] = g[s]
+                if xfs is not None:
+                    dws.append(gs @ next(xfs).T)
+                if dxf is not None:
+                    np.matmul(wg.T, gs, out=dxf[s])
+            return dws
+
         if rb.requires_grad:
             _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
-        if stacked and rw.requires_grad:
-            dw = np.zeros((co, kh * kw * ci), dtype=dt)
-            for gs, xf in zip(g, padded(xd)):  # in the order a sum over the batch axis adds them
-                dw += np.pad(gs, ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T
-            _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        tap_dw = rw.requires_grad and not stacked
-        if not (tap_dw or rx.requires_grad):
-            return
-        direct = kh * kw == stride == 1 and not p  # the one plane is the whole of g[s]
-        if not direct:
-            gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
-            slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
-            gs = gs.reshape(-1, rows * wp)
-        wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in gs
-        dw, dxf = np.zeros_like(wg), np.empty((n, ci, rows * wp), dtype=dt)
-        xfs = padded(xd) if tap_dw else None
-        for s in range(n):
-            if direct:
-                gs = np.ascontiguousarray(g[s]).reshape(co, -1)
+        xd, dws = (None if keep_x is None else keep_x()), []
+        if len(blocks) > 1 and xd is not None:  # the weight gradients first, so the input is freed before dx exists
+            dws, xd = sum(_each(partial(grads, xd=xd, dxf=None), blocks), []), None
+        dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
+        if xd is not None or dxf is not None:
+            dws += sum(_each(partial(grads, xd=xd, dxf=dxf), blocks), [])
+        if dws:
+            dw = np.zeros_like(dws[0])
+            for d in dws:  # in sample order, as a sum over the batch axis adds them
+                dw += d
+            if stacked:
+                _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             else:
-                for slot in slots:
-                    slot[...] = g[s]
-            if tap_dw:
-                dw += gs @ next(xfs).T
-            if rx.requires_grad:
-                np.matmul(wg.T, gs, out=dxf[s])
-        if tap_dw:
-            _accum(rw, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
-        _accum(rx, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
+                _accum(rw, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
+        if dxf is not None:
+            _accum(rx, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
 
     return _track(out_data, back, x, weight, bias)
 
@@ -621,6 +660,13 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     ``s1 = sum(gm)`` and ``s2 = sum(gm * x) - m * s1`` (no full-size temporary) over the N = n * h * w
     positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
     ``dgamma = inv * s2`` and ``dbeta = s1``.
+
+    Every step is per channel. While gradients record and ``n > 1``, the channels
+    are cut into one block per core, of at least two channels, on
+    ``parallel_map`` (see the module docstring): each block takes its
+    statistics, builds its output, and in the backward its sums and input
+    gradient, on its own slice; a rebuild splits the same way. The mask is
+    packed once over the whole output.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
@@ -628,40 +674,60 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
             f"batch_norm_relu: gamma {gamma.shape} and beta {beta.shape} must be (1, {c}, 1, 1), input {x.shape}"
         )
     axes = (0, 2, 3)
-    xd, dt = x.data, x.data.dtype
+    xd, gd, bd, dt = x.data, gamma.data, beta.data, x.data.dtype
+    # blocks of at least 2 channels: numpy sums a one-channel slice over (n, h, w) in another order
+    blocks = _blocks(n, c, 2)
+    m, v, inv, a = (np.empty((1, c, 1, 1), dtype=dt) for _ in range(4))
+    out = np.empty_like(xd)
 
-    m = xd.mean(axis=axes, keepdims=True)
-    out = np.subtract(xd, m)
-    v = np.square(out, out=out).mean(axis=axes, keepdims=True)
+    def output(r, blk):  # the output of the channels in ``blk``, written into ``r``
+        ob = np.subtract(xd[:, blk], m[:, blk], out=r[:, blk])
+        ob *= a[:, blk]
+        ob += bd[:, blk]
+        np.maximum(ob, 0, out=ob)
+
+    def forward(blk):  # statistics of the channels in ``blk``, and their output over their squared deviations
+        xb, ob = xd[:, blk], out[:, blk]
+        m[:, blk] = mb = xb.mean(axis=axes, keepdims=True)
+        np.subtract(xb, mb, out=ob)
+        v[:, blk] = vb = np.square(ob, out=ob).mean(axis=axes, keepdims=True)
+        inv[:, blk] = ib = 1.0 / np.sqrt(vb + dt.type(BN_EPS))
+        a[:, blk] = gd[:, blk] * ib
+        output(out, blk)
+
+    def rebuild():
+        r = np.empty_like(xd)
+        _each(partial(output, r), blocks)
+        return r
+
+    _each(forward, blocks)
     stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
     stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
     stats.initialized = True
-
-    inv = 1.0 / np.sqrt(v + dt.type(BN_EPS))
-    a, bd = (gamma.data * inv).astype(dt, copy=False), beta.data
-
-    def rebuild(r=None):  # the output, written into ``r`` when given
-        r = np.subtract(xd, m, out=r)
-        r *= a
-        r += bd
-        return np.maximum(r, 0, out=r)
-
-    rebuild(out)  # over the squared deviations, so that no second full-size array exists
     count = n * h * w
     rx, rg, rb = x._rec, gamma._rec, beta._rec
     mask = np.packbits(out > 0) if _parents(x, gamma, beta) else None  # read only by a recorded node
 
     def back(g):
-        gm = np.multiply(g, np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape), dtype=dt)
-        s1 = gm.sum(axis=axes, keepdims=True)
-        s2 = np.einsum("ncp,ncp->c", gm.reshape(n, c, -1), xd.reshape(n, c, -1)).reshape(m.shape) - m * s1
+        pos = np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
+        gm, s1, s2 = np.empty(g.shape, dtype=dt), np.empty_like(m), np.empty_like(m)
+
+        def sums(blk):  # s1 and s2 of the channels in ``blk``, and their input gradient into ``gm``
+            xb, mb, ab, ib = xd[:, blk], m[:, blk], a[:, blk], inv[:, blk]
+            gb = np.multiply(g[:, blk], pos[:, blk], out=gm[:, blk], dtype=dt)
+            s1[:, blk] = s1b = gb.sum(axis=axes, keepdims=True)
+            s2b = np.einsum("ncp,ncp->c", gb.reshape(n, -1, h * w), xb.reshape(n, -1, h * w)).reshape(mb.shape)
+            s2[:, blk] = s2b = s2b - mb * s1b
+            if rx.requires_grad:
+                k = ab * ib * ib * s2b / count
+                gb *= ab
+                gb -= xb * k
+                gb += k * mb - ab * s1b / count
+
+        _each(sums, blocks)
         _accum(rb, s1)
         _accum(rg, inv * s2)
         if rx.requires_grad:
-            k = a * inv * inv * s2 / count
-            gm *= a
-            gm -= xd * k
-            gm += k * m - a * s1 / count
             _accum(rx, gm)
 
     return _track(out, back, x, gamma, beta, rebuild=rebuild)
@@ -706,6 +772,12 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
 
     The maps are constants; gradients flow to ``x`` only. Backward applies the
     transposed maps, which is exact for any linear resampling or blurring.
+
+    The width map is one GEMM over the whole batch, and the height map one GEMM
+    per (sample, channel). While gradients record and ``n > 1``, the height map's
+    GEMMs run in one block of samples per core on ``parallel_map``, and the width
+    map's GEMM, kept whole since BLAS may pick another kernel for a smaller one
+    and round differently, runs with BLAS held at one thread.
     """
     if row_map.shape[1] != x.shape[2] or col_map.shape[1] != x.shape[3]:
         raise ValueError(
@@ -713,15 +785,22 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
         )
     n, c, h, w = x.shape
     a, b = row_map.shape[0], col_map.shape[0]
-    y = row_map @ (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
     rx, dt = x._rec, x.data.dtype
+    blocks = _blocks(n, n)
+    y = np.empty((n, c, a, b), dtype=dt)
+    with _pinned(blocks):
+        t = (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
+        _each(lambda blk: np.matmul(row_map, t[blk], out=y[blk]), blocks)
 
     def back(g):
         if rx.requires_grad:
-            dx = row_map.T @ (g.reshape(-1, b) @ col_map).reshape(n, c, a, w)
-            _accum(rx, dx.astype(dt, copy=False))
+            dx = np.empty((n, c, h, w), dtype=dt)
+            with _pinned(blocks):
+                t = (g.reshape(-1, b) @ col_map).reshape(n, c, a, w)
+                _each(lambda blk: np.matmul(row_map.T, t[blk], out=dx[blk]), blocks)
+            _accum(rx, dx)
 
-    return _track(y.astype(x.data.dtype, copy=False), back, x)
+    return _track(y, back, x)
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -764,8 +843,7 @@ _IN_MAP: contextvars.ContextVar[bool] = contextvars.ContextVar("guidedepth_in_pa
 # OpenBLAS's thread count is process-wide, so overlapping maps share one pin:
 # the first map saves the count and sets 1, the last one restores it.
 _PIN_LOCK = threading.Lock()
-_pins = 0
-_saved_threads = 1
+_PIN = [0, 1]  # maps running, and the thread count the last of them restores; changed under _PIN_LOCK
 
 
 @lru_cache(maxsize=1)
@@ -786,19 +864,18 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 @contextlib.contextmanager
 def _one_blas_thread(get: Callable[[], int], set_: Callable[[int], None]):
-    global _pins, _saved_threads
     with _PIN_LOCK:
-        if not _pins:
-            _saved_threads = get()
+        if not _PIN[0]:
+            _PIN[1] = get()
             set_(1)
-        _pins += 1
+        _PIN[0] += 1
     try:
         yield
     finally:
         with _PIN_LOCK:
-            _pins -= 1
-            if not _pins:
-                set_(_saved_threads)
+            _PIN[0] -= 1
+            if not _PIN[0]:
+                set_(_PIN[1])
 
 
 @lru_cache(maxsize=None)
@@ -809,6 +886,10 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 def _call(fn: Callable[[_T], _R], item: _T) -> _R:
     _IN_MAP.set(True)  # in the call's own context copy
     return fn(item)
+
+
+def _nth(calls: list[Callable[[], _R]], i: int) -> _R:
+    return calls[i]()
 
 
 def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
@@ -833,6 +914,7 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
       loop would. On the calling thread alone no item starts after a failure;
       on the pool, none starts once the calling thread, walking the items in
       order, has run the failed item or waited for it.
+    - Once it has returned or raised, nothing it queued holds ``fn`` or an item.
 
     ``fn`` must be safe to run on several threads at once.
     """
@@ -842,9 +924,37 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     if blas is None:
         return [call() for call in calls]
     with _one_blas_thread(*blas):
-        futures = [_pool(workers - 1).submit(call) for call in reversed(calls)][::-1]
+        futures = [_pool(workers - 1).submit(_nth, calls, i) for i in reversed(range(len(calls)))][::-1]
         try:
-            return [call() if f.cancel() else f.result() for f, call in zip(futures, calls)]
+            return [calls[i]() if f.cancel() else f.result() for i, f in enumerate(futures)]
         finally:
-            # started calls only: a future cancelled while queued is done once a pool thread dequeues it
+            # started calls only: a future cancelled while queued is done once a pool thread dequeues it,
+            # and until then its work item holds the list, which is emptied so it holds no fn or item
             wait([f for f in futures if not f.cancel()])
+            calls.clear()
+
+
+def _blocks(n: int, size: int, least: int = 1) -> list[slice]:
+    """``slice(0, size)`` cut into one contiguous block per core, each at least
+    ``least`` long, when an op splits its batch of ``n`` samples: ``n > 1`` and
+    gradients record, outside any ``parallel_map`` call. Otherwise the one
+    block ``slice(0, size)``."""
+    if n < 2 or not _GRAD_ENABLED.get() or _IN_MAP.get():
+        return [slice(0, size)]
+    k = max(1, min(size // least, len(os.sched_getaffinity(0))))
+    return [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
+
+
+def _pinned(blocks: list[slice]):
+    """Holds numpy's bundled OpenBLAS at one thread while an op that splits into
+    ``blocks`` runs a GEMM outside them; does nothing for one block."""
+    blas = _openblas() if len(blocks) > 1 else None
+    return contextlib.nullcontext() if blas is None else _one_blas_thread(*blas)
+
+
+def _each(fn: Callable[[slice], _R], blocks: list[slice], map_=parallel_map) -> list[_R]:
+    """``[fn(blk) for blk in blocks]``: on ``parallel_map`` when there are several
+    blocks, else one call on this thread. ``map_`` is bound once, here, so a
+    tracer that rebinds this module's public functions times an op whole and
+    does not cut it at its blocks."""
+    return map_(fn, blocks) if len(blocks) > 1 else [fn(blocks[0])]

@@ -419,7 +419,7 @@ class TestDepthNet:
 
     def test_four_channel_input_rejected(self):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=2)
-        with pytest.raises(ValueError, match="^expected a 3-channel image, got 4 channels$"):
+        with pytest.raises(ValueError, match=r"^DepthNet: expected a 3-channel image, got 4 channels in input \(1, 4, 48, 64\)$"):
             model.forward(T.Tensor(np.zeros((1, 4, 48, 64), np.float32)))
 
     def test_zero_grad_clears_every_parameter_gradient(self):

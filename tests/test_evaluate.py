@@ -280,7 +280,7 @@ class TestEvaluatePipeline:
 
     def test_prediction_of_the_wrong_shape_rejected(self):
         sample = D.generate_scene(5, height=24, width=32)
-        want = "predictor returned (1, 1, 6, 8), expected (1, 1, 12, 16)"
+        want = "predictor returned (1, 1, 6, 8) for sample 0 (plain pass), expected (1, 1, 12, 16)"
         with pytest.raises(ValueError, match=re.escape(want)):
             E.evaluate(lambda image, s: Tensor(np.ones((1, 1, 6, 8))), [sample], (12, 16))
 

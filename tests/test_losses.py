@@ -217,7 +217,7 @@ class TestLossConfig:
             L.LossConfig(lambda_l1=0.0)
         with pytest.raises(ValueError):
             L.LossConfig(ssim_window=10)
-        with pytest.raises(ValueError, match="^ssim_sigma must be positive$"):
+        with pytest.raises(ValueError, match=r"^LossConfig: ssim_sigma must be positive, got 0\.0$"):
             L.LossConfig(ssim_sigma=0.0)
         with pytest.raises(ValueError):
             L.LossConfig(dynamic_range=0.0)

@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics, gradient oracles, graph behavior, GDT1 files."""
 
+import contextlib
 import os
 import re
 import sys
@@ -1041,6 +1042,137 @@ class TestParallelMap:
             sys.setswitchinterval(interval)
         assert got == [-i for i in range(2000)]
         assert sorted(calls) == list(range(2000))
+
+    def test_items_released_when_the_map_returns(self, two_cores):
+        """The pool thread is busy, so the calling thread cancels every queued item
+        and runs it itself; the cancelled work items stay on the pool's queue, and
+        must not keep the function or the items alive."""
+
+        class Item:
+            pass
+
+        busy, release = threading.Event(), threading.Event()
+        blocker = T._pool(1).submit(lambda: busy.set() or release.wait(10))
+        try:
+            assert busy.wait(10)
+            items = [Item() for _ in range(3)]
+            held = Item()  # reachable only through the function
+            refs = [weakref.ref(obj) for obj in (*items, held)]
+            assert T.parallel_map(lambda item, held=held: item is not held, items) == [True] * 3
+            del items, held
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            release.set()
+            blocker.result(timeout=10)
+
+
+def _conv_case(ci, kernel, stride):
+    def run(n, dtype, rng):
+        x = T.Tensor(rng.standard_normal((n, ci, 11, 9)), requires_grad=True, dtype=dtype)
+        w = T.Tensor(rng.standard_normal((6, ci, kernel, kernel)), requires_grad=True, dtype=dtype)
+        b = T.Tensor(rng.standard_normal((1, 6, 1, 1)), requires_grad=True, dtype=dtype)
+        return T.conv2d(x, w, b, stride, kernel // 2), [x, w, b]
+
+    return run
+
+
+def _bn_case(c):
+    def run(n, dtype, rng):
+        x = T.Tensor(rng.standard_normal((n, c, 7, 5)), requires_grad=True, dtype=dtype)
+        g = T.Tensor(rng.standard_normal((1, c, 1, 1)), requires_grad=True, dtype=dtype)
+        b = T.Tensor(rng.standard_normal((1, c, 1, 1)), requires_grad=True, dtype=dtype)
+        return T.batch_norm_relu(x, g, b, T.RunningStats.for_channels(c, dtype)), [x, g, b]
+
+    return run
+
+
+def _resize_case(c, h, w, out_h, out_w):
+    def run(n, dtype, rng):
+        x = T.Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=dtype)
+        return T.bilinear_resize(x, out_h, out_w), [x]
+
+    return run
+
+
+_SPLIT_CASES = {
+    "conv-3x3": _conv_case(16, 3, 1),
+    "conv-3x3-stride-2": _conv_case(16, 3, 2),
+    "conv-1x1-direct": _conv_case(16, 1, 1),
+    "conv-3x3-stacked": _conv_case(3, 3, 1),
+    "spatial_map-up": _resize_case(16, 16, 24, 32, 48),  # the batch's (n * 512, 48) GEMM crosses sizes where BLAS kernels change
+    "spatial_map-down": _resize_case(3, 20, 30, 9, 13),
+    "batch_norm_relu-c1": _bn_case(1),
+    "batch_norm_relu-c5": _bn_case(5),
+}
+
+
+class TestSplitOps:
+    """While gradients record, ``conv2d``, ``spatial_map`` and ``batch_norm_relu``
+    split a batch of more than one sample over ``parallel_map``. The split must
+    give bitwise the numbers of the serial run, which an op takes inside a
+    ``parallel_map`` call, with BLAS at one thread in both."""
+
+    @staticmethod
+    def _run(case, n, dtype):
+        out, leaves = case(n, dtype, np.random.default_rng(90))
+        g = np.random.default_rng(91).standard_normal(out.shape).astype(dtype)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        return [out.data] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("op", list(_SPLIT_CASES))
+    def test_split_is_bitwise_the_serial_run(self, two_cores, monkeypatch, op, n, dtype):
+        case, maps, pool = _SPLIT_CASES[op], [], T._pool
+        blas = T._openblas()
+        with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
+            serial = T.parallel_map(lambda _: self._run(case, n, dtype), [None])[0]
+            monkeypatch.setattr(T, "_pool", lambda threads: maps.append(threads) or pool(threads))
+            split = self._run(case, n, dtype)
+        # the forward and the backward split, or neither; one channel is one block of channels
+        assert bool(maps) == (n > 1 and op != "batch_norm_relu-c1" and blas is not None)
+        for k, (a, b) in enumerate(zip(split, serial)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} of {op}, n={n}"
+
+    def test_split_over_eight_workers_under_contention(self, monkeypatch):
+        """More blocks than cores, with the interpreter switching threads as often
+        as it can: a conv, a batch norm and a resize in a chain still give
+        bitwise the serial numbers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def chain(_=None):
+            rng = np.random.default_rng(93)
+            x, w, b, gamma, beta = (
+                T.Tensor(rng.standard_normal(shape), requires_grad=True)
+                for shape in ((9, 8, 12, 10), (8, 8, 3, 3), (1, 8, 1, 1), (1, 8, 1, 1), (1, 8, 1, 1))
+            )
+            z = T.batch_norm_relu(T.conv2d(x, w, b, 1, 1), gamma, beta, T.RunningStats.for_channels(8, np.float64))
+            y = T.bilinear_resize(z, 24, 20)
+            T.backward(T.sum_all(T.mul(y, y)))
+            return [y.data] + [t.grad for t in (x, w, b, gamma, beta)]
+
+        blas = T._openblas()
+        with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
+            serial = T.parallel_map(chain, [None])[0]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                split = chain()
+            finally:
+                sys.setswitchinterval(interval)
+        for k, (a, b) in enumerate(zip(split, serial)):
+            assert np.array_equal(a, b), f"array {k}"
+
+    @pytest.mark.parametrize("op", list(_SPLIT_CASES))
+    def test_batch_of_one_and_no_grad_never_reach_the_pool(self, two_cores, monkeypatch, op):
+        def refuse(*args):
+            raise AssertionError("submitted to the pool")
+
+        monkeypatch.setattr(T, "_pool", refuse)
+        self._run(_SPLIT_CASES[op], 1, np.float64)
+        with T.no_grad():
+            out, _ = _SPLIT_CASES[op](4, np.float32, np.random.default_rng(92))
+        assert not out.requires_grad
 
 
 class TestFiniteness:
