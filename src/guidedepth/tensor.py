@@ -20,14 +20,15 @@ only the arrays it reads.
   and ``global_avg_pool``: no array.
 
 A rule that reads an input's array captures ``_kept(input)``, a function that
-returns it. A rebuild is a zero-argument function that recomputes the op's
-output, bitwise, from arrays its node keeps anyway; while the producer's node
-is live, ``_kept`` hands out that rebuild instead of the output array
-(recomputation instead of storage, Chen et al., arXiv 1604.06174). Two ops
-offer one: ``batch_norm_relu``, from its input and per-channel vectors, and
-``mul`` when both operands require grad and so are both kept. So a batch norm
-output that a conv reads, or a gated product, is freed during the forward and
-built again when its reader's rule runs.
+returns it, or the samples of an optional slice of it. A rebuild recomputes the
+op's output, or just the samples of a given slice, bitwise, from arrays its node
+keeps anyway; while the producer's node is live, ``_kept`` hands out that rebuild
+instead of the output array (recomputation instead of storage, Chen et al.,
+arXiv 1604.06174). Two ops offer one: ``batch_norm_relu``, from its input and
+per-channel vectors, and ``mul`` when both operands require grad and so are both
+kept. So a batch norm output that a conv reads, or a gated product, is freed
+during the forward and built again, a block or a sample at a time, when its
+reader's rule runs.
 
 ``backward`` collects the nodes reachable from the loss, runs their rules
 newest first and releases each node once its rule has run, so each forward
@@ -47,17 +48,32 @@ copy of the caller's context (so ``no_grad`` holds in it), and numpy's bundled
 OpenBLAS is held at one thread while the calls run, so that the workers, not
 BLAS, use the cores. ``evaluate`` maps its passes with it.
 
-The heavy ops of a training step split their batch over it too. While
-gradients record and the batch has more than one sample, ``conv2d`` and
-``spatial_map`` cut the samples, and ``batch_norm_relu`` its channels, into one
-contiguous block per core, and run their forward, their backward rule and (for
-batch norm) their rebuild one block per worker; a GEMM an op runs over the
-whole batch runs with BLAS held at one thread too, so no GEMM of the step wakes
-a second BLAS thread to compete with the workers. Every block runs the code a
-serial run does on its samples or channels, so a split gives bitwise the
-numbers of the serial run with BLAS at one thread. A batch of one, a ``no_grad``
-forward and an op inside a ``parallel_map`` call (``evaluate``'s passes) run
-serially and do not touch the pool.
+The batch-wide ops of a training step split their batch over it too. An op
+splits while gradients record, outside any ``parallel_map`` call, when its batch
+has more than one sample and its largest array holds at least ``GRAIN``
+elements (32,768, the grain of PyTorch's intra-op ``parallel_for``, arXiv
+1912.01703): below that a pool round trip costs more than the second core saves.
+It then cuts its samples (its channels, for batch norm) into one contiguous
+block per core and runs one block per worker:
+
+- ``conv2d``: the forward, the crop-and-bias copy into the output, and the
+  backward's one pass of weight and input gradients;
+- ``batch_norm_relu`` (channels): the statistics, the output, the packing of
+  its 1-bit mask and the backward;
+- ``mul``, when both operands hold the whole batch: the forward, the rule and a
+  whole rebuild;
+- ``spatial_map``: the height map's GEMMs, forward and backward;
+- ``concat_channels`` and ``global_avg_pool``: the forward.
+
+A GEMM an op runs over the whole batch runs with BLAS held at one thread too,
+so no GEMM of the step wakes a second BLAS thread to compete with the workers.
+Every block runs the code a serial run does on its samples or channels, so a
+split gives bitwise the numbers of the serial run with BLAS at one thread. A
+batch of one, an op below the grain, a ``no_grad`` forward and an op inside a
+``parallel_map`` call (``evaluate``'s passes) run as one block on the calling
+thread and do not touch the pool; a one-block forward of ``mul``,
+``concat_channels``, ``global_avg_pool`` or ``conv2d``'s crop is the op's one
+whole-array expression.
 """
 
 from __future__ import annotations
@@ -66,6 +82,7 @@ import contextlib
 import contextvars
 import ctypes
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -208,12 +225,12 @@ def _track(
     data: np.ndarray,
     back: Callable[[np.ndarray], None],
     *inputs: Tensor,
-    rebuild: Callable[[], np.ndarray] | None = None,
+    rebuild: Callable[..., np.ndarray] | None = None,
 ) -> Tensor:
     """Wrap an op's output; while recording, give it a node when any input requires grad.
 
-    ``rebuild``, when given, recomputes ``data`` bitwise from arrays the node keeps
-    anyway (see ``_kept``).
+    ``rebuild``, when given, recomputes ``data``, or the samples of an optional slice
+    of it, bitwise from arrays the node keeps anyway (see ``_kept``).
     """
     parents = _parents(*inputs)
     out = Tensor(data, requires_grad=bool(parents))
@@ -222,14 +239,17 @@ def _track(
     return out
 
 
-def _kept(t: Tensor) -> Callable[[], np.ndarray]:
-    """A function returning ``t.data``, for a rule to capture: the rebuild of the node
-    that made ``t`` while that node is live, otherwise one that holds ``t.data``."""
+def _kept(t: Tensor) -> Callable[..., np.ndarray]:
+    """A function of an optional sample slice ``s`` returning ``t.data[s]`` (all of
+    ``t.data`` for ``None``), for a rule to capture: the rebuild of the node that made
+    ``t`` while that node is live, otherwise one that holds ``t.data`` and returns a
+    view of it. A rebuild given ``s`` computes just those samples, with the per-element
+    ops of the whole one, so a reader can take its input one block or sample at a time."""
     node = t._rec.node
     if node is not None and node is not _CONSUMED and node[3] is not None:
         return node[3]
     data = t.data
-    return lambda: data
+    return lambda s=None: data if s is None else data[s]
 
 
 def _accum(r: _GradRecord, g: np.ndarray) -> None:
@@ -319,25 +339,55 @@ def _unbroadcast(g: np.ndarray, shape: Shape4) -> np.ndarray:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must be broadcast-compatible (rank 4 both)."""
+    """Elementwise product; shapes must be broadcast-compatible (rank 4 both).
+
+    Splits its samples into blocks only when both operands hold the whole batch,
+    so a block's gradient sums at most over its own (sample, channel) planes; an
+    operand of one sample broadcasts over the batch and is read whole."""
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     try:
-        data = a.data * b.data
+        shape = np.broadcast(a.data, b.data).shape
     except ValueError as exc:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    n, dt = shape[0], a.data.dtype
     ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
-    keep_b = _kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
-    keep_a = _kept(a) if rb.requires_grad else None
+    blocks = _blocks(n, n, math.prod(shape)) if a_shape[0] == b_shape[0] else [slice(0, n)]
+
+    def kept(t):  # samples s of an operand; one of one sample is read whole by every slice
+        keep = _kept(t)
+        return keep if t.shape[0] == n else lambda s=None: keep()
+
+    keep_b = kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
+    keep_a = kept(a) if rb.requires_grad else None
+
+    def product(fa, fb):  # fa(blk) * fb(blk) over the blocks, into one array
+        if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
+            return fa(blocks[0]) * fb(blocks[0])
+        r = np.empty(shape, dtype=dt)
+        _each(lambda blk: np.multiply(fa(blk), fb(blk), out=r[blk]), blocks)
+        return r
 
     def back(g):
-        if keep_b is not None:
-            _accum(ra, _unbroadcast(g * keep_b(), a_shape))
-        if keep_a is not None:
-            _accum(rb, _unbroadcast(g * keep_a(), b_shape))
+        operands = ((ra, keep_b, a_shape), (rb, keep_a, b_shape))
+        grads = [(r, keep, s, np.empty(s, dtype=dt)) for r, keep, s in operands if keep is not None]
+
+        def rule(blk):
+            for _, keep, s, d in grads:
+                if s == g.shape:
+                    np.multiply(g[blk], keep(blk), out=d[blk])
+                else:
+                    d[blk] = _unbroadcast(g[blk] * keep(blk), s)
+
+        _each(rule, blocks)
+        for r, _, _, d in grads:
+            _accum(r, d)
+
+    def rebuild(s=None):
+        return product(keep_a, keep_b) if s is None else keep_a(s) * keep_b(s)
 
     both = keep_a is not None and keep_b is not None
-    return _track(data, back, a, b, rebuild=(lambda: keep_a() * keep_b()) if both else None)
+    return _track(product(a.data.__getitem__, b.data.__getitem__), back, a, b, rebuild=rebuild if both else None)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -428,12 +478,18 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"concat_channels: dtype mismatch {a.data.dtype} {a.shape} vs {b.data.dtype} {b.shape}")
     ra, rb = a._rec, b._rec
+    blocks = _blocks(na, na, na * (ca + cb) * ha * wa)
+    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
+        out = np.concatenate([a.data, b.data], axis=1)
+    else:
+        out = np.empty((na, ca + cb, ha, wa), dtype=a.data.dtype)
+        _each(lambda blk: np.concatenate([a.data[blk], b.data[blk]], axis=1, out=out[blk]), blocks)
 
     def back(g):
         _accum(ra, g[:, :ca])
         _accum(rb, g[:, ca:])
 
-    return _track(np.concatenate([a.data, b.data], axis=1), back, a, b)
+    return _track(out, back, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +550,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     The graph keeps ``weight.data`` and, only when the weight takes a gradient,
     ``_kept(x)``, but neither the padded input nor the stacked operand: the
-    backward gets the input once at its start (rebuilding a batch norm output)
-    and builds them again from it, one sample at a time. The forward frees its
-    padded sample and matmul buffer before the crop copy. A grid with no junk
-    columns (``wp == ow``, as in a 1x1 unpadded conv) takes the bias in place
-    and is itself the output, so it is not copied.
+    backward reads the input one sample at a time, through the slice argument of
+    ``_kept(x)`` (a batch norm output or a gated product is rebuilt one sample at
+    a time), and builds them again from it, so a rebuilt input never exists whole
+    beside ``dx``. The forward frees its padded sample and matmul buffer before
+    the crop copy. A grid with no junk columns (``wp == ow``, as in a 1x1
+    unpadded conv) takes the bias in place and is itself the output, so it is
+    not copied.
 
-    While gradients record and ``n > 1``, the samples are cut into one block per
-    core on ``parallel_map`` (see the module docstring): each block has its own
-    padded sample, matmul buffer and gradient stack, and writes its own rows of
-    ``grid`` and of ``dx``. The per-sample weight gradient products are summed
-    in sample order, as the serial loop adds them. A split backward runs two
-    passes: the weight gradients first, after which the input is dropped, and
-    only then is ``dx`` allocated for the input gradient pass.
+    When the op splits (see the module docstring), its samples are cut into one
+    block per core on ``parallel_map``: each block has its own padded sample,
+    matmul buffer and gradient stack, and writes its own rows of ``grid``, of
+    the output and of ``dx``. The backward runs one pass per block, which fills
+    each sample's gradient stack once for both gradients. The per-sample weight
+    gradient products are summed in sample order, as the serial loop adds them.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -549,7 +606,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         views = _taps(xf, kh, kw, wp, stride, m)
         return [np.concatenate(views)] if stacked else views
 
-    blocks = _blocks(n, n)
+    blocks = _blocks(n, n, max(xd.size, n * co * oh * ow))
     grid = np.empty((n, co, m), dtype=dt)  # output rows, junk columns included
 
     def fill(blk):  # the grid rows of the samples in ``blk``, through one padded sample and one matmul buffer
@@ -561,51 +618,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
 
     _each(fill, blocks)  # its padded samples and matmul buffers are freed before the crop copies the output
-    if wp == ow:  # no junk columns: the grid is the output
-        out_data = grid.reshape(n, co, oh, ow)
-        out_data += bias.data
-    else:
-        out_data = grid.reshape(n, co, oh, wp)[..., :ow] + bias.data
+    grid = grid.reshape(n, co, oh, wp)
+    if len(blocks) == 1:  # one whole-array expression: at batch 1 the slices of a block cost more than it
+        out_data = grid[..., :ow] + bias.data if wp > ow else np.add(grid, bias.data, out=grid)
+    else:  # with no junk columns the grid is the output
+        out_data = grid if wp == ow else np.empty((n, co, oh, ow), dtype=dt)
+        _each(lambda blk: np.add(grid[blk, ..., :ow], bias.data, out=out_data[blk]), blocks)
     keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
     def back(g):
         direct = kh * kw == stride == 1 and not p  # a gradient stack's one plane is the whole of g[s]
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in a gradient stack
+        dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
+        stack = dxf is not None or (keep_x is not None and not stacked)  # a pass fills gradient stacks
 
-        def grads(blk, xd, dxf):
-            """Each sample's weight gradient product when ``xd`` is given, in sample
-            order, and its input gradient into ``dxf`` when that is given."""
+        def grads(blk):
+            """Each sample's weight gradient product when the weight takes a gradient,
+            in sample order, and its input gradient into ``dxf`` when that is given.
+            The input is read one sample at a time, so a rebuilt one never exists whole."""
             dws = []
-            if stacked and xd is not None:
-                for s, xf in enumerate(padded(xd[blk]), blk.start):
-                    dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
-            xfs = None if stacked or xd is None else padded(xd[blk])
-            if xfs is None and dxf is None:
-                return dws
-            if not direct:
+            xfs = None if keep_x is None else padded(keep_x(slice(s, s + 1))[0] for s in range(blk.start, blk.stop))
+            if stack and not direct:
                 gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
                 slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
                 gs = gs.reshape(-1, rows * wp)
             for s in range(blk.start, blk.stop):
+                xf = None if xfs is None else next(xfs)
+                if stacked and xf is not None:
+                    dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
+                if not stack:
+                    continue
                 if direct:
                     gs = np.ascontiguousarray(g[s]).reshape(co, -1)
                 else:
                     for slot in slots:
                         slot[...] = g[s]
-                if xfs is not None:
-                    dws.append(gs @ next(xfs).T)
+                if xf is not None and not stacked:
+                    dws.append(gs @ xf.T)
                 if dxf is not None:
                     np.matmul(wg.T, gs, out=dxf[s])
             return dws
 
         if rb.requires_grad:
             _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
-        xd, dws = (None if keep_x is None else keep_x()), []
-        if len(blocks) > 1 and xd is not None:  # the weight gradients first, so the input is freed before dx exists
-            dws, xd = sum(_each(partial(grads, xd=xd, dxf=None), blocks), []), None
-        dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
-        if xd is not None or dxf is not None:
-            dws += sum(_each(partial(grads, xd=xd, dxf=dxf), blocks), [])
+        dws = sum(_each(grads, blocks), [])
         if dws:
             dw = np.zeros_like(dws[0])
             for d in dws:  # in sample order, as a sum over the batch axis adds them
@@ -661,12 +717,13 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     positions, ``dx = a * gm - k * (x - m) - a * s1 / N`` with ``k = a * inv**2 * s2 / N``,
     ``dgamma = inv * s2`` and ``dbeta = s1``.
 
-    Every step is per channel. While gradients record and ``n > 1``, the channels
-    are cut into one block per core, of at least two channels, on
-    ``parallel_map`` (see the module docstring): each block takes its
-    statistics, builds its output, and in the backward its sums and input
-    gradient, on its own slice; a rebuild splits the same way. The mask is
-    packed once over the whole output.
+    Every step is per channel. When the op splits (see the module docstring),
+    the channels are cut into one block per core, of at least two channels, on
+    ``parallel_map``: each block takes its statistics, builds its output and
+    packs its own mask, and in the backward unpacks it and takes its sums and
+    input gradient, on its own slice. The rebuild takes an optional sample slice
+    and computes just those samples, with the forward's per-element ops, so a
+    conv reading the output one sample at a time never holds it whole.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
@@ -676,45 +733,48 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     axes = (0, 2, 3)
     xd, gd, bd, dt = x.data, gamma.data, beta.data, x.data.dtype
     # blocks of at least 2 channels: numpy sums a one-channel slice over (n, h, w) in another order
-    blocks = _blocks(n, c, 2)
+    blocks = _blocks(n, c, xd.size, 2)
+    record = bool(_parents(x, gamma, beta))  # the mask is read only by a recorded node
     m, v, inv, a = (np.empty((1, c, 1, 1), dtype=dt) for _ in range(4))
     out = np.empty_like(xd)
 
-    def output(r, blk):  # the output of the channels in ``blk``, written into ``r``
-        ob = np.subtract(xd[:, blk], m[:, blk], out=r[:, blk])
-        ob *= a[:, blk]
-        ob += bd[:, blk]
-        np.maximum(ob, 0, out=ob)
+    def output(r, xs, blk=slice(None)):  # the output of ``xs``, the input's channels ``blk``, written into ``r``
+        np.subtract(xs, m[:, blk], out=r)
+        r *= a[:, blk]
+        r += bd[:, blk]
+        np.maximum(r, 0, out=r)
 
-    def forward(blk):  # statistics of the channels in ``blk``, and their output over their squared deviations
+    def forward(blk):  # statistics of the channels in ``blk``, their output over their squared deviations, their mask
         xb, ob = xd[:, blk], out[:, blk]
         m[:, blk] = mb = xb.mean(axis=axes, keepdims=True)
         np.subtract(xb, mb, out=ob)
         v[:, blk] = vb = np.square(ob, out=ob).mean(axis=axes, keepdims=True)
         inv[:, blk] = ib = 1.0 / np.sqrt(vb + dt.type(BN_EPS))
         a[:, blk] = gd[:, blk] * ib
-        output(out, blk)
+        output(ob, xb, blk)
+        return np.packbits(ob > 0) if record else None
 
-    def rebuild():
-        r = np.empty_like(xd)
-        _each(partial(output, r), blocks)
+    def rebuild(s=None):  # the output of samples ``s``, all for None
+        xs = xd if s is None else xd[s]
+        r = np.empty_like(xs)
+        output(r, xs)
         return r
 
-    _each(forward, blocks)
+    masks = _each(forward, blocks)
     stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * m).astype(stats.mean.dtype)
     stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * v).astype(stats.var.dtype)
     stats.initialized = True
     count = n * h * w
     rx, rg, rb = x._rec, gamma._rec, beta._rec
-    mask = np.packbits(out > 0) if _parents(x, gamma, beta) else None  # read only by a recorded node
 
     def back(g):
-        pos = np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
         gm, s1, s2 = np.empty(g.shape, dtype=dt), np.empty_like(m), np.empty_like(m)
 
-        def sums(blk):  # s1 and s2 of the channels in ``blk``, and their input gradient into ``gm``
+        def sums(item):  # s1 and s2 of the channels of a block, and their input gradient into ``gm``
+            blk, mask = item
             xb, mb, ab, ib = xd[:, blk], m[:, blk], a[:, blk], inv[:, blk]
-            gb = np.multiply(g[:, blk], pos[:, blk], out=gm[:, blk], dtype=dt)
+            pos = np.unpackbits(mask, count=xb.size).view(bool).reshape(xb.shape)
+            gb = np.multiply(g[:, blk], pos, out=gm[:, blk], dtype=dt)
             s1[:, blk] = s1b = gb.sum(axis=axes, keepdims=True)
             s2b = np.einsum("ncp,ncp->c", gb.reshape(n, -1, h * w), xb.reshape(n, -1, h * w)).reshape(mb.shape)
             s2[:, blk] = s2b = s2b - mb * s1b
@@ -724,7 +784,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
                 gb -= xb * k
                 gb += k * mb - ab * s1b / count
 
-        _each(sums, blocks)
+        _each(sums, list(zip(blocks, masks)))
         _accum(rb, s1)
         _accum(rg, inv * s2)
         if rx.requires_grad:
@@ -774,8 +834,8 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     transposed maps, which is exact for any linear resampling or blurring.
 
     The width map is one GEMM over the whole batch, and the height map one GEMM
-    per (sample, channel). While gradients record and ``n > 1``, the height map's
-    GEMMs run in one block of samples per core on ``parallel_map``, and the width
+    per (sample, channel). When the op splits (see the module docstring), the height
+    map's GEMMs run in one block of samples per core on ``parallel_map``, and the width
     map's GEMM, kept whole since BLAS may pick another kernel for a smaller one
     and round differently, runs with BLAS held at one thread.
     """
@@ -786,7 +846,7 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     n, c, h, w = x.shape
     a, b = row_map.shape[0], col_map.shape[0]
     rx, dt = x._rec, x.data.dtype
-    blocks = _blocks(n, n)
+    blocks = _blocks(n, n, max(x.data.size, n * c * a * b))
     y = np.empty((n, c, a, b), dtype=dt)
     with _pinned(blocks):
         t = (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
@@ -825,11 +885,18 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     rx, dt = x._rec, x.data.dtype
 
+    blocks = _blocks(n, n, x.data.size)
+    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
+        y = x.data.mean(axis=(2, 3), keepdims=True)
+    else:
+        y = np.empty((n, c, 1, 1), dtype=dt)
+        _each(lambda blk: np.mean(x.data[blk], axis=(2, 3), keepdims=True, out=y[blk]), blocks)
+
     def back(g):
         if rx.requires_grad:
             _accum(rx, np.broadcast_to((g / (h * w)).astype(dt, copy=False), (n, c, h, w)))
 
-    return _track(x.data.mean(axis=(2, 3), keepdims=True), back, x)
+    return _track(y, back, x)
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +1001,17 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
             calls.clear()
 
 
-def _blocks(n: int, size: int, least: int = 1) -> list[slice]:
+GRAIN = 32_768  # an op splits its batch only when its largest array holds at least this many elements
+
+
+def _blocks(n: int, size: int, elements: int, least: int = 1) -> list[slice]:
     """``slice(0, size)`` cut into one contiguous block per core, each at least
-    ``least`` long, when an op splits its batch of ``n`` samples: ``n > 1`` and
-    gradients record, outside any ``parallel_map`` call. Otherwise the one
-    block ``slice(0, size)``."""
-    if n < 2 or not _GRAD_ENABLED.get() or _IN_MAP.get():
+    ``least`` long, when an op splits its batch of ``n`` samples: ``n > 1``, the
+    op's largest array holds at least ``GRAIN`` elements (``elements``) and
+    gradients record, outside any ``parallel_map`` call. Otherwise the one block
+    ``slice(0, size)``: below the grain a pool round trip costs more than the
+    second core saves."""
+    if n < 2 or elements < GRAIN or not _GRAD_ENABLED.get() or _IN_MAP.get():
         return [slice(0, size)]
     k = max(1, min(size // least, len(os.sched_getaffinity(0))))
     return [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
@@ -952,7 +1024,7 @@ def _pinned(blocks: list[slice]):
     return contextlib.nullcontext() if blas is None else _one_blas_thread(*blas)
 
 
-def _each(fn: Callable[[slice], _R], blocks: list[slice], map_=parallel_map) -> list[_R]:
+def _each(fn: Callable[[_T], _R], blocks: list[_T], map_=parallel_map) -> list[_R]:
     """``[fn(blk) for blk in blocks]``: on ``parallel_map`` when there are several
     blocks, else one call on this thread. ``map_`` is bound once, here, so a
     tracer that rebinds this module's public functions times an op whole and

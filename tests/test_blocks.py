@@ -350,7 +350,8 @@ class TestDepthNet:
         A conv pads and multiplies one sample at a time, a batch norm builds its
         output in one array, and a ``StackedConv`` drops its input once its
         first conv has read it: 129.4 MiB without those. A 1x1 conv adds its
-        bias in place: 115.9 MiB without that."""
+        bias in place: 115.9 MiB without that. It peaks at 113.0 MiB, whether
+        the batch-wide ops split over two workers or not."""
         rng = np.random.default_rng(42)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
@@ -370,7 +371,13 @@ class TestDepthNet:
         peak 171 MiB; keeping every op's inputs and each batch norm's float
         output, 201 MiB. A per-tap conv's backward pads its input one sample at
         a time (with the 201 MiB graph, padding the whole batch at once made
-        213 MiB)."""
+        213 MiB). On two workers it peaks at 149.4 MiB, in the backward of the
+        last stage's ``s_res.conv3``: a split conv backward takes both gradients
+        in one pass, so each worker's gradient stack, padded input sample and,
+        while it is copied in, rebuilt input sample sit beside ``dx`` (146.4 MiB
+        when the two workers' rebuilt samples do not overlap). A weight
+        gradient pass run before ``dx`` existed made 142.9 MiB, but filled each
+        gradient stack twice."""
         rng = np.random.default_rng(41)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)

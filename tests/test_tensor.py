@@ -430,6 +430,33 @@ class TestRebuild:
         out = op(dtype)
         np.testing.assert_array_equal(out._rec.node[3](), out.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda dt: _bn_relu(94, dt, (3, 4, 6, 5)),
+            lambda dt: T.mul(randn((3, 2, 4, 5), seed=97, dtype=dt), randn((3, 2, 4, 5), seed=98, dtype=dt)),
+            lambda dt: T.mul(randn((3, 2, 4, 5), seed=99, dtype=dt), randn((3, 2, 1, 1), seed=100, dtype=dt)),
+            lambda dt: T.mul(randn((1, 2, 4, 5), seed=101, dtype=dt), randn((3, 2, 1, 1), seed=102, dtype=dt)),
+            lambda dt: T.mul(_bn_relu(103, dt, (3, 4, 6, 5)), randn((3, 4, 1, 1), seed=106, dtype=dt)),
+        ],
+        ids=["batch_norm_relu", "mul", "mul-gate", "mul-batch-broadcast", "mul-of-batch-norm"],
+    )
+    def test_sliced_rebuild_is_bitwise_the_whole_one(self, op, dtype):
+        """A reader may take a rebuilt input one sample at a time."""
+        rebuild = op(dtype)._rec.node[3]
+        whole = rebuild()
+        for s in range(whole.shape[0]):
+            part = rebuild(slice(s, s + 1))
+            assert part.dtype == whole.dtype and np.array_equal(part, whole[s : s + 1]), f"sample {s}"
+
+    def test_kept_array_is_handed_out_as_a_view(self):
+        t = randn((3, 2, 4, 5), seed=107, requires_grad=False)
+        keep = T._kept(t)
+        part = keep(slice(1, 3))
+        assert keep() is t.data
+        assert part.base is t.data and np.array_equal(part, t.data[1:3])
+
     def test_mul_by_a_constant_has_no_rebuild(self):
         """Only one operand is kept, so the product cannot be built again."""
         out = T.mul(randn((2, 3, 4, 5), seed=77), randn((2, 3, 4, 5), seed=78, requires_grad=False))
@@ -1094,6 +1121,44 @@ def _resize_case(c, h, w, out_h, out_w):
     return run
 
 
+def _mul_case(c, gate_grad, x_samples=None):
+    """``x * gate`` with an SE-shaped gate; ``x`` of one sample broadcasts over the
+    batch, so its gradient sums over samples and the product must not split."""
+
+    def run(n, dtype, rng):
+        x = T.Tensor(rng.standard_normal((x_samples or n, c, 6, 5)), requires_grad=True, dtype=dtype)
+        gate = T.Tensor(rng.standard_normal((n, c, 1, 1)), requires_grad=gate_grad, dtype=dtype)
+        return T.mul(x, gate), [x, gate] if gate_grad else [x]
+
+    return run
+
+
+def _concat_case(n, dtype, rng):
+    a, b = (T.Tensor(rng.standard_normal((n, c, 6, 5)), requires_grad=True, dtype=dtype) for c in (3, 4))
+    return T.concat_channels(a, b), [a, b]
+
+
+def _pool_case(n, dtype, rng):
+    x = T.Tensor(rng.standard_normal((n, 5, 7, 6)), requires_grad=True, dtype=dtype)
+    return T.global_avg_pool(x), [x]
+
+
+def _conv_of_case(gated, kernel):
+    """A conv reading a batch norm output, or the product of one with an SE-shaped
+    gate: the conv's weight gradient reads the producer's rebuild sample by sample."""
+
+    def run(n, dtype, rng):
+        out, leaves = _bn_case(6)(n, dtype, rng)
+        if gated:
+            gate = T.Tensor(rng.standard_normal((n, 6, 1, 1)), requires_grad=True, dtype=dtype)
+            out, leaves = T.mul(out, gate), leaves + [gate]
+        w = T.Tensor(rng.standard_normal((5, 6, kernel, kernel)), requires_grad=True, dtype=dtype)
+        b = T.Tensor(rng.standard_normal((1, 5, 1, 1)), requires_grad=True, dtype=dtype)
+        return T.conv2d(out, w, b, 1, kernel // 2), leaves + [w, b]
+
+    return run
+
+
 _SPLIT_CASES = {
     "conv-3x3": _conv_case(16, 3, 1),
     "conv-3x3-stride-2": _conv_case(16, 3, 2),
@@ -1103,38 +1168,76 @@ _SPLIT_CASES = {
     "spatial_map-down": _resize_case(3, 20, 30, 9, 13),
     "batch_norm_relu-c1": _bn_case(1),
     "batch_norm_relu-c5": _bn_case(5),
+    "mul-gate": _mul_case(4, True),
+    "mul-gate-constant": _mul_case(4, False),
+    "mul-batch-broadcast": _mul_case(4, True, x_samples=1),
+    "concat_channels": _concat_case,
+    "global_avg_pool": _pool_case,
+    "conv-of-batch-norm": _conv_of_case(False, 3),
+    "conv-of-gated-batch-norm": _conv_of_case(True, 1),
+}
+_UNSPLIT_CASES = {"batch_norm_relu-c1", "mul-batch-broadcast"}  # one block of channels, a gradient summed over samples
+
+
+@pytest.fixture
+def low_grain(monkeypatch):
+    """Every op of more than one sample splits, so the small shapes here split too."""
+    monkeypatch.setattr(T, "GRAIN", 1)
+
+
+def _pool_calls(monkeypatch):
+    """The thread counts ``_pool`` is asked for from now on."""
+    maps, pool = [], T._pool
+    monkeypatch.setattr(T, "_pool", lambda threads: maps.append(threads) or pool(threads))
+    return maps
+
+
+def _leaf(rng, shape, dtype=np.float32):
+    return T.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+
+
+# each on a batch of 4 whose largest array holds 4 * 8 * 32 * w elements
+_GRAIN_CASES = {
+    "conv-3x3": lambda rng, w: T.conv2d(_leaf(rng, (4, 8, 32, w)), _leaf(rng, (8, 8, 3, 3)), _leaf(rng, (1, 8, 1, 1)), 1, 1),
+    "batch_norm_relu": lambda rng, w: T.batch_norm_relu(
+        _leaf(rng, (4, 8, 32, w)), _leaf(rng, (1, 8, 1, 1)), _leaf(rng, (1, 8, 1, 1)), T.RunningStats.for_channels(8)
+    ),
+    "mul-gate": lambda rng, w: T.mul(_leaf(rng, (4, 8, 32, w)), _leaf(rng, (4, 8, 1, 1))),
+    "concat_channels": lambda rng, w: T.concat_channels(_leaf(rng, (4, 4, 32, w)), _leaf(rng, (4, 4, 32, w))),
+    "global_avg_pool": lambda rng, w: T.global_avg_pool(_leaf(rng, (4, 8, 32, w))),
+    "spatial_map": lambda rng, w: T.bilinear_resize(_leaf(rng, (4, 8, 32, w)), 16, w // 2),
 }
 
 
 class TestSplitOps:
-    """While gradients record, ``conv2d``, ``spatial_map`` and ``batch_norm_relu``
-    split a batch of more than one sample over ``parallel_map``. The split must
+    """While gradients record, an op of more than one sample and at least
+    ``GRAIN`` elements splits its batch over ``parallel_map``. The split must
     give bitwise the numbers of the serial run, which an op takes inside a
     ``parallel_map`` call, with BLAS at one thread in both."""
 
     @staticmethod
     def _run(case, n, dtype):
         out, leaves = case(n, dtype, np.random.default_rng(90))
-        g = np.random.default_rng(91).standard_normal(out.shape).astype(dtype)
-        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        scale = np.random.default_rng(91).uniform(0.5, 2.0, out.shape).astype(dtype)
+        T.backward(T.sum_all(T.div(out, T.Tensor(scale))))  # div does not split, so only the op reaches the pool
         return [out.data] + [t.grad for t in leaves]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("op", list(_SPLIT_CASES))
-    def test_split_is_bitwise_the_serial_run(self, two_cores, monkeypatch, op, n, dtype):
-        case, maps, pool = _SPLIT_CASES[op], [], T._pool
+    def test_split_is_bitwise_the_serial_run(self, two_cores, low_grain, monkeypatch, op, n, dtype):
+        case = _SPLIT_CASES[op]
         blas = T._openblas()
         with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
             serial = T.parallel_map(lambda _: self._run(case, n, dtype), [None])[0]
-            monkeypatch.setattr(T, "_pool", lambda threads: maps.append(threads) or pool(threads))
+            maps = _pool_calls(monkeypatch)
             split = self._run(case, n, dtype)
         # the forward and the backward split, or neither; one channel is one block of channels
-        assert bool(maps) == (n > 1 and op != "batch_norm_relu-c1" and blas is not None)
+        assert bool(maps) == (n > 1 and op not in _UNSPLIT_CASES and blas is not None)
         for k, (a, b) in enumerate(zip(split, serial)):
             assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} of {op}, n={n}"
 
-    def test_split_over_eight_workers_under_contention(self, monkeypatch):
+    def test_split_over_eight_workers_under_contention(self, low_grain, monkeypatch):
         """More blocks than cores, with the interpreter switching threads as often
         as it can: a conv, a batch norm and a resize in a chain still give
         bitwise the serial numbers."""
@@ -1164,7 +1267,7 @@ class TestSplitOps:
             assert np.array_equal(a, b), f"array {k}"
 
     @pytest.mark.parametrize("op", list(_SPLIT_CASES))
-    def test_batch_of_one_and_no_grad_never_reach_the_pool(self, two_cores, monkeypatch, op):
+    def test_batch_of_one_and_no_grad_never_reach_the_pool(self, two_cores, low_grain, monkeypatch, op):
         def refuse(*args):
             raise AssertionError("submitted to the pool")
 
@@ -1173,6 +1276,29 @@ class TestSplitOps:
         with T.no_grad():
             out, _ = _SPLIT_CASES[op](4, np.float32, np.random.default_rng(92))
         assert not out.requires_grad
+
+    @pytest.mark.parametrize("at_grain", [False, True])
+    @pytest.mark.parametrize("op", list(_GRAIN_CASES))
+    def test_split_starts_at_the_grain(self, two_cores, monkeypatch, op, at_grain):
+        """At the real ``GRAIN``: a recorded batch-4 op whose largest array holds
+        ``GRAIN`` elements splits, and one a column narrower stays on the calling
+        thread, forward and backward."""
+        w = T.GRAIN // (4 * 8 * 32) - (not at_grain)
+        assert T.GRAIN % (4 * 8 * 32) == 0
+        maps = _pool_calls(monkeypatch)
+        out = _GRAIN_CASES[op](np.random.default_rng(108), w)
+        T.backward(T.sum_all(out))
+        assert bool(maps) == (at_grain and T._openblas() is not None)
+
+    def test_squeeze_and_excite_convs_never_reach_the_pool(self, two_cores, monkeypatch):
+        """The gate's 1x1 convs run on (4, c, 1, 1): far below the grain."""
+        rng = np.random.default_rng(109)
+        maps = _pool_calls(monkeypatch)
+        pooled = _leaf(rng, (4, 64, 1, 1))
+        hidden = T.relu(T.conv2d(pooled, _leaf(rng, (16, 64, 1, 1)), _leaf(rng, (1, 16, 1, 1))))
+        gate = T.sigmoid(T.conv2d(hidden, _leaf(rng, (64, 16, 1, 1)), _leaf(rng, (1, 64, 1, 1))))
+        T.backward(T.sum_all(gate))
+        assert maps == []
 
 
 class TestFiniteness:
