@@ -207,22 +207,6 @@ def oracle_predictor() -> Predictor:
     return predict
 
 
-def mean_predictor() -> Predictor:
-    """Predicts the per-image mean of the normalized ground truth everywhere.
-
-    The mean is accumulated in float64 and only then stored as float32, so
-    the prediction does not depend on the numpy version (how it splits a
-    float32 reduction) or on pixel order (a mirrored image gets the same
-    constant)."""
-
-    def predict(image: Tensor, sample: DepthSample) -> Tensor:
-        norm = depth_to_normalized(sample.depth.data, sample.d_max)
-        mean = norm.mean(dtype=np.float64)
-        return Tensor(np.full((1, 1, image.shape[2], image.shape[3]), mean, dtype=np.float32))
-
-    return predict
-
-
 def _resize(arr: np.ndarray, h: int, w: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
     """Rows ``rows`` and columns ``cols`` of the bilinear resize of ``arr``'s
     last two axes to (h, w), in ``arr``'s dtype; see the module docstring."""

@@ -42,8 +42,9 @@ first gradient a tensor receives by reference. So no backward rule and no
 it changes itself.
 
 ``parallel_map(fn, items)`` is ``[fn(item) for item in items]`` spread over one
-worker per core: a thread pool this module owns takes the items from the last,
-and the calling thread from the first, until they meet. Each call runs in a
+worker per core: the calling thread runs the first item and walks on from there,
+and a thread pool this module owns takes the others from the last, until they
+meet. Each call runs in a
 copy of the caller's context (so ``no_grad`` holds in it), and numpy's bundled
 OpenBLAS is held at one thread while the calls run, so that the workers, not
 BLAS, use the cores. ``evaluate`` maps its passes with it.
@@ -54,24 +55,30 @@ has more than one sample and its largest array holds at least ``GRAIN``
 elements (32,768, the grain of PyTorch's intra-op ``parallel_for``, arXiv
 1912.01703): below that a pool round trip costs more than the second core saves.
 It then cuts its samples (its channels, for batch norm) into one contiguous
-block per core and runs one block per worker:
+block per core (at most ``CONV_WORKERS`` for a conv) and runs one block per
+worker:
 
 - ``conv2d``: the forward, the crop-and-bias copy into the output, and the
-  backward's one pass of weight and input gradients;
+  backward's one pass of weight, bias and input gradients;
 - ``batch_norm_relu`` (channels): the statistics, the output, the packing of
   its 1-bit mask and the backward;
 - ``mul``, when both operands hold the whole batch: the forward, the rule and a
   whole rebuild;
-- ``spatial_map``: the height map's GEMMs, forward and backward;
-- ``concat_channels`` and ``global_avg_pool``: the forward.
+- ``spatial_map``: both maps' GEMMs, one sample at a time, forward and backward;
+- ``add``, ``concat_channels`` and ``global_avg_pool``: the forward;
+- ``_accum``: the add of a second gradient to a tensor's first.
 
-A GEMM an op runs over the whole batch runs with BLAS held at one thread too,
-so no GEMM of the step wakes a second BLAS thread to compete with the workers.
-Every block runs the code a serial run does on its samples or channels, so a
-split gives bitwise the numbers of the serial run with BLAS at one thread. A
-batch of one, an op below the grain, a ``no_grad`` forward and an op inside a
-``parallel_map`` call (``evaluate``'s passes) run as one block on the calling
-thread and do not touch the pool; a one-block forward of ``mul``,
+So while gradients record, no batch-wide work of a split op runs outside its
+blocks: the calling thread adds per-sample weight and bias gradient terms in
+sample order and updates per-channel vectors, and only a one-channel conv's
+bias gradient is a whole-batch sum there. Every GEMM of a split op runs in a
+block, with BLAS held at one thread, so none wakes a second BLAS thread to
+compete with the workers. Every block runs the code a serial run does on its
+samples or channels, so a split gives bitwise the numbers of the serial run
+with BLAS at one thread, whatever the core count. A batch of one, an op below
+the grain, a ``no_grad`` forward and an op inside a ``parallel_map`` call
+(``evaluate``'s passes) run as one block on the calling thread and do not touch
+the pool; a one-block ``add``, ``_accum`` add, or forward of ``mul``,
 ``concat_channels``, ``global_avg_pool`` or ``conv2d``'s crop is the op's one
 whole-array expression.
 """
@@ -256,7 +263,18 @@ def _accum(r: _GradRecord, g: np.ndarray) -> None:
     """Add ``g`` to the record's gradient; the first gradient is stored by reference,
     so neither array may be written to afterwards (see the module docstring)."""
     if r.requires_grad:
-        r.grad = g if r.grad is None else r.grad + g
+        r.grad = g if r.grad is None else _plus(r.grad, g)
+
+
+def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` for two arrays of one rank-4 shape, split over the batch (see the
+    module docstring); either may be a read-only broadcast view."""
+    blocks = _blocks(a.shape[0], a.shape[0], a.size)
+    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
+        return a + b
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    _each(lambda blk: np.add(a[blk], b[blk], out=out[blk]), blocks)
+    return out
 
 
 def _graph(loss: _GradRecord) -> list[_GradRecord]:
@@ -319,7 +337,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(ra, g)
         _accum(rb, g)
 
-    return _track(a.data + b.data, back, a, b)
+    return _track(_plus(a.data, b.data), back, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -498,6 +516,19 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * kh * kw is at most this
+# A split conv2d uses at most this many workers. Each holds a padded sample, a matmul buffer and a
+# gradient stack, so with one a core a step's peak memory grew about 17 MiB a core past two; the cost
+# is that on a host of more than 2 cores a conv still runs on 2.
+CONV_WORKERS = 2
+
+
+def _in_order(terms: list[np.ndarray]) -> np.ndarray:
+    """The sum of per-sample ``terms`` added in sample order, as numpy's sum over
+    a batch axis adds them."""
+    total = np.zeros_like(terms[0])
+    for d in terms:
+        total += d
+    return total
 
 
 def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
@@ -559,11 +590,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     not copied.
 
     When the op splits (see the module docstring), its samples are cut into one
-    block per core on ``parallel_map``: each block has its own padded sample,
-    matmul buffer and gradient stack, and writes its own rows of ``grid``, of
-    the output and of ``dx``. The backward runs one pass per block, which fills
-    each sample's gradient stack once for both gradients. The per-sample weight
-    gradient products are summed in sample order, as the serial loop adds them.
+    block per core, at most ``CONV_WORKERS``, on ``parallel_map``: each block
+    has its own padded sample, matmul buffer and gradient stack, and writes its
+    own rows of ``grid``, of the output and of ``dx``. The backward runs one
+    pass per block, which fills each sample's gradient stack once for both
+    gradients and takes each sample's bias gradient ``g[s].sum(axis=(1, 2))``.
+    The per-sample weight gradient products and bias sums are added in sample
+    order, which for the bias is bitwise ``g.sum(axis=(0, 2, 3))``: numpy sums
+    each (sample, channel) plane as one run and adds the runs in sample order.
+    With one output channel numpy sums the whole batch as one contiguous run,
+    which rounds otherwise, so such a conv (the model's head) takes that whole
+    sum on the calling thread.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -606,7 +643,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         views = _taps(xf, kh, kw, wp, stride, m)
         return [np.concatenate(views)] if stacked else views
 
-    blocks = _blocks(n, n, max(xd.size, n * co * oh * ow))
+    blocks = _blocks(n, n, max(xd.size, n * co * oh * ow), most=CONV_WORKERS)
     grid = np.empty((n, co, m), dtype=dt)  # output rows, junk columns included
 
     def fill(blk):  # the grid rows of the samples in ``blk``, through one padded sample and one matmul buffer
@@ -631,18 +668,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in a gradient stack
         dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
         stack = dxf is not None or (keep_x is not None and not stacked)  # a pass fills gradient stacks
+        sample_sums = rb.requires_grad and co > 1  # one channel's batch numpy sums as one run, in another order
 
         def grads(blk):
-            """Each sample's weight gradient product when the weight takes a gradient,
-            in sample order, and its input gradient into ``dxf`` when that is given.
-            The input is read one sample at a time, so a rebuilt one never exists whole."""
-            dws = []
+            """Each sample's weight gradient product when the weight takes a gradient
+            and its bias gradient sum when the bias does, in sample order, and its
+            input gradient into ``dxf`` when that is given. The input is read one
+            sample at a time, so a rebuilt one never exists whole."""
+            dws, dbs = [], []
             xfs = None if keep_x is None else padded(keep_x(slice(s, s + 1))[0] for s in range(blk.start, blk.stop))
             if stack and not direct:
                 gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
                 slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
                 gs = gs.reshape(-1, rows * wp)
             for s in range(blk.start, blk.stop):
+                if sample_sums:
+                    dbs.append(g[s].sum(axis=(1, 2)))
                 xf = None if xfs is None else next(xfs)
                 if stacked and xf is not None:
                     dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
@@ -657,15 +698,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                     dws.append(gs @ xf.T)
                 if dxf is not None:
                     np.matmul(wg.T, gs, out=dxf[s])
-            return dws
+            return dws, dbs
 
+        parts = _each(grads, blocks)
         if rb.requires_grad:
-            _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
-        dws = sum(_each(grads, blocks), [])
+            db = _in_order([d for _, sums in parts for d in sums]) if sample_sums else g.sum(axis=(0, 2, 3))
+            _accum(rb, db.reshape(1, co, 1, 1))
+        dws = [d for products, _ in parts for d in products]
         if dws:
-            dw = np.zeros_like(dws[0])
-            for d in dws:  # in sample order, as a sum over the batch axis adds them
-                dw += d
+            dw = _in_order(dws)
             if stacked:
                 _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             else:
@@ -833,11 +874,11 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     The maps are constants; gradients flow to ``x`` only. Backward applies the
     transposed maps, which is exact for any linear resampling or blurring.
 
-    The width map is one GEMM over the whole batch, and the height map one GEMM
-    per (sample, channel). When the op splits (see the module docstring), the height
-    map's GEMMs run in one block of samples per core on ``parallel_map``, and the width
-    map's GEMM, kept whole since BLAS may pick another kernel for a smaller one
-    and round differently, runs with BLAS held at one thread.
+    The width map is one GEMM per sample, and the height map one GEMM per
+    (sample, channel). When the op splits (see the module docstring), both run
+    in one block of samples per core on ``parallel_map``. A GEMM over a block's
+    samples would round as BLAS's kernel for its size does, so a block's numbers
+    would change with the block size; per sample they do not.
     """
     if row_map.shape[1] != x.shape[2] or col_map.shape[1] != x.shape[3]:
         raise ValueError(
@@ -847,18 +888,21 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     a, b = row_map.shape[0], col_map.shape[0]
     rx, dt = x._rec, x.data.dtype
     blocks = _blocks(n, n, max(x.data.size, n * c * a * b))
-    y = np.empty((n, c, a, b), dtype=dt)
-    with _pinned(blocks):
-        t = (x.data.reshape(-1, w) @ col_map.T).reshape(n, c, h, b)
-        _each(lambda blk: np.matmul(row_map, t[blk], out=y[blk]), blocks)
+
+    def apply(src, rows, cols, dst):  # dst[s] = rows @ src[s] @ cols for each sample s, a block per worker
+        def run(blk):
+            for s in range(blk.start, blk.stop):
+                t = src[s].reshape(-1, cols.shape[0]) @ cols  # the width map, one GEMM
+                np.matmul(rows, t.reshape(c, -1, cols.shape[1]), out=dst[s])
+
+        _each(run, blocks)
+        return dst
+
+    y = apply(x.data, row_map, col_map.T, np.empty((n, c, a, b), dtype=dt))
 
     def back(g):
         if rx.requires_grad:
-            dx = np.empty((n, c, h, w), dtype=dt)
-            with _pinned(blocks):
-                t = (g.reshape(-1, b) @ col_map).reshape(n, c, a, w)
-                _each(lambda blk: np.matmul(row_map.T, t[blk], out=dx[blk]), blocks)
-            _accum(rx, dx)
+            _accum(rx, apply(g, row_map.T, col_map, np.empty((n, c, h, w), dtype=dt)))
 
     return _track(y, back, x)
 
@@ -963,9 +1007,10 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     """``[fn(item) for item in items]``, in item order, with the calls spread over
     ``min(len(items), cores)`` workers, cores being ``os.sched_getaffinity(0)``.
 
-    The items are queued, last first, on a pool owned by this module, and the
-    calling thread walks them from the first: it runs each item no pool thread
-    has taken and waits for the others. When it meets a taken item, every later
+    Every item but the first is queued, last first, on a pool owned by this
+    module. The calling thread runs the first item, which is never queued, and
+    walks on from there: it runs each item no pool thread has taken and waits
+    for the others. When it meets a taken item, every later
     item is taken too, so no worker idles while an item waits. Independent
     calls that release the interpreter lock, as numpy does, then run at once.
     While they run, numpy's bundled OpenBLAS is held at one thread (and set
@@ -991,9 +1036,10 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     if blas is None:
         return [call() for call in calls]
     with _one_blas_thread(*blas):
-        futures = [_pool(workers - 1).submit(_nth, calls, i) for i in reversed(range(len(calls)))][::-1]
+        futures = [_pool(workers - 1).submit(_nth, calls, i) for i in reversed(range(1, len(calls)))][::-1]
         try:
-            return [calls[i]() if f.cancel() else f.result() for i, f in enumerate(futures)]
+            first = calls[0]()
+            return [first] + [calls[i]() if f.cancel() else f.result() for i, f in enumerate(futures, 1)]
         finally:
             # started calls only: a future cancelled while queued is done once a pool thread dequeues it,
             # and until then its work item holds the list, which is emptied so it holds no fn or item
@@ -1001,27 +1047,23 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
             calls.clear()
 
 
-GRAIN = 32_768  # an op splits its batch only when its largest array holds at least this many elements
+# An op splits its batch only when its largest array holds at least this many elements. An op that
+# does not split runs its GEMMs at full BLAS width: at 131,072 a guidedepth batch-4 step took 308 ms
+# against 183 on 2 cores, since OpenBLAS's second thread and the pool thread fight over the cores.
+GRAIN = 32_768
 
 
-def _blocks(n: int, size: int, elements: int, least: int = 1) -> list[slice]:
+def _blocks(n: int, size: int, elements: int, least: int = 1, most: int | None = None) -> list[slice]:
     """``slice(0, size)`` cut into one contiguous block per core, each at least
-    ``least`` long, when an op splits its batch of ``n`` samples: ``n > 1``, the
-    op's largest array holds at least ``GRAIN`` elements (``elements``) and
-    gradients record, outside any ``parallel_map`` call. Otherwise the one block
-    ``slice(0, size)``: below the grain a pool round trip costs more than the
-    second core saves."""
+    ``least`` long and at most ``most`` of them, when an op splits its batch of
+    ``n`` samples: ``n > 1``, the op's largest array holds at least ``GRAIN``
+    elements (``elements``) and gradients record, outside any ``parallel_map``
+    call. Otherwise the one block ``slice(0, size)``: below the grain a pool
+    round trip costs more than the second core saves."""
     if n < 2 or elements < GRAIN or not _GRAD_ENABLED.get() or _IN_MAP.get():
         return [slice(0, size)]
-    k = max(1, min(size // least, len(os.sched_getaffinity(0))))
+    k = max(1, min(size // least, most or size, len(os.sched_getaffinity(0))))
     return [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
-
-
-def _pinned(blocks: list[slice]):
-    """Holds numpy's bundled OpenBLAS at one thread while an op that splits into
-    ``blocks`` runs a GEMM outside them; does nothing for one block."""
-    blas = _openblas() if len(blocks) > 1 else None
-    return contextlib.nullcontext() if blas is None else _one_blas_thread(*blas)
 
 
 def _each(fn: Callable[[_T], _R], blocks: list[_T], map_=parallel_map) -> list[_R]:

@@ -185,6 +185,22 @@ def traced(f):
     return out, sum(stat.size for stat in snap.statistics("filename")), peak
 
 
+def mean_predictor() -> E.Predictor:
+    """Predicts the per-image mean of the normalized ground truth everywhere.
+
+    The mean is accumulated in float64 and only then stored as float32, so
+    the prediction does not depend on the numpy version (how it splits a
+    float32 reduction) or on pixel order (a mirrored image gets the same
+    constant)."""
+
+    def predict(image: T.Tensor, sample: DepthSample) -> T.Tensor:
+        norm = E.depth_to_normalized(sample.depth.data, sample.d_max)
+        mean = norm.mean(dtype=np.float64)
+        return T.Tensor(np.full((1, 1, image.shape[2], image.shape[3]), mean, dtype=np.float32))
+
+    return predict
+
+
 def metrics_reference(y, yhat, mask=None) -> E.MetricValues:
     """The six depth metrics written out term by term in float64."""
     g = np.asarray(y, dtype=np.float64)

@@ -1,8 +1,10 @@
 """Architecture blocks: shape contracts, guidance variants, init, checkpoints."""
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -326,6 +328,43 @@ class TestDepthNet:
                 gc.enable()
         assert growth < 16 * 1024, f"array memory grew by {growth} bytes over 100 forwards"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
+    def test_step_is_bitwise_the_same_on_1_2_and_4_cores(self, monkeypatch, gtype, dtype):
+        """A whole ``guidedepth-tiny`` step (the train prediction, the loss terms
+        and every parameter gradient) and the eval forward after it hash the
+        same whether the batch-wide ops split over 1, 2 or 4 cores. ``GRAIN``
+        is 1, so every op of more than one sample splits, and BLAS is held at
+        one thread, as it is inside a split op's blocks."""
+        monkeypatch.setattr(T, "GRAIN", 1)
+        rng = np.random.default_rng(110)
+        x = T.Tensor(rng.uniform(0, 1, (4, 3, 32, 48)), dtype=dtype)
+        y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 32, 48)), dtype=dtype)
+        pool = T._pool
+
+        def step_hash(cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            model = B.build_model(B.ModelConfig("guidedepth-tiny", gtype), seed=0, dtype=dtype)
+            pred = model.forward(x, train=True)
+            terms = L.loss_terms(y, pred, L.LossConfig())
+            T.backward(terms["total"])
+            arrays = [pred.data, *(terms[k].data for k in sorted(terms)), *(p.grad for p in model.parameters())]
+            h = hashlib.sha256()
+            for a in arrays + [model.forward(x).data]:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        blas = T._openblas()
+        with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
+            hashes, threads = {}, {}
+            for cores in (1, 2, 4):
+                asked = set()
+                monkeypatch.setattr(T, "_pool", lambda n: asked.add(n) or pool(n))
+                hashes[cores], threads[cores] = step_hash(cores), asked
+        assert len(set(hashes.values())) == 1, hashes
+        if blas:  # on 4 cores a batch-wide op splits 4 ways, a conv or a 4-channel batch norm 2 ways
+            assert threads == {1: set(), 2: {1}, 4: {1, 3}}
+
     def test_graph_after_forward_and_loss_holds_at_most_120_mib(self):
         """The graph links grad records, so it keeps only the arrays backward
         rules read: each train-mode batch norm keeps the conv output it reads
@@ -345,13 +384,17 @@ class TestDepthNet:
         held = graph_bytes(loss) / 2**20
         assert held <= 120, f"graph holds {held:.1f} MiB after forward and loss"
 
-    def test_train_forward_and_loss_peaks_at_most_119_mib(self):
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
+    def test_train_forward_and_loss_peaks_at_most_119_mib(self, monkeypatch, cores):
         """Forward and loss of ``guidedepth``, batch 4 at 96x128, while recording.
         A conv pads and multiplies one sample at a time, a batch norm builds its
         output in one array, and a ``StackedConv`` drops its input once its
         first conv has read it: 129.4 MiB without those. A 1x1 conv adds its
-        bias in place: 115.9 MiB without that. It peaks at 113.0 MiB, whether
-        the batch-wide ops split over two workers or not."""
+        bias in place: 115.9 MiB without that. It peaks at 112.9 MiB on one
+        core and 113.0 MiB on 2 to 8, since a split conv uses at most two
+        workers, each with its own padded sample and matmul buffer (117.7 to
+        119.2 MiB on 3 to 8 cores with one worker a core)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         rng = np.random.default_rng(42)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
@@ -364,20 +407,24 @@ class TestDepthNet:
         _, _, peak = traced(forward_and_loss)
         assert peak <= 119 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
 
-    def test_train_step_peaks_at_most_150_mib(self):
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
+    def test_train_step_peaks_at_most_150_mib(self, monkeypatch, cores):
         """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. The
         peak follows the graph of the test above: a conv's backward rebuilds a
         batch norm input only while it runs, and keeping those inputs makes the
         peak 171 MiB; keeping every op's inputs and each batch norm's float
         output, 201 MiB. A per-tap conv's backward pads its input one sample at
         a time (with the 201 MiB graph, padding the whole batch at once made
-        213 MiB). On two workers it peaks at 149.4 MiB, in the backward of the
-        last stage's ``s_res.conv3``: a split conv backward takes both gradients
-        in one pass, so each worker's gradient stack, padded input sample and,
-        while it is copied in, rebuilt input sample sit beside ``dx`` (146.4 MiB
-        when the two workers' rebuilt samples do not overlap). A weight
-        gradient pass run before ``dx`` existed made 142.9 MiB, but filled each
-        gradient stack twice."""
+        213 MiB). On one core it peaks at 129.1 MiB. A split conv uses at most
+        two workers, and on 2 to 8 cores the step peaks at 149.4 MiB, in the
+        backward of the last stage's ``s_res.conv3``: a split conv backward
+        takes both gradients in one pass, so each worker's gradient stack,
+        padded input sample and, while it is copied in, rebuilt input sample
+        sit beside ``dx`` (146.4 MiB when the two workers' rebuilt samples do
+        not overlap). With one worker a core it made 163.6 MiB on 3 cores and
+        181 MiB on 4 and 8. A weight gradient pass run before ``dx`` existed
+        made 142.9 MiB on two workers, but filled each gradient stack twice."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         rng = np.random.default_rng(41)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)

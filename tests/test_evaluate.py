@@ -14,7 +14,7 @@ from guidedepth import data as D
 from guidedepth import evaluate as E
 from guidedepth import tensor as T
 from guidedepth.tensor import Tensor
-from helpers import evaluate_reference, metrics_reference
+from helpers import evaluate_reference, mean_predictor, metrics_reference
 
 
 def as_depth(arr):
@@ -304,8 +304,8 @@ class TestEvaluatePipeline:
             depth=Tensor(np.concatenate([dep[..., :64], dep[..., :64][..., ::-1]], axis=3).copy()),
             d_max=base.d_max,
         )
-        plain = E.evaluate(E.mean_predictor(), [sym], (48, 64), crop_kind="none", flip_average=False)
-        avg = E.evaluate(E.mean_predictor(), [sym], (48, 64), crop_kind="none", flip_average=True)
+        plain = E.evaluate(mean_predictor(), [sym], (48, 64), crop_kind="none", flip_average=False)
+        avg = E.evaluate(mean_predictor(), [sym], (48, 64), crop_kind="none", flip_average=True)
         for f in ("rmse", "rel", "log10", "d1", "d2", "d3"):
             assert abs(getattr(plain, f) - getattr(avg, f)) < 1e-6
 
@@ -315,7 +315,7 @@ class TestEvaluatePipeline:
         the identical constant. A float32 accumulation misses both: its result
         depends on how numpy splits the reduction (seed 507's mirrored image
         came out 2 ulps away from its plain one)."""
-        predict = E.mean_predictor()
+        predict = mean_predictor()
         image = Tensor(np.zeros((1, 3, 48, 64), dtype=np.float32))
         for sample in D.generate_dataset(8, base_seed=500):
             norm = E.depth_to_normalized(sample.depth.data, sample.d_max)
@@ -343,7 +343,7 @@ class TestEvaluatePipeline:
         not cut the sum into 8,192-element buffer chunks, and between an
         image and its mirror, which is more than rtol=1e-9 allows."""
         samples = D.generate_dataset(8, base_seed=500)
-        rep = E.evaluate(E.mean_predictor(), samples, (48, 64), crop_kind="kitti", flip_average=True)
+        rep = E.evaluate(mean_predictor(), samples, (48, 64), crop_kind="kitti", flip_average=True)
         golden = (2.9335864881256715, 0.49685375164869916, 0.20066019631620768,
                   0.1450892857142857, 0.47936674669867946, 0.6656006152460985)
         got = (rep.rmse, rep.rel, rep.log10, rep.d1, rep.d2, rep.d3)
@@ -391,7 +391,7 @@ class TestEvaluatePipeline:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_prediction_rejected(self, bad_pass, flip, where, value):
         samples = D.generate_dataset(2, base_seed=70)
-        mean = E.mean_predictor()
+        mean = mean_predictor()
         # passes may run concurrently, so the bad one is found by its sample, not by call count
         bad_sample, bad_mirrored = divmod(bad_pass, 2) if flip else (bad_pass, 0)
 
@@ -423,7 +423,7 @@ def tiny_model(vga_scenes):
 
 PREDICTORS = {
     "oracle": lambda model: E.oracle_predictor(),
-    "mean": lambda model: E.mean_predictor(),
+    "mean": lambda model: mean_predictor(),
     "model": E.model_predictor,
 }
 

@@ -1052,6 +1052,22 @@ class TestParallelMap:
 
         assert T.parallel_map(fn, range(4)) == [True if i == slow else i for i in range(4)]
 
+    def test_caller_runs_item_0_which_never_reaches_the_pool(self, two_cores, monkeypatch):
+        queued, pool = [], T._pool
+
+        class Recorder:
+            def __init__(self, threads):
+                self.pool = pool(threads)
+
+            def submit(self, fn, calls, i):
+                queued.append(i)
+                return self.pool.submit(fn, calls, i)
+
+        monkeypatch.setattr(T, "_pool", Recorder)
+        got = T.parallel_map(lambda i: threading.get_ident(), range(4))
+        assert got[0] == threading.get_ident()
+        assert sorted(queued) == [1, 2, 3]
+
     def test_without_blas_symbols_runs_on_the_calling_thread(self, two_cores, blas_at_two_threads, monkeypatch):
         monkeypatch.setattr(T, "_openblas", lambda: None)
         got = T.parallel_map(lambda i: (threading.get_ident(), blas_at_two_threads()), range(4))
@@ -1093,11 +1109,11 @@ class TestParallelMap:
             blocker.result(timeout=10)
 
 
-def _conv_case(ci, kernel, stride):
+def _conv_case(ci, kernel, stride, co=6):
     def run(n, dtype, rng):
         x = T.Tensor(rng.standard_normal((n, ci, 11, 9)), requires_grad=True, dtype=dtype)
-        w = T.Tensor(rng.standard_normal((6, ci, kernel, kernel)), requires_grad=True, dtype=dtype)
-        b = T.Tensor(rng.standard_normal((1, 6, 1, 1)), requires_grad=True, dtype=dtype)
+        w = T.Tensor(rng.standard_normal((co, ci, kernel, kernel)), requires_grad=True, dtype=dtype)
+        b = T.Tensor(rng.standard_normal((1, co, 1, 1)), requires_grad=True, dtype=dtype)
         return T.conv2d(x, w, b, stride, kernel // 2), [x, w, b]
 
     return run
@@ -1133,6 +1149,13 @@ def _mul_case(c, gate_grad, x_samples=None):
     return run
 
 
+def _add_case(n, dtype, rng):
+    """``(x + x) * mean(x)``: ``x`` takes a broadcast gradient from the pool, then
+    two full ones from ``add``, each added to the first by ``_accum``."""
+    x = T.Tensor(rng.standard_normal((n, 5, 7, 6)), requires_grad=True, dtype=dtype)
+    return T.mul(T.add(x, x), T.global_avg_pool(x)), [x]
+
+
 def _concat_case(n, dtype, rng):
     a, b = (T.Tensor(rng.standard_normal((n, c, 6, 5)), requires_grad=True, dtype=dtype) for c in (3, 4))
     return T.concat_channels(a, b), [a, b]
@@ -1164,6 +1187,7 @@ _SPLIT_CASES = {
     "conv-3x3-stride-2": _conv_case(16, 3, 2),
     "conv-1x1-direct": _conv_case(16, 1, 1),
     "conv-3x3-stacked": _conv_case(3, 3, 1),
+    "conv-3x3-one-channel": _conv_case(16, 3, 1, co=1),
     "spatial_map-up": _resize_case(16, 16, 24, 32, 48),  # the batch's (n * 512, 48) GEMM crosses sizes where BLAS kernels change
     "spatial_map-down": _resize_case(3, 20, 30, 9, 13),
     "batch_norm_relu-c1": _bn_case(1),
@@ -1173,6 +1197,7 @@ _SPLIT_CASES = {
     "mul-batch-broadcast": _mul_case(4, True, x_samples=1),
     "concat_channels": _concat_case,
     "global_avg_pool": _pool_case,
+    "add-accum-broadcast": _add_case,
     "conv-of-batch-norm": _conv_of_case(False, 3),
     "conv-of-gated-batch-norm": _conv_of_case(True, 1),
 }
@@ -1236,6 +1261,23 @@ class TestSplitOps:
         assert bool(maps) == (n > 1 and op not in _UNSPLIT_CASES and blas is not None)
         for k, (a, b) in enumerate(zip(split, serial)):
             assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} of {op}, n={n}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("co", [1, 6])
+    def test_split_conv_bias_gradient_is_the_whole_batch_sum(self, two_cores, low_grain, monkeypatch, co, dtype):
+        """Each block of a split conv sums its samples' bias gradients, and the
+        sums are added in sample order: bitwise numpy's sum of the output
+        gradient over (n, h, w) when there are several output channels. One
+        output channel keeps that whole sum, since numpy sums its batch as one
+        contiguous run and per-sample sums round differently."""
+        rng = np.random.default_rng(111)
+        maps = _pool_calls(monkeypatch)
+        x, w, b = _leaf(rng, (3, 8, 11, 9), dtype), _leaf(rng, (co, 8, 3, 3), dtype), _leaf(rng, (1, co, 1, 1), dtype)
+        out = T.conv2d(x, w, b, 1, 1)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))  # the conv's output gradient is g itself
+        assert maps or T._openblas() is None
+        assert b.grad.dtype == dtype and np.array_equal(b.grad, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
 
     def test_split_over_eight_workers_under_contention(self, low_grain, monkeypatch):
         """More blocks than cores, with the interpreter switching threads as often
