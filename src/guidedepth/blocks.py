@@ -133,7 +133,9 @@ class ConvBN(Conv):
         if train:
             return batch_norm_relu(super().forward(x), self.gamma, self.beta, self.stats)
         if not self.stats.initialized:
-            raise RuntimeError("ConvBN: eval mode before any running-stat update")
+            raise RuntimeError(
+                f"ConvBN: eval mode before any running-stat update (weight {self.weight.shape}, input {x.shape})"
+            )
         dt = self.weight.dtype
         a = self.gamma.data * (1.0 / np.sqrt(self.stats.var + BN_EPS)).astype(dt, copy=False)
         weight = Tensor(self.weight.data * a.reshape(-1, 1, 1, 1))
@@ -201,7 +203,7 @@ class GuidedUpsampler(Module):
         n, c, h, w = z.shape
         want = (n, 3, 2 * h, 2 * w)
         if self.s_guide is not None and getattr(guide, "shape", None) != want:
-            raise ValueError(f"guide must be {want}, got {getattr(guide, 'shape', None)}")
+            raise ValueError(f"GuidedUpsampler: guide must be {want}, got {getattr(guide, 'shape', None)}, z {z.shape}")
         h_up = bilinear_resize(z, 2 * h, 2 * w)
         # only h_up stays alive until the residual add: no local holds the joint or gated features
         h_res = self.s_res.forward(self.se.forward(self._joint(h_up, guide, train)), train)

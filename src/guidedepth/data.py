@@ -33,9 +33,9 @@ class DepthSample:
 
     def __post_init__(self):
         if self.image.shape[0] != 1 or self.image.shape[1] != 3:
-            raise ValueError(f"image must be (1, 3, h, w), got {self.image.shape}")
+            raise ValueError(f"DepthSample: image must be (1, 3, h, w), got {self.image.shape}")
         if self.depth.shape != (1, 1, *self.image.shape[2:]):
-            raise ValueError(f"depth {self.depth.shape} does not match image {self.image.shape}")
+            raise ValueError(f"DepthSample: depth {self.depth.shape} does not match image {self.image.shape}")
 
 
 PRIMITIVE_KINDS = ("sphere", "box", "plane")

@@ -78,9 +78,9 @@ samples or channels, so a split gives bitwise the numbers of the serial run
 with BLAS at one thread, whatever the core count. A batch of one, an op below
 the grain, a ``no_grad`` forward and an op inside a ``parallel_map`` call
 (``evaluate``'s passes) run as one block on the calling thread and do not touch
-the pool; a one-block ``add``, ``_accum`` add, or forward of ``mul``,
-``concat_channels``, ``global_avg_pool`` or ``conv2d``'s crop is the op's one
-whole-array expression.
+the pool. An op's one-block run is its split code with one block: ``_split``
+calls the op's block function once, on the whole batch, and its ufunc then
+allocates the result as the op's plain expression would.
 """
 
 from __future__ import annotations
@@ -270,11 +270,7 @@ def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b`` for two arrays of one rank-4 shape, split over the batch (see the
     module docstring); either may be a read-only broadcast view."""
     blocks = _blocks(a.shape[0], a.shape[0], a.size)
-    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
-        return a + b
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
-    _each(lambda blk: np.add(a[blk], b[blk], out=out[blk]), blocks)
-    return out
+    return _split(lambda blk, o: np.add(a[blk], b[blk], out=o), blocks, a.shape, np.result_type(a, b))
 
 
 def _graph(loss: _GradRecord) -> list[_GradRecord]:
@@ -379,13 +375,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     keep_b = kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
     keep_a = kept(a) if rb.requires_grad else None
 
-    def product(fa, fb):  # fa(blk) * fb(blk) over the blocks, into one array
-        if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
-            return fa(blocks[0]) * fb(blocks[0])
-        r = np.empty(shape, dtype=dt)
-        _each(lambda blk: np.multiply(fa(blk), fb(blk), out=r[blk]), blocks)
-        return r
-
     def back(g):
         operands = ((ra, keep_b, a_shape), (rb, keep_a, b_shape))
         grads = [(r, keep, s, np.empty(s, dtype=dt)) for r, keep, s in operands if keep is not None]
@@ -401,11 +390,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         for r, _, _, d in grads:
             _accum(r, d)
 
-    def rebuild(s=None):
-        return product(keep_a, keep_b) if s is None else keep_a(s) * keep_b(s)
+    def rebuild(s=None):  # the samples ``s`` as one block; for None all of them, in the forward's blocks
+        blks = blocks if s is None else [s]
+        return _split(lambda blk, o: np.multiply(keep_a(blk), keep_b(blk), out=o), blks, shape, dt)
 
+    out = _split(lambda blk, o: np.multiply(a.data[blk], b.data[blk], out=o), blocks, shape, dt)
     both = keep_a is not None and keep_b is not None
-    return _track(product(a.data.__getitem__, b.data.__getitem__), back, a, b, rebuild=rebuild if both else None)
+    return _track(out, back, a, b, rebuild=rebuild if both else None)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -413,7 +404,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
     if not np.isfinite(data).all():
-        raise FloatingPointError("div produced non-finite values")
+        raise FloatingPointError(f"div produced non-finite values: numerator {a.shape}, divisor {b.shape}")
     ra, rb, keep_b = a._rec, b._rec, _kept(b)
 
     def back(g):
@@ -471,21 +462,21 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    ra, dt, shape = a._rec, a.data.dtype, a.shape
-
-    def back(g):
-        _accum(ra, np.broadcast_to(g.reshape(()).astype(dt, copy=False), shape))
-
-    return _track(a.data.sum(dtype=a.data.dtype).reshape(1, 1, 1, 1), back, a)
+    return _sum_over(a, 1)  # dividing by 1 is exact
 
 
 def mean_all(a: Tensor) -> Tensor:
-    ra, dt, shape, count = a._rec, a.data.dtype, a.shape, a.data.size
+    return _sum_over(a, a.data.size)
+
+
+def _sum_over(a: Tensor, count: int) -> Tensor:
+    """The sum of all of ``a``'s elements divided by ``count``, as a (1, 1, 1, 1) tensor."""
+    ra, dt, shape = a._rec, a.data.dtype, a.shape
 
     def back(g):
         _accum(ra, np.broadcast_to((g.reshape(()) / count).astype(dt, copy=False), shape))
 
-    return _track((a.data.sum(dtype=a.data.dtype) / count).reshape(1, 1, 1, 1), back, a)
+    return _track((a.data.sum(dtype=dt) / count).reshape(1, 1, 1, 1), back, a)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -495,13 +486,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"concat_channels: spatial/batch mismatch {a.shape} vs {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"concat_channels: dtype mismatch {a.data.dtype} {a.shape} vs {b.data.dtype} {b.shape}")
-    ra, rb = a._rec, b._rec
-    blocks = _blocks(na, na, na * (ca + cb) * ha * wa)
-    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
-        out = np.concatenate([a.data, b.data], axis=1)
-    else:
-        out = np.empty((na, ca + cb, ha, wa), dtype=a.data.dtype)
-        _each(lambda blk: np.concatenate([a.data[blk], b.data[blk]], axis=1, out=out[blk]), blocks)
+    ra, rb, shape = a._rec, b._rec, (na, ca + cb, ha, wa)
+    blocks = _blocks(na, na, math.prod(shape))
+    out = _split(lambda blk, o: np.concatenate([a.data[blk], b.data[blk]], axis=1, out=o), blocks, shape, a.dtype)
 
     def back(g):
         _accum(ra, g[:, :ca])
@@ -656,11 +643,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     _each(fill, blocks)  # its padded samples and matmul buffers are freed before the crop copies the output
     grid = grid.reshape(n, co, oh, wp)
-    if len(blocks) == 1:  # one whole-array expression: at batch 1 the slices of a block cost more than it
-        out_data = grid[..., :ow] + bias.data if wp > ow else np.add(grid, bias.data, out=grid)
-    else:  # with no junk columns the grid is the output
-        out_data = grid if wp == ow else np.empty((n, co, oh, ow), dtype=dt)
-        _each(lambda blk: np.add(grid[blk, ..., :ow], bias.data, out=out_data[blk]), blocks)
+
+    def crop(blk, o):  # the grid of the samples ``blk`` without its junk columns, plus the bias, into ``o``
+        return np.add(grid[blk, ..., :ow], bias.data, out=o)
+
+    out_data = _split(crop, blocks, (n, co, oh, ow), dt, grid if wp == ow else None)  # no junk columns: in place
     keep_x = _kept(x) if rw.requires_grad else None  # only the weight gradient reads the input
 
     def back(g):
@@ -774,7 +761,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     axes = (0, 2, 3)
     xd, gd, bd, dt = x.data, gamma.data, beta.data, x.data.dtype
     # blocks of at least 2 channels: numpy sums a one-channel slice over (n, h, w) in another order
-    blocks = _blocks(n, c, xd.size, 2)
+    blocks = _blocks(n, c, xd.size, most=max(1, c // 2))
     record = bool(_parents(x, gamma, beta))  # the mask is read only by a recorded node
     m, v, inv, a = (np.empty((1, c, 1, 1), dtype=dt) for _ in range(4))
     out = np.empty_like(xd)
@@ -889,20 +876,21 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     rx, dt = x._rec, x.data.dtype
     blocks = _blocks(n, n, max(x.data.size, n * c * a * b))
 
-    def apply(src, rows, cols, dst):  # dst[s] = rows @ src[s] @ cols for each sample s, a block per worker
-        def run(blk):
-            for s in range(blk.start, blk.stop):
+    def apply(src, rows, cols):  # rows @ src[s] @ cols for each sample s, into one new array
+        def run(blk, dst):
+            for s, d in zip(range(blk.start, blk.stop), dst):
                 t = src[s].reshape(-1, cols.shape[0]) @ cols  # the width map, one GEMM
-                np.matmul(rows, t.reshape(c, -1, cols.shape[1]), out=dst[s])
+                np.matmul(rows, t.reshape(c, -1, cols.shape[1]), out=d)
+            return dst
 
-        _each(run, blocks)
-        return dst
+        shape = (n, c, rows.shape[0], cols.shape[1])
+        return _split(run, blocks, shape, dt, np.empty(shape, dtype=dt))
 
-    y = apply(x.data, row_map, col_map.T, np.empty((n, c, a, b), dtype=dt))
+    y = apply(x.data, row_map, col_map.T)
 
     def back(g):
         if rx.requires_grad:
-            _accum(rx, apply(g, row_map.T, col_map, np.empty((n, c, h, w), dtype=dt)))
+            _accum(rx, apply(g, row_map.T, col_map))
 
     return _track(y, back, x)
 
@@ -930,11 +918,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     rx, dt = x._rec, x.data.dtype
 
     blocks = _blocks(n, n, x.data.size)
-    if len(blocks) == 1:  # one whole-array expression, as in conv2d's crop
-        y = x.data.mean(axis=(2, 3), keepdims=True)
-    else:
-        y = np.empty((n, c, 1, 1), dtype=dt)
-        _each(lambda blk: np.mean(x.data[blk], axis=(2, 3), keepdims=True, out=y[blk]), blocks)
+    y = _split(lambda blk, o: x.data[blk].mean(axis=(2, 3), keepdims=True, out=o), blocks, (n, c, 1, 1), dt)
 
     def back(g):
         if rx.requires_grad:
@@ -1053,17 +1037,28 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
 GRAIN = 32_768
 
 
-def _blocks(n: int, size: int, elements: int, least: int = 1, most: int | None = None) -> list[slice]:
-    """``slice(0, size)`` cut into one contiguous block per core, each at least
-    ``least`` long and at most ``most`` of them, when an op splits its batch of
-    ``n`` samples: ``n > 1``, the op's largest array holds at least ``GRAIN``
-    elements (``elements``) and gradients record, outside any ``parallel_map``
-    call. Otherwise the one block ``slice(0, size)``: below the grain a pool
-    round trip costs more than the second core saves."""
+def _blocks(n: int, size: int, elements: int, most: int | None = None) -> list[slice]:
+    """``slice(0, size)`` cut into one contiguous block per core, at most ``most``
+    of them, when an op splits its batch of ``n`` samples: ``n > 1``, the op's
+    largest array holds at least ``GRAIN`` elements (``elements``) and gradients
+    record, outside any ``parallel_map`` call. Otherwise the one block of that
+    whole slice: below the grain a pool round trip costs more than the second core saves."""
     if n < 2 or elements < GRAIN or not _GRAD_ENABLED.get() or _IN_MAP.get():
         return [slice(0, size)]
-    k = max(1, min(size // least, most or size, len(os.sched_getaffinity(0))))
+    k = min(size, most or size, len(os.sched_getaffinity(0)))
     return [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
+
+
+def _split(fn: Callable[..., np.ndarray], blocks: list[slice], shape: tuple, dtype, out=None) -> np.ndarray:
+    """``out`` of ``shape`` (a new array for ``None``) with ``fn(blk, out[blk])``
+    for each block on ``_each``, ``fn`` returning what it wrote, as a ufunc with
+    ``out=`` does. One block is the one call ``fn(blocks[0], out)``: with ``None``
+    ``fn`` allocates the result, as the op's plain expression would."""
+    if len(blocks) == 1:
+        return fn(blocks[0], out)
+    out = np.empty(shape, dtype=dtype) if out is None else out
+    _each(lambda blk: fn(blk, out[blk]), blocks)
+    return out
 
 
 def _each(fn: Callable[[_T], _R], blocks: list[_T], map_=parallel_map) -> list[_R]:

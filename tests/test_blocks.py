@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ class TestConvBN:
     def test_eval_before_update_raises(self):
         """Eval mode folds batch norm into the conv, and needs running statistics to fold."""
         cb = B.ConvBN(3, 2, 3, np.random.default_rng(0))
-        with pytest.raises(RuntimeError, match="running-stat"):
+        message = "ConvBN: eval mode before any running-stat update (weight (2, 3, 3, 3), input (1, 3, 5, 5))"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
             cb.forward(rand_image((1, 3, 5, 5), seed=1, dtype=np.float32), train=False)
 
     def test_fold_gives_constants(self):
@@ -196,7 +198,8 @@ class TestGuidedUpsampler:
     def test_guide_resolution_mismatch_rejected(self):
         gub = B.GuidedUpsampler(4, 4, True, np.random.default_rng(11))
         z, guide = T.Tensor(np.zeros((1, 4, 6, 8), np.float32)), T.Tensor(np.zeros((1, 3, 6, 8), np.float32))
-        with pytest.raises(ValueError):
+        message = "GuidedUpsampler: guide must be (1, 3, 12, 16), got (1, 3, 6, 8), z (1, 4, 6, 8)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             gub.forward(z, guide, train=True)
 
     def test_zeroed_residual_path_reduces_to_upsample(self):
@@ -739,7 +742,8 @@ class TestCheckpoints:
         assert not any("running_" in p.name for p in (tmp_path / "ckpt").iterdir())
         loaded = B.load_checkpoint(tmp_path / "ckpt")
         assert convbns(loaded) and not any(cb.stats.initialized for cb in convbns(loaded))
-        with pytest.raises(RuntimeError, match="ConvBN: eval mode before any running-stat update"):
+        message = "ConvBN: eval mode before any running-stat update (weight (4, 3, 3, 3), input (1, 3, 16, 16))"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
             loaded.forward(rand_image((1, 3, 16, 16), seed=36, dtype=np.float32))
 
     def test_shape_validation_on_load(self, tmp_path):

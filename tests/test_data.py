@@ -75,8 +75,14 @@ def test_view_rays_are_shared_read_only_and_left_unchanged():
 
 
 def test_sample_with_a_four_channel_image_rejected():
-    with pytest.raises(ValueError, match=re.escape("image must be (1, 3, h, w), got (1, 4, 6, 8)")):
+    with pytest.raises(ValueError, match=re.escape("DepthSample: image must be (1, 3, h, w), got (1, 4, 6, 8)")):
         D.DepthSample(Tensor(np.zeros((1, 4, 6, 8))), Tensor(np.ones((1, 1, 6, 8))), D.D_MAX)
+
+
+def test_sample_with_a_depth_of_another_size_rejected():
+    message = "DepthSample: depth (1, 1, 6, 7) does not match image (1, 3, 6, 8)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        D.DepthSample(Tensor(np.zeros((1, 3, 6, 8))), Tensor(np.ones((1, 1, 6, 7))), D.D_MAX)
 
 
 def _dataset(directory, seeds=(3, 4)):

@@ -1332,6 +1332,69 @@ class TestSplitOps:
         T.backward(T.sum_all(out))
         assert bool(maps) == (at_grain and T._openblas() is not None)
 
+    def test_split_ops_never_call_the_module_parallel_map(self, two_cores, low_grain, monkeypatch):
+        """A tracer rebinds ``tensor.parallel_map`` as it does every public
+        function; a split op reaches the pool through the map ``_each`` bound at
+        import, so the tracer records the op once and not each of its blocks."""
+        rebound = []
+        monkeypatch.setattr(T, "parallel_map", lambda fn, items: rebound.append(fn))
+        maps = _pool_calls(monkeypatch)
+        for op, case in _SPLIT_CASES.items():
+            self._run(case, 3, np.float32)
+            assert rebound == [], op
+        assert maps or T._openblas() is None
+
+    @staticmethod
+    def _cuts(monkeypatch, cores):
+        """With ``cores`` cores and each op's blocks run in order on this thread (so
+        no thread starts), the list of what each ``_blocks`` call returns from now on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(T, "_each", lambda fn, blocks: [fn(blk) for blk in blocks])
+        cuts, blocks = [], T._blocks
+        monkeypatch.setattr(T, "_blocks", lambda *args, **kw: cuts.append(blocks(*args, **kw)) or cuts[-1])
+        return cuts
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
+    def test_blocks_are_one_per_core_within_each_ops_cap(self, low_grain, monkeypatch, cores):
+        """Batch norm cuts its c channels into min(c // 2, cores) contiguous blocks
+        covering them all, at least 2 channels each unless there is one block; a
+        conv cuts its samples into at most ``CONV_WORKERS`` blocks."""
+        cuts = self._cuts(monkeypatch, cores)
+        rng = np.random.default_rng(112)
+        for c in range(1, 10):
+            _bn_case(c)(4, np.float32, rng)
+            [blocks] = cuts
+            cuts.clear()
+            assert [blk.start for blk in blocks[1:]] == [blk.stop for blk in blocks[:-1]], f"c={c}"
+            assert (blocks[0].start, blocks[-1].stop) == (0, c) and all(blk.step is None for blk in blocks)
+            assert len(blocks) == max(1, min(c // 2, cores)), f"c={c}"
+            assert len(blocks) == 1 or min(blk.stop - blk.start for blk in blocks) >= 2, f"c={c}"
+        out, _ = _conv_case(16, 3, 1)(9, np.float32, rng)
+        T.backward(T.sum_all(out))
+        [blocks] = cuts
+        assert blocks == [slice(9 * i // len(blocks), 9 * (i + 1) // len(blocks)) for i in range(len(blocks))]
+        assert len(blocks) == min(cores, T.CONV_WORKERS) <= T.CONV_WORKERS
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
+    def test_batch_of_one_no_grad_below_grain_and_in_a_map_are_one_block(self, low_grain, monkeypatch, cores):
+        """Each of these gives every op the one block ``slice(0, size)``: the
+        batch norm's 5 channels, the conv's samples."""
+        cuts = self._cuts(monkeypatch, cores)
+        cases = {"batch_norm_relu": (_bn_case(5), lambda n: 5), "conv2d": (_conv_case(16, 3, 1), lambda n: n)}
+
+        def run(n):
+            for op, (case, size) in cases.items():
+                case(n, np.float32, np.random.default_rng(113))
+                assert cuts == [[slice(0, size(n))]], f"{op}, n={n}"
+                cuts.clear()
+
+        run(1)
+        with T.no_grad():
+            run(4)
+        T.parallel_map(lambda _: run(4), [None])
+        monkeypatch.setattr(T, "GRAIN", 4 * 16 * 11 * 9 + 1)  # one more element than the largest array
+        run(4)
+
     def test_squeeze_and_excite_convs_never_reach_the_pool(self, two_cores, monkeypatch):
         """The gate's 1x1 convs run on (4, c, 1, 1): far below the grain."""
         rng = np.random.default_rng(109)
@@ -1362,7 +1425,8 @@ class TestFiniteness:
     def test_div_reports_nonfinite(self):
         a = T.Tensor(np.full((1, 1, 1, 1), 1.0, np.float32))
         z = T.Tensor(np.zeros((1, 1, 1, 1), np.float32))
-        with pytest.raises(FloatingPointError):
+        message = "div produced non-finite values: numerator (1, 1, 1, 1), divisor (1, 1, 1, 1)"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
             T.div(a, z)
 
 
