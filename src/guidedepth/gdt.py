@@ -107,6 +107,8 @@ def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, 
         if not name or name.startswith(".") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
             raise GdtError(f"{directory / f'{name}.gdt'}: array name {name!r} would not read back as written")
     if directory.exists():
+        if not directory.is_dir():
+            raise FileExistsError(f"{directory} is not a GDT record (not a directory); not replacing it")
         entries = [e for e in directory.iterdir() if not e.name.startswith(".")]
         stray = sorted(e.name for e in entries if not e.is_file() or (e.name != META and e.suffix != ".gdt"))
         if stray or (entries and not (directory / META).is_file()):

@@ -19,16 +19,16 @@ only the arrays it reads.
 - ``add``, ``sub``, ``affine``, ``sum_all``, ``mean_all``, ``concat_channels``
   and ``global_avg_pool``: no array.
 
-A rule that reads an input's array captures ``_kept(input)``, a function that
-returns it, or the samples of an optional slice of it. A rebuild recomputes the
-op's output, or just the samples of a given slice, bitwise, from arrays its node
-keeps anyway; while the producer's node is live, ``_kept`` hands out that rebuild
-instead of the output array (recomputation instead of storage, Chen et al.,
-arXiv 1604.06174). Two ops offer one: ``batch_norm_relu``, from its input and
-per-channel vectors, and ``mul`` when both operands require grad and so are both
-kept. So a batch norm output that a conv reads, or a gated product, is freed
-during the forward and built again, a block or a sample at a time, when its
-reader's rule runs.
+A rule that reads an input's array captures ``_kept(input)``. It and every
+rebuild are one kind of function: of a sample slice ``s``, all samples by
+default, returning those samples of the array. A rebuild recomputes them
+bitwise from arrays its node keeps anyway; while the producer's node is live,
+``_kept`` hands out that rebuild instead of the output array (recomputation
+instead of storage, Chen et al., arXiv 1604.06174). Two ops offer one:
+``batch_norm_relu``, from its input and per-channel vectors, and ``mul`` when
+both operands require grad and so are both kept. So a batch norm output that a
+conv reads, or a gated product, is freed during the forward and built again, a
+block or a sample at a time, when its reader's rule runs.
 
 ``backward`` collects the nodes reachable from the loss, runs their rules
 newest first and releases each node once its rule has run, so each forward
@@ -62,8 +62,7 @@ worker:
   backward's one pass of weight, bias and input gradients;
 - ``batch_norm_relu`` (channels): the statistics, the output, the packing of
   its 1-bit mask and the backward;
-- ``mul``, when both operands hold the whole batch: the forward, the rule and a
-  whole rebuild;
+- ``mul``: the forward and the rule;
 - ``spatial_map``: both maps' GEMMs, one sample at a time, forward and backward;
 - ``add``, ``concat_channels`` and ``global_avg_pool``: the forward;
 - ``_accum``: the add of a second gradient to a tensor's first.
@@ -236,8 +235,8 @@ def _track(
 ) -> Tensor:
     """Wrap an op's output; while recording, give it a node when any input requires grad.
 
-    ``rebuild``, when given, recomputes ``data``, or the samples of an optional slice
-    of it, bitwise from arrays the node keeps anyway (see ``_kept``).
+    ``rebuild``, when given, recomputes the samples of a slice of ``data``, all by
+    default, bitwise from arrays the node keeps anyway (see ``_kept``).
     """
     parents = _parents(*inputs)
     out = Tensor(data, requires_grad=bool(parents))
@@ -247,16 +246,16 @@ def _track(
 
 
 def _kept(t: Tensor) -> Callable[..., np.ndarray]:
-    """A function of an optional sample slice ``s`` returning ``t.data[s]`` (all of
-    ``t.data`` for ``None``), for a rule to capture: the rebuild of the node that made
-    ``t`` while that node is live, otherwise one that holds ``t.data`` and returns a
-    view of it. A rebuild given ``s`` computes just those samples, with the per-element
-    ops of the whole one, so a reader can take its input one block or sample at a time."""
+    """A function of a sample slice ``s``, all samples by default, returning
+    ``t.data[s]``, for a rule to capture: the rebuild of the node that made ``t``
+    while that node is live, otherwise one that holds ``t.data`` and returns a view
+    of it. A rebuild computes just the samples ``s``, with the per-element ops of
+    the whole one, so a reader can take its input one block or sample at a time."""
     node = t._rec.node
     if node is not None and node is not _CONSUMED and node[3] is not None:
         return node[3]
     data = t.data
-    return lambda s=None: data if s is None else data[s]
+    return lambda s=slice(None): data[s]
 
 
 def _accum(r: _GradRecord, g: np.ndarray) -> None:
@@ -353,27 +352,23 @@ def _unbroadcast(g: np.ndarray, shape: Shape4) -> np.ndarray:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must be broadcast-compatible (rank 4 both).
-
-    Splits its samples into blocks only when both operands hold the whole batch,
-    so a block's gradient sums at most over its own (sample, channel) planes; an
-    operand of one sample broadcasts over the batch and is read whole."""
+    """Elementwise product of two operands of one batch whose other dims broadcast
+    (rank 4 both); a batch mismatch is refused. So samples ``s`` of the product read
+    only samples ``s`` of each operand: a block's gradient sums only over its own
+    samples, and the rebuild of ``s`` is the product of the operands' ``s``."""
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"mul: shapes {a.shape} and {b.shape} hold different batches; both must hold one batch")
     try:
         shape = np.broadcast(a.data, b.data).shape
     except ValueError as exc:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
     n, dt = shape[0], a.data.dtype
     ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
-    blocks = _blocks(n, n, math.prod(shape)) if a_shape[0] == b_shape[0] else [slice(0, n)]
-
-    def kept(t):  # samples s of an operand; one of one sample is read whole by every slice
-        keep = _kept(t)
-        return keep if t.shape[0] == n else lambda s=None: keep()
-
-    keep_b = kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
-    keep_a = kept(a) if rb.requires_grad else None
+    blocks = _blocks(n, n, math.prod(shape))
+    keep_b = _kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
+    keep_a = _kept(a) if rb.requires_grad else None
 
     def back(g):
         operands = ((ra, keep_b, a_shape), (rb, keep_a, b_shape))
@@ -390,9 +385,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         for r, _, _, d in grads:
             _accum(r, d)
 
-    def rebuild(s=None):  # the samples ``s`` as one block; for None all of them, in the forward's blocks
-        blks = blocks if s is None else [s]
-        return _split(lambda blk, o: np.multiply(keep_a(blk), keep_b(blk), out=o), blks, shape, dt)
+    def rebuild(s=slice(None)):  # the samples ``s``
+        return np.multiply(keep_a(s), keep_b(s))
 
     out = _split(lambda blk, o: np.multiply(a.data[blk], b.data[blk], out=o), blocks, shape, dt)
     both = keep_a is not None and keep_b is not None
@@ -749,9 +743,10 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     the channels are cut into one block per core, of at least two channels, on
     ``parallel_map``: each block takes its statistics, builds its output and
     packs its own mask, and in the backward unpacks it and takes its sums and
-    input gradient, on its own slice. The rebuild takes an optional sample slice
-    and computes just those samples, with the forward's per-element ops, so a
-    conv reading the output one sample at a time never holds it whole.
+    input gradient, on its own slice. The rebuild takes a sample slice, all
+    samples by default, and computes just those samples, with the forward's
+    per-element ops, so a conv reading the output one sample at a time never
+    holds it whole.
     """
     n, c, h, w = x.shape
     if gamma.shape != (1, c, 1, 1) or beta.shape != (1, c, 1, 1):
@@ -782,8 +777,8 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
         output(ob, xb, blk)
         return np.packbits(ob > 0) if record else None
 
-    def rebuild(s=None):  # the output of samples ``s``, all for None
-        xs = xd if s is None else xd[s]
+    def rebuild(s=slice(None)):  # the output of the samples ``s``
+        xs = xd[s]
         r = np.empty_like(xs)
         output(r, xs)
         return r
@@ -889,8 +884,7 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     y = apply(x.data, row_map, col_map.T)
 
     def back(g):
-        if rx.requires_grad:
-            _accum(rx, apply(g, row_map.T, col_map))
+        _accum(rx, apply(g, row_map.T, col_map))
 
     return _track(y, back, x)
 
@@ -921,8 +915,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     y = _split(lambda blk, o: x.data[blk].mean(axis=(2, 3), keepdims=True, out=o), blocks, (n, c, 1, 1), dt)
 
     def back(g):
-        if rx.requires_grad:
-            _accum(rx, np.broadcast_to((g / (h * w)).astype(dt, copy=False), (n, c, h, w)))
+        _accum(rx, np.broadcast_to((g / (h * w)).astype(dt, copy=False), (n, c, h, w)))
 
     return _track(y, back, x)
 

@@ -331,6 +331,7 @@ class TestDepthNet:
                 gc.enable()
         assert growth < 16 * 1024, f"array memory grew by {growth} bytes over 100 forwards"
 
+    @pytest.mark.threads
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("gtype", B.GUIDANCE_TYPES)
     def test_step_is_bitwise_the_same_on_1_2_and_4_cores(self, monkeypatch, gtype, dtype):
@@ -387,6 +388,7 @@ class TestDepthNet:
         held = graph_bytes(loss) / 2**20
         assert held <= 120, f"graph holds {held:.1f} MiB after forward and loss"
 
+    @pytest.mark.threads
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
     def test_train_forward_and_loss_peaks_at_most_119_mib(self, monkeypatch, cores):
         """Forward and loss of ``guidedepth``, batch 4 at 96x128, while recording.
@@ -410,6 +412,7 @@ class TestDepthNet:
         _, _, peak = traced(forward_and_loss)
         assert peak <= 119 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.threads
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
     def test_train_step_peaks_at_most_150_mib(self, monkeypatch, cores):
         """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. The

@@ -443,6 +443,7 @@ class TestProtocolReference:
         for f in ("d1", "d2", "d3"):
             assert abs(getattr(got, f) - getattr(want, f)) <= 1e-5, f
 
+    @pytest.mark.threads
     def test_passes_run_on_two_threads(self, vga_scenes, tiny_model, monkeypatch):
         """With 2 cores (set here, so that this holds on a 1-core machine too) the
         plain and mirrored passes run at once: each waits for the other."""
@@ -459,6 +460,7 @@ class TestProtocolReference:
         E.evaluate(predict, vga_scenes[:1], (96, 128), crop_kind="nyu", flip_average=True)
         assert len(threads) == 2
 
+    @pytest.mark.threads
     @pytest.mark.parametrize("flip", [False, True])
     def test_pool_matches_serial_path(self, vga_scenes, tiny_model, monkeypatch, flip):
         """The pool holds BLAS at one thread and the serial path (no BLAS symbols)

@@ -422,7 +422,7 @@ class TestRebuild:
         [
             lambda dt: _bn_relu(70, dt),
             lambda dt: T.mul(randn((2, 3, 4, 5), seed=73, dtype=dt), randn((2, 3, 4, 5), seed=74, dtype=dt)),
-            lambda dt: T.mul(randn((2, 3, 4, 5), seed=75, dtype=dt), randn((1, 3, 1, 1), seed=76, dtype=dt)),
+            lambda dt: T.mul(randn((2, 3, 4, 5), seed=75, dtype=dt), randn((2, 3, 1, 1), seed=76, dtype=dt)),
         ],
         ids=["batch_norm_relu", "mul", "mul-broadcast"],
     )
@@ -430,6 +430,7 @@ class TestRebuild:
         out = op(dtype)
         np.testing.assert_array_equal(out._rec.node[3](), out.data)
 
+    @pytest.mark.threads
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "op",
@@ -437,10 +438,10 @@ class TestRebuild:
             lambda dt: _bn_relu(94, dt, (3, 4, 6, 5)),
             lambda dt: T.mul(randn((3, 2, 4, 5), seed=97, dtype=dt), randn((3, 2, 4, 5), seed=98, dtype=dt)),
             lambda dt: T.mul(randn((3, 2, 4, 5), seed=99, dtype=dt), randn((3, 2, 1, 1), seed=100, dtype=dt)),
-            lambda dt: T.mul(randn((1, 2, 4, 5), seed=101, dtype=dt), randn((3, 2, 1, 1), seed=102, dtype=dt)),
+            lambda dt: T.mul(randn((3, 2, 1, 1), seed=101, dtype=dt), randn((3, 2, 4, 5), seed=102, dtype=dt)),
             lambda dt: T.mul(_bn_relu(103, dt, (3, 4, 6, 5)), randn((3, 4, 1, 1), seed=106, dtype=dt)),
         ],
-        ids=["batch_norm_relu", "mul", "mul-gate", "mul-batch-broadcast", "mul-of-batch-norm"],
+        ids=["batch_norm_relu", "mul", "mul-gate", "mul-gate-first", "mul-of-batch-norm"],
     )
     def test_sliced_rebuild_is_bitwise_the_whole_one(self, op, dtype):
         """A reader may take a rebuilt input one sample at a time."""
@@ -450,11 +451,12 @@ class TestRebuild:
             part = rebuild(slice(s, s + 1))
             assert part.dtype == whole.dtype and np.array_equal(part, whole[s : s + 1]), f"sample {s}"
 
+    @pytest.mark.threads
     def test_kept_array_is_handed_out_as_a_view(self):
         t = randn((3, 2, 4, 5), seed=107, requires_grad=False)
         keep = T._kept(t)
-        part = keep(slice(1, 3))
-        assert keep() is t.data
+        whole, part = keep(), keep(slice(1, 3))
+        assert whole.base is t.data and np.array_equal(whole, t.data)
         assert part.base is t.data and np.array_equal(part, t.data[1:3])
 
     def test_mul_by_a_constant_has_no_rebuild(self):
@@ -462,6 +464,7 @@ class TestRebuild:
         out = T.mul(randn((2, 3, 4, 5), seed=77), randn((2, 3, 4, 5), seed=78, requires_grad=False))
         assert out._rec.node[3] is None
 
+    @pytest.mark.threads
     def test_batch_norm_output_read_only_by_a_conv_freed_during_forward(self):
         out = _bn_relu(79, np.float32)
         data = weakref.ref(out.data)
@@ -612,7 +615,7 @@ class TestConcatAndArithmetic:
         c = randn((2, 2, 3, 3), seed=30)
         d = T.Tensor(np.random.default_rng(31).uniform(0.5, 2.0, (2, 2, 3, 3)), requires_grad=True, dtype=np.float64)
         check_grads(lambda: T.sum_all(T.div(c, d)), {"c": c, "d": d}, tol=1e-3)
-        e = randn((1, 3, 1, 1), seed=32)
+        e = randn((2, 3, 1, 1), seed=32)
         f = randn((2, 3, 4, 4), seed=33)
         check_grads(lambda: T.sum_all(T.mul(f, T.mul(e, e))), {"e": e, "f": f}, tol=1e-3)
 
@@ -771,6 +774,12 @@ class TestErrorsNameTheOp:
         with pytest.raises(ValueError, match=r"^mul: dtype mismatch float64 vs float32$"):
             T.mul(a, b)
 
+    def test_mul_batch_mismatch(self):
+        a, b = T.Tensor(np.ones((1, 3, 1, 1))), T.Tensor(np.ones((2, 3, 4, 5)))
+        want = "mul: shapes (1, 3, 1, 1) and (2, 3, 4, 5) hold different batches; both must hold one batch"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.mul(a, b)
+
     def test_mul_shapes_that_do_not_broadcast(self):
         a, b = T.Tensor(np.ones((1, 2, 3, 3))), T.Tensor(np.ones((1, 3, 3, 3)))
         with pytest.raises(ValueError, match=re.escape("mul: shapes (1, 2, 3, 3) and (1, 3, 3, 3) do not broadcast")):
@@ -815,7 +824,7 @@ _RULE_CASES = {
     "add": lambda r: T.add(_signed(r), _signed(r)),
     "sub": lambda r: T.sub(_signed(r), _signed(r)),
     "mul": lambda r: T.mul(_signed(r), _signed(r)),
-    "mul-broadcast": lambda r: T.mul(_signed(r), _signed(r, (1, 3, 1, 1))),
+    "mul-broadcast": lambda r: T.mul(_signed(r), _signed(r, (2, 3, 1, 1))),
     "div": lambda r: T.div(_signed(r), _positive(r)),
     "affine": lambda r: T.affine(_signed(r), -1.5, 0.0),
     "affine-shift": lambda r: T.affine(_signed(r), 1.0, 2.0),
@@ -899,6 +908,7 @@ def blas_at_two_threads():
         set_(before)
 
 
+@pytest.mark.threads
 class TestParallelMap:
     """``parallel_map`` against a plain loop. Where a test needs both workers to
     take an item, a barrier holds the first until the second arrives."""
@@ -1137,16 +1147,22 @@ def _resize_case(c, h, w, out_h, out_w):
     return run
 
 
-def _mul_case(c, gate_grad, x_samples=None):
-    """``x * gate`` with an SE-shaped gate; ``x`` of one sample broadcasts over the
-    batch, so its gradient sums over samples and the product must not split."""
+def _mul_case(c, gate_grad):
+    """``x * gate`` with an SE-shaped gate."""
 
     def run(n, dtype, rng):
-        x = T.Tensor(rng.standard_normal((x_samples or n, c, 6, 5)), requires_grad=True, dtype=dtype)
+        x = T.Tensor(rng.standard_normal((n, c, 6, 5)), requires_grad=True, dtype=dtype)
         gate = T.Tensor(rng.standard_normal((n, c, 1, 1)), requires_grad=gate_grad, dtype=dtype)
         return T.mul(x, gate), [x, gate] if gate_grad else [x]
 
     return run
+
+
+def _product_case(n, dtype, rng):
+    """``x * y`` of one shape, as the loss's product: both gradients take the
+    same-shape branch of ``mul``'s rule."""
+    x, y = (T.Tensor(rng.standard_normal((n, 4, 6, 5)), requires_grad=True, dtype=dtype) for _ in range(2))
+    return T.mul(x, y), [x, y]
 
 
 def _add_case(n, dtype, rng):
@@ -1194,14 +1210,14 @@ _SPLIT_CASES = {
     "batch_norm_relu-c5": _bn_case(5),
     "mul-gate": _mul_case(4, True),
     "mul-gate-constant": _mul_case(4, False),
-    "mul-batch-broadcast": _mul_case(4, True, x_samples=1),
+    "mul-same-shape": _product_case,
     "concat_channels": _concat_case,
     "global_avg_pool": _pool_case,
     "add-accum-broadcast": _add_case,
     "conv-of-batch-norm": _conv_of_case(False, 3),
     "conv-of-gated-batch-norm": _conv_of_case(True, 1),
 }
-_UNSPLIT_CASES = {"batch_norm_relu-c1", "mul-batch-broadcast"}  # one block of channels, a gradient summed over samples
+_UNSPLIT_CASES = {"batch_norm_relu-c1"}  # one block of channels
 
 
 @pytest.fixture
@@ -1234,6 +1250,7 @@ _GRAIN_CASES = {
 }
 
 
+@pytest.mark.threads
 class TestSplitOps:
     """While gradients record, an op of more than one sample and at least
     ``GRAIN`` elements splits its batch over ``parallel_map``. The split must
@@ -1578,6 +1595,15 @@ class TestGdtRecord:
             gdt.write_record(tmp_path / "r", {"x": "2"}, {})
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(["meta", stray])
         assert (tmp_path / "r" / "meta").read_text() == "x = 1\n"
+
+    def test_plain_file_not_replaced(self, tmp_path):
+        """A file where the record would go is refused before anything is staged, and kept."""
+        (tmp_path / "r").write_bytes(b"keep me")
+        want = f"{tmp_path / 'r'} is not a GDT record (not a directory); not replacing it"
+        with pytest.raises(FileExistsError, match=f"^{re.escape(want)}$"):
+            gdt.write_record(tmp_path / "r", {"x": "1"}, {"a": np.zeros((1, 1, 1, 1))})
+        assert (tmp_path / "r").read_bytes() == b"keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
     def test_gdt_directory_not_read(self, tmp_path):
         """A directory named like an array is refused with an error naming it."""
