@@ -100,8 +100,8 @@ class Conv(Module):
     def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0, dtype=np.float32):
         shape = (c_out, c_in, kernel, kernel)
         weight = np.zeros(shape, dtype) if rng is None else _kaiming(rng, shape, c_in * kernel * kernel, dtype)
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
+        self.weight = Tensor(weight, requires_grad=True, dtype=dtype)
+        self.bias = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)
         self.stride = stride
         self.padding = padding
 
@@ -125,8 +125,8 @@ class ConvBN(Conv):
     def __init__(self, c_in, c_out, kernel, rng, stride=1, dtype=np.float32):
         super().__init__(c_in, c_out, kernel, rng, stride=stride, padding=kernel // 2, dtype=dtype)
         self.bias.requires_grad = False
-        self.gamma = Tensor(np.ones((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)
+        self.beta = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.for_channels(c_out, dtype)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:

@@ -36,6 +36,8 @@ class DepthSample:
             raise ValueError(f"DepthSample: image must be (1, 3, h, w), got {self.image.shape}")
         if self.depth.shape != (1, 1, *self.image.shape[2:]):
             raise ValueError(f"DepthSample: depth {self.depth.shape} does not match image {self.image.shape}")
+        if not (math.isfinite(self.d_max) and self.d_max > 0):
+            raise ValueError(f"DepthSample: d_max must be finite and > 0, got {self.d_max}")
 
 
 PRIMITIVE_KINDS = ("sphere", "box", "plane")

@@ -77,9 +77,10 @@ samples or channels, so a split gives bitwise the numbers of the serial run
 with BLAS at one thread, whatever the core count. A batch of one, an op below
 the grain, a ``no_grad`` forward and an op inside a ``parallel_map`` call
 (``evaluate``'s passes) run as one block on the calling thread and do not touch
-the pool. An op's one-block run is its split code with one block: ``_split``
-calls the op's block function once, on the whole batch, and its ufunc then
-allocates the result as the op's plain expression would.
+the pool. A block pass that fills one array runs through ``_split``, which on
+one block calls the op's block function once, on the whole batch, so that its
+ufunc allocates the result as the op's plain expression would. Only a pass that
+fills several (``conv2d``'s backward, ``batch_norm_relu``) calls ``_each`` itself.
 """
 
 from __future__ import annotations
@@ -346,16 +347,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _track(a.data - b.data, back, a, b)
 
 
-def _unbroadcast(g: np.ndarray, shape: Shape4) -> np.ndarray:
-    axes = tuple(i for i in range(4) if shape[i] == 1 and g.shape[i] > 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two operands of one batch whose other dims broadcast
     (rank 4 both); a batch mismatch is refused. So samples ``s`` of the product read
     only samples ``s`` of each operand: a block's gradient sums only over its own
-    samples, and the rebuild of ``s`` is the product of the operands' ``s``."""
+    samples, and the rebuild of ``s`` is the product of the operands' ``s``. An
+    operand's gradient, one ``_split`` each, is ``g`` times the other operand
+    summed with ``keepdims`` over the dims the operand broadcast along."""
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     if a.shape[0] != b.shape[0]:
@@ -371,19 +369,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     keep_a = _kept(a) if rb.requires_grad else None
 
     def back(g):
-        operands = ((ra, keep_b, a_shape), (rb, keep_a, b_shape))
-        grads = [(r, keep, s, np.empty(s, dtype=dt)) for r, keep, s in operands if keep is not None]
+        for r, keep, s in ((ra, keep_b, a_shape), (rb, keep_a, b_shape)):
+            if keep is None:
+                continue
+            axes = tuple(i for i in range(1, 4) if s[i] < shape[i])  # the dims this operand broadcast along
 
-        def rule(blk):
-            for _, keep, s, d in grads:
-                if s == g.shape:
-                    np.multiply(g[blk], keep(blk), out=d[blk])
-                else:
-                    d[blk] = _unbroadcast(g[blk] * keep(blk), s)
+            def grad(blk, o):  # run by the _split below, within this iteration
+                if not axes:
+                    return np.multiply(g[blk], keep(blk), out=o)
+                return np.multiply(g[blk], keep(blk)).sum(axis=axes, keepdims=True, out=o)
 
-        _each(rule, blocks)
-        for r, _, _, d in grads:
-            _accum(r, d)
+            _accum(r, _split(grad, blocks, s, dt))
 
     def rebuild(s=slice(None)):  # the samples ``s``
         return np.multiply(keep_a(s), keep_b(s))
@@ -625,18 +621,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         return [np.concatenate(views)] if stacked else views
 
     blocks = _blocks(n, n, max(xd.size, n * co * oh * ow), most=CONV_WORKERS)
-    grid = np.empty((n, co, m), dtype=dt)  # output rows, junk columns included
 
-    def fill(blk):  # the grid rows of the samples in ``blk``, through one padded sample and one matmul buffer
+    def fill(blk, o):  # the grid rows ``o`` of the samples ``blk``, through one padded sample and one matmul buffer
         tmp = np.empty((co, m), dtype=dt) if not stacked and kh * kw > 1 else None
-        for s, xf in enumerate(padded(xd[blk]), blk.start):
+        for ys, xf in zip(o, padded(xd[blk])):
             ops = operands(xf)
-            np.matmul(wt[:, :k], ops[0], out=grid[s])
+            np.matmul(wt[:, :k], ops[0], out=ys)
             for t in range(1, len(ops)):
-                grid[s] += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
+                ys += np.matmul(wt[:, t * k : (t + 1) * k], ops[t], out=tmp)
+        return o
 
-    _each(fill, blocks)  # its padded samples and matmul buffers are freed before the crop copies the output
-    grid = grid.reshape(n, co, oh, wp)
+    grid = _split(fill, blocks, (n, co, m), dt, np.empty((n, co, m), dtype=dt)).reshape(n, co, oh, wp)
 
     def crop(blk, o):  # the grid of the samples ``blk`` without its junk columns, plus the bias, into ``o``
         return np.add(grid[blk, ..., :ow], bias.data, out=o)
@@ -1046,7 +1041,8 @@ def _split(fn: Callable[..., np.ndarray], blocks: list[slice], shape: tuple, dty
     """``out`` of ``shape`` (a new array for ``None``) with ``fn(blk, out[blk])``
     for each block on ``_each``, ``fn`` returning what it wrote, as a ufunc with
     ``out=`` does. One block is the one call ``fn(blocks[0], out)``: with ``None``
-    ``fn`` allocates the result, as the op's plain expression would."""
+    ``fn`` allocates the result, as the op's plain expression would. Only a pass
+    that fills several arrays calls ``_each`` without it."""
     if len(blocks) == 1:
         return fn(blocks[0], out)
     out = np.empty(shape, dtype=dtype) if out is None else out
@@ -1056,7 +1052,7 @@ def _split(fn: Callable[..., np.ndarray], blocks: list[slice], shape: tuple, dty
 
 def _each(fn: Callable[[_T], _R], blocks: list[_T], map_=parallel_map) -> list[_R]:
     """``[fn(blk) for blk in blocks]``: on ``parallel_map`` when there are several
-    blocks, else one call on this thread. ``map_`` is bound once, here, so a
-    tracer that rebinds this module's public functions times an op whole and
-    does not cut it at its blocks."""
+    blocks, else one call on this thread, for ``_split`` or a pass that fills
+    several arrays. ``map_`` is bound once, here, so a tracer that rebinds this
+    module's public functions times an op whole and does not cut it at its blocks."""
     return map_(fn, blocks) if len(blocks) > 1 else [fn(blocks[0])]

@@ -677,6 +677,13 @@ class TestInit:
         mean_ratio = float(np.mean(ratios))
         assert 0.25 < mean_ratio < 4.0
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_a_dtype_other_than_float32_or_float64_is_refused(self, dtype):
+        """Every parameter is made in the model's dtype, so none is cast to
+        float32 beside statistics of another dtype."""
+        with pytest.raises(ValueError, match=f"tensors are float32 or float64, got dtype {np.dtype(dtype)}"):
+            B.build_model(B.preset_config("guidedepth-tiny"), seed=0, dtype=dtype)
+
     def test_biases_zero_gammas_one(self):
         model = B.build_model(B.preset_config("guidedepth-tiny"), seed=13)
         for name, p in model.named_parameters():

@@ -85,6 +85,14 @@ def test_sample_with_a_depth_of_another_size_rejected():
         D.DepthSample(Tensor(np.zeros((1, 3, 6, 8))), Tensor(np.ones((1, 1, 6, 7))), D.D_MAX)
 
 
+@pytest.mark.parametrize("d_max", [-1.0, 0.0, float("inf"), float("nan")])
+def test_sample_with_a_d_max_not_finite_and_positive_rejected(d_max):
+    """``write_dataset`` would write such a sample and ``read_dataset`` refuse it,
+    and ``evaluate`` would score it against a depth cap that means nothing."""
+    with pytest.raises(ValueError, match=re.escape(f"DepthSample: d_max must be finite and > 0, got {d_max}")):
+        D.DepthSample(Tensor(np.zeros((1, 3, 6, 8))), Tensor(np.ones((1, 1, 6, 8))), d_max)
+
+
 def _dataset(directory, seeds=(3, 4)):
     samples = [D.generate_scene(s, height=16, width=24) for s in seeds]
     D.write_dataset(directory, samples)

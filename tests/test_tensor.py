@@ -618,6 +618,8 @@ class TestConcatAndArithmetic:
         e = randn((2, 3, 1, 1), seed=32)
         f = randn((2, 3, 4, 4), seed=33)
         check_grads(lambda: T.sum_all(T.mul(f, T.mul(e, e))), {"e": e, "f": f}, tol=1e-3)
+        m = randn((2, 1, 4, 4), seed=108)  # one channel over f's three: its gradient sums over the channel axis
+        check_grads(lambda: T.sum_all(T.mul(T.mul(m, f), f)), {"m": m, "f": f}, tol=1e-3)
 
     def test_abs_gradient(self):
         x = randn((1, 1, 4, 5), seed=34)
@@ -1147,15 +1149,23 @@ def _resize_case(c, h, w, out_h, out_w):
     return run
 
 
-def _mul_case(c, gate_grad):
-    """``x * gate`` with an SE-shaped gate."""
+def _mul_case(c, gate_grad, gate_first=False):
+    """``x * gate`` with an SE-shaped gate, or ``gate * x``."""
 
     def run(n, dtype, rng):
         x = T.Tensor(rng.standard_normal((n, c, 6, 5)), requires_grad=True, dtype=dtype)
         gate = T.Tensor(rng.standard_normal((n, c, 1, 1)), requires_grad=gate_grad, dtype=dtype)
-        return T.mul(x, gate), [x, gate] if gate_grad else [x]
+        out = T.mul(gate, x) if gate_first else T.mul(x, gate)
+        return out, [x, gate] if gate_grad else [x]
 
     return run
+
+
+def _channel_broadcast_case(n, dtype, rng):
+    """``m * x`` with a one-channel ``m``: its gradient sums over the channel axis."""
+    m = T.Tensor(rng.standard_normal((n, 1, 6, 5)), requires_grad=True, dtype=dtype)
+    x = T.Tensor(rng.standard_normal((n, 4, 6, 5)), requires_grad=True, dtype=dtype)
+    return T.mul(m, x), [m, x]
 
 
 def _product_case(n, dtype, rng):
@@ -1210,6 +1220,8 @@ _SPLIT_CASES = {
     "batch_norm_relu-c5": _bn_case(5),
     "mul-gate": _mul_case(4, True),
     "mul-gate-constant": _mul_case(4, False),
+    "mul-gate-first": _mul_case(4, True, gate_first=True),
+    "mul-channel-broadcast": _channel_broadcast_case,
     "mul-same-shape": _product_case,
     "concat_channels": _concat_case,
     "global_avg_pool": _pool_case,
