@@ -97,20 +97,20 @@ class Module:
 
 
 class Conv(Module):
-    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, c_in, c_out, kernel, rng, stride=1, dtype=np.float32):
         shape = (c_out, c_in, kernel, kernel)
         weight = np.zeros(shape, dtype) if rng is None else _kaiming(rng, shape, c_in * kernel * kernel, dtype)
         self.weight = Tensor(weight, requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2  # a stride-1 conv keeps its input's size
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class ConvBN(Conv):
-    """conv -> batch norm -> ReLU, padded by ``kernel // 2``.
+    """conv -> batch norm -> ReLU.
 
     Batch norm subtracts the batch mean, so a conv bias would cancel (Ioffe &
     Szegedy, arXiv 1502.03167): the zero bias of ``Conv`` is a constant here.
@@ -123,7 +123,7 @@ class ConvBN(Conv):
     """
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1, dtype=np.float32):
-        super().__init__(c_in, c_out, kernel, rng, stride=stride, padding=kernel // 2, dtype=dtype)
+        super().__init__(c_in, c_out, kernel, rng, stride=stride, dtype=dtype)
         self.bias.requires_grad = False
         self.gamma = Tensor(np.ones((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True, dtype=dtype)

@@ -116,7 +116,10 @@ def write_record(directory: str | Path, meta: dict[str, str], arrays: dict[str, 
             raise FileExistsError(f"{directory} is not a GDT record ({what}); not replacing it")
     staging = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     retired = staging.with_name(staging.name + ".old")
-    staging.mkdir(parents=True)
+    try:
+        staging.mkdir(parents=True)
+    except NotADirectoryError as exc:  # its message would name the hidden staging directory
+        raise NotADirectoryError(f"{directory}: a parent is not a directory; not writing the record") from exc
     try:
         for key, arr in arrays.items():
             write_array(staging / f"{key}.gdt", arr)

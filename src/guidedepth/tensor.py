@@ -59,7 +59,7 @@ block per core (at most ``CONV_WORKERS`` for a conv) and runs one block per
 worker:
 
 - ``conv2d``: the forward, the crop-and-bias copy into the output, and the
-  backward's one pass of weight, bias and input gradients;
+  backward's one pass of weight and input gradients;
 - ``batch_norm_relu`` (channels): the statistics, the output, the packing of
   its 1-bit mask and the backward;
 - ``mul``: the forward and the rule;
@@ -67,20 +67,21 @@ worker:
 - ``add``, ``concat_channels`` and ``global_avg_pool``: the forward;
 - ``_accum``: the add of a second gradient to a tensor's first.
 
-So while gradients record, no batch-wide work of a split op runs outside its
-blocks: the calling thread adds per-sample weight and bias gradient terms in
-sample order and updates per-channel vectors, and only a one-channel conv's
-bias gradient is a whole-batch sum there. Every GEMM of a split op runs in a
-block, with BLAS held at one thread, so none wakes a second BLAS thread to
-compete with the workers. Every block runs the code a serial run does on its
-samples or channels, so a split gives bitwise the numbers of the serial run
-with BLAS at one thread, whatever the core count. A batch of one, an op below
-the grain, a ``no_grad`` forward and an op inside a ``parallel_map`` call
-(``evaluate``'s passes) run as one block on the calling thread and do not touch
-the pool. A block pass that fills one array runs through ``_split``, which on
-one block calls the op's block function once, on the whole batch, so that its
-ufunc allocates the result as the op's plain expression would. Only a pass that
-fills several (``conv2d``'s backward, ``batch_norm_relu``) calls ``_each`` itself.
+Outside its blocks the calling thread adds a conv's per-sample weight gradient
+products in sample order, updates per-channel vectors and takes each conv's
+bias gradient as one whole-batch sum: all ten of a ``guidedepth`` batch-4 step
+at 96x128 cost 0.35-0.6 ms (2-vCPU VM), too little to split. Every GEMM of a
+split op runs in a block, with BLAS held at one thread, so none wakes a second
+BLAS thread to compete with the workers. Every block runs the code a serial run
+does on its samples or channels, so a split gives bitwise the numbers of the
+serial run with BLAS at one thread, whatever the core count. A batch of one, an
+op below the grain, a ``no_grad`` forward and an op inside a ``parallel_map``
+call (``evaluate``'s passes) run as one block on the calling thread and do not
+touch the pool. A block pass that fills one array runs through ``_split``,
+which on one block calls the op's block function once, on the whole batch, so
+that its ufunc allocates the result as the op's plain expression would. Only a
+pass that fills several (``conv2d``'s backward, ``batch_norm_relu``) calls
+``_each`` itself.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ import contextvars
 import ctypes
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -571,13 +573,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     has its own padded sample, matmul buffer and gradient stack, and writes its
     own rows of ``grid``, of the output and of ``dx``. The backward runs one
     pass per block, which fills each sample's gradient stack once for both
-    gradients and takes each sample's bias gradient ``g[s].sum(axis=(1, 2))``.
-    The per-sample weight gradient products and bias sums are added in sample
-    order, which for the bias is bitwise ``g.sum(axis=(0, 2, 3))``: numpy sums
-    each (sample, channel) plane as one run and adds the runs in sample order.
-    With one output channel numpy sums the whole batch as one contiguous run,
-    which rounds otherwise, so such a conv (the model's head) takes that whole
-    sum on the calling thread.
+    gradients; the per-sample weight gradient products are added in sample
+    order. The bias gradient is one ``g.sum(axis=(0, 2, 3))`` on the calling
+    thread.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -589,6 +587,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if not x.dtype == weight.dtype == bias.dtype:
         dtypes = f"input {x.dtype}, weight {weight.dtype}, bias {bias.dtype}"
         raise ValueError(f"conv2d: dtype mismatch: {dtypes} ({shapes})")
+    if not (isinstance(stride, numbers.Integral) and isinstance(padding, numbers.Integral)):
+        raise ValueError(f"conv2d: stride and padding must be integers, got {stride!r} and {padding!r} ({shapes})")
     if stride < 1 or padding < 0:
         raise ValueError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride} and {padding} ({shapes})")
     oh = (h + 2 * padding - kh) // stride + 1
@@ -644,22 +644,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in a gradient stack
         dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
         stack = dxf is not None or (keep_x is not None and not stacked)  # a pass fills gradient stacks
-        sample_sums = rb.requires_grad and co > 1  # one channel's batch numpy sums as one run, in another order
 
         def grads(blk):
-            """Each sample's weight gradient product when the weight takes a gradient
-            and its bias gradient sum when the bias does, in sample order, and its
-            input gradient into ``dxf`` when that is given. The input is read one
-            sample at a time, so a rebuilt one never exists whole."""
-            dws, dbs = [], []
+            """Each sample's weight gradient product, in sample order, and its input gradient into
+            ``dxf``, each when taken. The input is read a sample at a time, so a rebuilt one never exists whole."""
+            dws = []
             xfs = None if keep_x is None else padded(keep_x(slice(s, s + 1))[0] for s in range(blk.start, blk.stop))
             if stack and not direct:
                 gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
                 slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
                 gs = gs.reshape(-1, rows * wp)
             for s in range(blk.start, blk.stop):
-                if sample_sums:
-                    dbs.append(g[s].sum(axis=(1, 2)))
                 xf = None if xfs is None else next(xfs)
                 if stacked and xf is not None:
                     dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
@@ -674,13 +669,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                     dws.append(gs @ xf.T)
                 if dxf is not None:
                     np.matmul(wg.T, gs, out=dxf[s])
-            return dws, dbs
+            return dws
 
-        parts = _each(grads, blocks)
         if rb.requires_grad:
-            db = _in_order([d for _, sums in parts for d in sums]) if sample_sums else g.sum(axis=(0, 2, 3))
-            _accum(rb, db.reshape(1, co, 1, 1))
-        dws = [d for products, _ in parts for d in products]
+            _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+        dws = [d for products in _each(grads, blocks) for d in products]
         if dws:
             dw = _in_order(dws)
             if stacked:
@@ -889,6 +882,8 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
     Resizing to the input's own size is the identity and returns ``x`` itself.
     """
+    if not (isinstance(out_h, numbers.Integral) and isinstance(out_w, numbers.Integral)):
+        raise ValueError(f"bilinear_resize: target dims ({out_h!r}, {out_w!r}) must be integers, input shape {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bilinear_resize: target dims ({out_h}, {out_w}) must be >= 1, input shape {x.shape}")
     if (out_h, out_w) == x.shape[2:]:

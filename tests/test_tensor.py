@@ -559,6 +559,11 @@ class TestBilinearResize:
         with pytest.raises(ValueError, match=re.escape(f"({out_h}, {out_w}) must be >= 1, input shape (1, 2, 5, 6)")):
             T.bilinear_resize(T.Tensor(np.zeros((1, 2, 5, 6), np.float32)), out_h, out_w)
 
+    def test_non_integer_target_rejected_naming_sizes(self):
+        want = "bilinear_resize: target dims (2.0, 3) must be integers, input shape (1, 2, 5, 6)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.bilinear_resize(T.Tensor(np.zeros((1, 2, 5, 6), np.float32)), 2.0, 3)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_same_size_returns_input_and_passes_gradient(self, dtype):
         x = T.Tensor(np.random.default_rng(25).standard_normal((1, 3, 6, 8)), requires_grad=True, dtype=dtype)
@@ -794,6 +799,12 @@ class TestErrorsNameTheOp:
         want += " (input (1, 2, 5, 5), weight (3, 2, 3, 3))"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             T.conv2d(x, w, b, stride, padding)
+
+    def test_conv2d_non_integer_stride(self):
+        x, w, b = randn((1, 2, 5, 5)), randn((3, 2, 3, 3)), randn((1, 3, 1, 1))
+        want = "conv2d: stride and padding must be integers, got 1.5 and 1 (input (1, 2, 5, 5), weight (3, 2, 3, 3))"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.conv2d(x, w, b, stride=1.5, padding=1)
 
     @pytest.mark.parametrize("rows, cols", [(5, 4), (4, 6)])
     def test_spatial_map_with_maps_that_do_not_fit(self, rows, cols):
@@ -1292,21 +1303,26 @@ class TestSplitOps:
             assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} of {op}, n={n}"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("co", [1, 6])
-    def test_split_conv_bias_gradient_is_the_whole_batch_sum(self, two_cores, low_grain, monkeypatch, co, dtype):
-        """Each block of a split conv sums its samples' bias gradients, and the
-        sums are added in sample order: bitwise numpy's sum of the output
-        gradient over (n, h, w) when there are several output channels. One
-        output channel keeps that whole sum, since numpy sums its batch as one
-        contiguous run and per-sample sums round differently."""
+    @pytest.mark.parametrize(
+        "co, only_bias", [(1, False), (6, False), (1, True), (6, True)], ids=["1", "6", "1-only-bias", "6-only-bias"]
+    )
+    def test_split_conv_bias_gradient_is_the_whole_batch_sum(
+        self, two_cores, low_grain, monkeypatch, co, dtype, only_bias
+    ):
+        """A split conv's bias gradient is bitwise numpy's sum of the output
+        gradient over (n, h, w), for one output channel or several, also when
+        only the bias takes a gradient and the blocks return no weight product."""
         rng = np.random.default_rng(111)
         maps = _pool_calls(monkeypatch)
         x, w, b = _leaf(rng, (3, 8, 11, 9), dtype), _leaf(rng, (co, 8, 3, 3), dtype), _leaf(rng, (1, co, 1, 1), dtype)
+        if only_bias:
+            x.requires_grad = w.requires_grad = False
         out = T.conv2d(x, w, b, 1, 1)
         g = rng.standard_normal(out.shape).astype(dtype)
         T.backward(T.sum_all(T.mul(out, T.Tensor(g))))  # the conv's output gradient is g itself
         assert maps or T._openblas() is None
         assert b.grad.dtype == dtype and np.array_equal(b.grad, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+        assert (x.grad is None and w.grad is None) == only_bias
 
     def test_split_over_eight_workers_under_contention(self, low_grain, monkeypatch):
         """More blocks than cores, with the interpreter switching threads as often
@@ -1616,6 +1632,18 @@ class TestGdtRecord:
             gdt.write_record(tmp_path / "r", {"x": "1"}, {"a": np.zeros((1, 1, 1, 1))})
         assert (tmp_path / "r").read_bytes() == b"keep me"
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
+
+    @pytest.mark.parametrize("under", ["rec", "a/rec"])
+    def test_record_under_a_plain_file_names_the_record(self, tmp_path, under):
+        """A parent that is a file is refused with an error naming the record
+        path, not the hidden staging directory, and the file is kept."""
+        (tmp_path / "f").write_bytes(b"keep me")
+        record = tmp_path / "f" / under
+        want = f"{record}: a parent is not a directory; not writing the record"
+        with pytest.raises(NotADirectoryError, match=f"^{re.escape(want)}$"):
+            gdt.write_record(record, {"x": "1"}, {"a": np.zeros((1, 1, 1, 1))})
+        assert (tmp_path / "f").read_bytes() == b"keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
     def test_gdt_directory_not_read(self, tmp_path):
         """A directory named like an array is refused with an error naming it."""
