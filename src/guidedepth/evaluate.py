@@ -116,8 +116,11 @@ class MetricValues:
 
 
 def _as_map(x) -> np.ndarray:
+    """``x`` as one (h, w) map: at least 2 dims, every leading dim 1."""
     arr = np.asarray(x)
-    return arr.reshape(arr.shape[-2], arr.shape[-1])
+    if arr.ndim < 2 or any(d != 1 for d in arr.shape[:-2]):
+        raise ValueError(f"compute_metrics: expected one (h, w) map, leading dims all 1, got shape {arr.shape}")
+    return arr.reshape(arr.shape[-2:])
 
 
 METRIC_BLOCK = 32768  # pixels per block of compute_metrics, so that its float64 buffers stay in cache

@@ -43,8 +43,8 @@ it changes itself.
 
 ``parallel_map(fn, items)`` is ``[fn(item) for item in items]`` spread over one
 worker per core: the calling thread runs the first item and walks on from there,
-and a thread pool this module owns takes the others from the last, until they
-meet. Each call runs in a
+and the module's one pool per host, of ``cores - 1`` threads, takes the others
+from the last, until they meet. Each call runs in a
 copy of the caller's context (so ``no_grad`` holds in it), and numpy's bundled
 OpenBLAS is held at one thread while the calls run, so that the workers, not
 BLAS, use the cores. ``evaluate`` maps its passes with it.
@@ -67,9 +67,9 @@ worker:
 - ``add``, ``concat_channels`` and ``global_avg_pool``: the forward;
 - ``_accum``: the add of a second gradient to a tensor's first.
 
-Outside its blocks the calling thread adds a conv's per-sample weight gradient
-products in sample order, updates per-channel vectors and takes each conv's
-bias gradient as one whole-batch sum: all ten of a ``guidedepth`` batch-4 step
+Outside its blocks the calling thread sums a conv's per-sample weight gradient
+products in sample order (Python's ``sum``), updates per-channel vectors and
+takes each conv's bias gradient as one whole-batch sum: all ten of a ``guidedepth`` batch-4 step
 at 96x128 cost 0.35-0.6 ms (2-vCPU VM), too little to split. Every GEMM of a
 split op runs in a block, with BLAS held at one thread, so none wakes a second
 BLAS thread to compete with the workers. Every block runs the code a serial run
@@ -501,15 +501,6 @@ STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * 
 CONV_WORKERS = 2
 
 
-def _in_order(terms: list[np.ndarray]) -> np.ndarray:
-    """The sum of per-sample ``terms`` added in sample order, as numpy's sum over
-    a batch axis adds them."""
-    total = np.zeros_like(terms[0])
-    for d in terms:
-        total += d
-    return total
-
-
 def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
     """``flat[..., stride * q + k * row + l] for q < m`` for each kernel tap ``(k, l)``,
     row-major; each is a basic strided slice, so writing to it writes ``flat``."""
@@ -573,7 +564,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     has its own padded sample, matmul buffer and gradient stack, and writes its
     own rows of ``grid``, of the output and of ``dx``. The backward runs one
     pass per block, which fills each sample's gradient stack once for both
-    gradients; the per-sample weight gradient products are added in sample
+    gradients; ``sum`` adds the per-sample weight gradient products in sample
     order. The bias gradient is one ``g.sum(axis=(0, 2, 3))`` on the calling
     thread.
     """
@@ -675,7 +666,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             _accum(rb, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         dws = [d for products in _each(grads, blocks) for d in products]
         if dws:
-            dw = _in_order(dws)
+            dw = sum(dws)  # in sample order, as numpy's sum over a batch axis adds them
             if stacked:
                 _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             else:
@@ -957,13 +948,9 @@ def _one_blas_thread(get: Callable[[], int], set_: Callable[[int], None]):
 
 
 @lru_cache(maxsize=None)
-def _pool(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="guidedepth-map")
-
-
-def _call(fn: Callable[[_T], _R], item: _T) -> _R:
-    _IN_MAP.set(True)  # in the call's own context copy
-    return fn(item)
+def _pool(cores: int) -> ThreadPoolExecutor:
+    """The one pool of a host of ``cores`` cores: the calling thread is the other worker."""
+    return ThreadPoolExecutor(cores - 1, thread_name_prefix="guidedepth-map")
 
 
 def _nth(calls: list[Callable[[], _R]], i: int) -> _R:
@@ -974,19 +961,21 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     """``[fn(item) for item in items]``, in item order, with the calls spread over
     ``min(len(items), cores)`` workers, cores being ``os.sched_getaffinity(0)``.
 
-    Every item but the first is queued, last first, on a pool owned by this
-    module. The calling thread runs the first item, which is never queued, and
-    walks on from there: it runs each item no pool thread has taken and waits
-    for the others. When it meets a taken item, every later
-    item is taken too, so no worker idles while an item waits. Independent
-    calls that release the interpreter lock, as numpy does, then run at once.
+    Every item but the first is queued, last first, on ``_pool(cores)``, the
+    module's one pool for the host, of ``cores - 1`` threads. The calling
+    thread runs the first item, which is never queued, and walks on from
+    there: it runs each item no pool thread has taken and waits for the
+    others. When it meets a taken item, every later item is taken too, so no
+    worker idles while an item waits. Independent calls that release the
+    interpreter lock, as numpy does, then run at once.
     While they run, numpy's bundled OpenBLAS is held at one thread (and set
     back after, also on error), since a second BLAS thread per call would
-    compete with the other workers for the same cores. A numpy without those
-    symbols keeps its BLAS threads and runs the calls on the calling thread.
+    compete with the other workers for the same cores. One item, one core and a
+    numpy without those symbols run the calls on the calling thread, with BLAS
+    left as it is.
 
-    - Each call runs in its own ``contextvars.copy_context()`` of the caller,
-      so ``no_grad`` and other context variables of the caller hold in it.
+    - Each call runs in its own copy of the caller's context, so ``no_grad``
+      and other context variables of the caller hold in it.
     - A call made from inside ``fn`` runs its items on its own thread.
     - It returns or raises only after every call it started has finished, and
       raises the exception of the first failed item in item order, as a plain
@@ -997,13 +986,15 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
 
     ``fn`` must be safe to run on several threads at once.
     """
-    calls = [partial(contextvars.copy_context().run, _call, fn, item) for item in items]
-    workers = 1 if _IN_MAP.get() else min(len(calls), len(os.sched_getaffinity(0)))
-    blas = _openblas() if workers > 1 else None
+    ctx = contextvars.copy_context()
+    ctx.run(_IN_MAP.set, True)
+    calls = [partial(ctx.copy().run, fn, item) for item in items]
+    cores = len(os.sched_getaffinity(0))
+    blas = _openblas() if len(calls) > 1 and cores > 1 and not _IN_MAP.get() else None
     if blas is None:
         return [call() for call in calls]
     with _one_blas_thread(*blas):
-        futures = [_pool(workers - 1).submit(_nth, calls, i) for i in reversed(range(1, len(calls)))][::-1]
+        futures = [_pool(cores).submit(_nth, calls, i) for i in reversed(range(1, len(calls)))][::-1]
         try:
             first = calls[0]()
             return [first] + [calls[i]() if f.cancel() else f.result() for i, f in enumerate(futures, 1)]
@@ -1046,8 +1037,9 @@ def _split(fn: Callable[..., np.ndarray], blocks: list[slice], shape: tuple, dty
 
 
 def _each(fn: Callable[[_T], _R], blocks: list[_T], map_=parallel_map) -> list[_R]:
-    """``[fn(blk) for blk in blocks]``: on ``parallel_map`` when there are several
-    blocks, else one call on this thread, for ``_split`` or a pass that fills
-    several arrays. ``map_`` is bound once, here, so a tracer that rebinds this
-    module's public functions times an op whole and does not cut it at its blocks."""
-    return map_(fn, blocks) if len(blocks) > 1 else [fn(blocks[0])]
+    """``[fn(blk) for blk in blocks]`` on ``parallel_map``, for ``_split`` or a pass
+    that fills several arrays; one block runs on this thread, in a copy of its
+    context, as any one-item map does. ``map_`` is bound once, here, so a tracer
+    that rebinds this module's public functions times an op whole and does not
+    cut it at its blocks."""
+    return map_(fn, blocks)

@@ -15,7 +15,7 @@ from guidedepth import data as D
 from guidedepth import gdt
 from guidedepth import losses as L
 from guidedepth import tensor as T
-from guidedepth.evaluate import depth_to_normalized
+from guidedepth.evaluate import depth_to_normalized, evaluate, model_predictor
 from helpers import check_grads, directional_grad_check, graph_bytes, perturb_params, traced
 
 
@@ -344,7 +344,7 @@ class TestDepthNet:
         rng = np.random.default_rng(110)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 32, 48)), dtype=dtype)
         y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 32, 48)), dtype=dtype)
-        pool = T._pool
+        each = T._each
 
         def step_hash(cores):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
@@ -360,14 +360,31 @@ class TestDepthNet:
 
         blas = T._openblas()
         with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
-            hashes, threads = {}, {}
+            hashes, counts = {}, {}
             for cores in (1, 2, 4):
-                asked = set()
-                monkeypatch.setattr(T, "_pool", lambda n: asked.add(n) or pool(n))
-                hashes[cores], threads[cores] = step_hash(cores), asked
+                seen = set()
+                monkeypatch.setattr(T, "_each", lambda fn, blocks: seen.add(len(blocks)) or each(fn, blocks))
+                hashes[cores], counts[cores] = step_hash(cores), seen
         assert len(set(hashes.values())) == 1, hashes
-        if blas:  # on 4 cores a batch-wide op splits 4 ways, a conv or a 4-channel batch norm 2 ways
-            assert threads == {1: set(), 2: {1}, 4: {1, 3}}
+        # on 4 cores a batch-wide op splits 4 ways, a conv or a 4-channel batch norm 2 ways
+        assert counts == {1: {1}, 2: {2}, 4: {2, 4}}
+
+    @pytest.mark.threads
+    @pytest.mark.parametrize("cores", [4, 8])
+    def test_a_step_and_evaluate_ask_only_for_the_hosts_pool(self, monkeypatch, cores):
+        """A train step splits its ops 2 or 4 ways and ``evaluate`` maps 6 passes,
+        but every map queues its items on the one pool of the host, of
+        ``cores - 1`` threads: ``_pool`` is asked for ``_pool(cores)`` only."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        asked, pool = set(), T._pool
+        monkeypatch.setattr(T, "_pool", lambda n: asked.add(n) or pool(n))
+        rng = np.random.default_rng(114)
+        model = B.build_model(B.preset_config("guidedepth-tiny"), seed=0)
+        x = T.Tensor(rng.uniform(0, 1, (4, 3, 32, 48)), dtype=np.float32)
+        y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 32, 48)), dtype=np.float32)
+        T.backward(L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"])
+        evaluate(model_predictor(model), D.generate_dataset(3, 115, 48, 64), (32, 48))
+        assert asked == ({cores} if T._openblas() else set())
 
     def test_graph_after_forward_and_loss_holds_at_most_120_mib(self):
         """The graph links grad records, so it keeps only the arrays backward

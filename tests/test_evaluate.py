@@ -64,6 +64,14 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match=re.escape("compute_metrics: shape mismatch (6, 7) vs (6, 8)")):
             E.compute_metrics(np.ones((6, 7)), np.ones((6, 8)))
 
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 5), (1, 2, 4, 5), (5,)])
+    def test_more_than_one_map_rejected_naming_shape(self, shape):
+        """An (h, w) map may carry leading dims of 1, as a (1, 1, h, w) prediction
+        does; anything else is not one map."""
+        with pytest.raises(ValueError, match=f"^compute_metrics: .*{re.escape(str(shape))}$"):
+            E.compute_metrics(np.ones(shape), np.ones(shape))
+        assert E.compute_metrics(np.ones((1, 1, 4, 5)), np.ones((4, 5))).rmse == 0.0
+
     def test_average_of_no_records_rejected(self):
         with pytest.raises(ValueError, match="^cannot average zero metric records$"):
             E.MetricValues.average([])

@@ -1118,7 +1118,7 @@ class TestParallelMap:
             pass
 
         busy, release = threading.Event(), threading.Event()
-        blocker = T._pool(1).submit(lambda: busy.set() or release.wait(10))
+        blocker = T._pool(2).submit(lambda: busy.set() or release.wait(10))
         try:
             assert busy.wait(10)
             items = [Item() for _ in range(3)]
