@@ -192,8 +192,12 @@ Predictor = Callable[[Tensor, DepthSample], Tensor]
 
 
 def model_predictor(model) -> Predictor:
+    """``model``'s eval forward, which records no graph, on the image cast to the
+    model's parameter dtype (no copy for a float32 model)."""
+    dtype = model.head.weight.dtype
+
     def predict(image: Tensor, sample: DepthSample) -> Tensor:
-        return model.forward(image, train=False)  # eval mode records no graph
+        return model.forward(Tensor(image.data, dtype=dtype), train=False)
 
     return predict
 

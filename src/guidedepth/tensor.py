@@ -51,12 +51,9 @@ BLAS, use the cores. ``evaluate`` maps its passes with it.
 
 The batch-wide ops of a training step split their batch over it too. An op
 splits while gradients record, outside any ``parallel_map`` call, when its batch
-has more than one sample and its largest array holds at least ``GRAIN``
-elements (32,768, the grain of PyTorch's intra-op ``parallel_for``, arXiv
-1912.01703): below that a pool round trip costs more than the second core saves.
-It then cuts its samples (its channels, for batch norm) into one contiguous
-block per core (at most ``CONV_WORKERS`` for a conv) and runs one block per
-worker:
+has more than one sample. It then cuts its samples (its channels, for batch
+norm) into one contiguous block per core (at most ``CONV_WORKERS`` for a conv)
+and runs one block per worker:
 
 - ``conv2d``: the forward, the crop-and-bias copy into the output, and the
   backward's one pass of weight and input gradients;
@@ -70,18 +67,18 @@ worker:
 Outside its blocks the calling thread sums a conv's per-sample weight gradient
 products in sample order (Python's ``sum``), updates per-channel vectors and
 takes each conv's bias gradient as one whole-batch sum: all ten of a ``guidedepth`` batch-4 step
-at 96x128 cost 0.35-0.6 ms (2-vCPU VM), too little to split. Every GEMM of a
-split op runs in a block, with BLAS held at one thread, so none wakes a second
-BLAS thread to compete with the workers. Every block runs the code a serial run
-does on its samples or channels, so a split gives bitwise the numbers of the
-serial run with BLAS at one thread, whatever the core count. A batch of one, an
-op below the grain, a ``no_grad`` forward and an op inside a ``parallel_map``
-call (``evaluate``'s passes) run as one block on the calling thread and do not
-touch the pool. A block pass that fills one array runs through ``_split``,
-which on one block calls the op's block function once, on the whole batch, so
-that its ufunc allocates the result as the op's plain expression would. Only a
-pass that fills several (``conv2d``'s backward, ``batch_norm_relu``) calls
-``_each`` itself.
+at 96x128 cost 0.35-0.6 ms (2-vCPU VM), too little to split. So every GEMM of a
+recorded step of more than one sample runs in a block, with BLAS held at one
+thread, and none wakes a second BLAS thread to compete with the workers. Every
+block runs the code a serial run does on its samples or channels, so a split
+gives bitwise the numbers of the serial run with BLAS at one thread, whatever
+the core count. A batch of one, a ``no_grad`` forward and an op inside a
+``parallel_map`` call (``evaluate``'s passes) run as one block on the calling
+thread and do not touch the pool. A block pass that fills one array runs
+through ``_split``, which on one block calls the op's block function once, on
+the whole batch, so that its ufunc allocates the result as the op's plain
+expression would. Only a pass that fills several (``conv2d``'s backward,
+``batch_norm_relu``) calls ``_each`` itself.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ import contextlib
 import contextvars
 import ctypes
 import itertools
-import math
 import numbers
 import os
 import threading
@@ -271,7 +267,7 @@ def _accum(r: _GradRecord, g: np.ndarray) -> None:
 def _plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b`` for two arrays of one rank-4 shape, split over the batch (see the
     module docstring); either may be a read-only broadcast view."""
-    blocks = _blocks(a.shape[0], a.shape[0], a.size)
+    blocks = _blocks(a.shape[0], a.shape[0])
     return _split(lambda blk, o: np.add(a[blk], b[blk], out=o), blocks, a.shape, np.result_type(a, b))
 
 
@@ -366,7 +362,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
     n, dt = shape[0], a.data.dtype
     ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
-    blocks = _blocks(n, n, math.prod(shape))
+    blocks = _blocks(n, n)
     keep_b = _kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
     keep_a = _kept(a) if rb.requires_grad else None
 
@@ -479,7 +475,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"concat_channels: dtype mismatch {a.data.dtype} {a.shape} vs {b.data.dtype} {b.shape}")
     ra, rb, shape = a._rec, b._rec, (na, ca + cb, ha, wa)
-    blocks = _blocks(na, na, math.prod(shape))
+    blocks = _blocks(na, na)
     out = _split(lambda blk, o: np.concatenate([a.data[blk], b.data[blk]], axis=1, out=o), blocks, shape, a.dtype)
 
     def back(g):
@@ -611,7 +607,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         views = _taps(xf, kh, kw, wp, stride, m)
         return [np.concatenate(views)] if stacked else views
 
-    blocks = _blocks(n, n, max(xd.size, n * co * oh * ow), most=CONV_WORKERS)
+    blocks = _blocks(n, n, most=CONV_WORKERS)
 
     def fill(blk, o):  # the grid rows ``o`` of the samples ``blk``, through one padded sample and one matmul buffer
         tmp = np.empty((co, m), dtype=dt) if not stacked and kh * kw > 1 else None
@@ -735,7 +731,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats)
     axes = (0, 2, 3)
     xd, gd, bd, dt = x.data, gamma.data, beta.data, x.data.dtype
     # blocks of at least 2 channels: numpy sums a one-channel slice over (n, h, w) in another order
-    blocks = _blocks(n, c, xd.size, most=max(1, c // 2))
+    blocks = _blocks(n, c, most=max(1, c // 2))
     record = bool(_parents(x, gamma, beta))  # the mask is read only by a recorded node
     m, v, inv, a = (np.empty((1, c, 1, 1), dtype=dt) for _ in range(4))
     out = np.empty_like(xd)
@@ -841,14 +837,12 @@ def spatial_map(x: Tensor, row_map: np.ndarray, col_map: np.ndarray) -> Tensor:
     samples would round as BLAS's kernel for its size does, so a block's numbers
     would change with the block size; per sample they do not.
     """
-    if row_map.shape[1] != x.shape[2] or col_map.shape[1] != x.shape[3]:
-        raise ValueError(
-            f"spatial_map: maps {row_map.shape}/{col_map.shape} do not fit input {x.shape}"
-        )
+    if row_map.ndim != 2 or col_map.ndim != 2 or row_map.shape[1] != x.shape[2] or col_map.shape[1] != x.shape[3]:
+        raise ValueError(f"spatial_map: maps {row_map.shape}/{col_map.shape} do not fit input {x.shape}")
     n, c, h, w = x.shape
     a, b = row_map.shape[0], col_map.shape[0]
     rx, dt = x._rec, x.data.dtype
-    blocks = _blocks(n, n, max(x.data.size, n * c * a * b))
+    blocks = _blocks(n, n)
 
     def apply(src, rows, cols):  # rows @ src[s] @ cols for each sample s, into one new array
         def run(blk, dst):
@@ -892,7 +886,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     rx, dt = x._rec, x.data.dtype
 
-    blocks = _blocks(n, n, x.data.size)
+    blocks = _blocks(n, n)
     y = _split(lambda blk, o: x.data[blk].mean(axis=(2, 3), keepdims=True, out=o), blocks, (n, c, 1, 1), dt)
 
     def back(g):
@@ -1005,19 +999,12 @@ def parallel_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
             calls.clear()
 
 
-# An op splits its batch only when its largest array holds at least this many elements. An op that
-# does not split runs its GEMMs at full BLAS width: at 131,072 a guidedepth batch-4 step took 308 ms
-# against 183 on 2 cores, since OpenBLAS's second thread and the pool thread fight over the cores.
-GRAIN = 32_768
-
-
-def _blocks(n: int, size: int, elements: int, most: int | None = None) -> list[slice]:
+def _blocks(n: int, size: int, most: int | None = None) -> list[slice]:
     """``slice(0, size)`` cut into one contiguous block per core, at most ``most``
-    of them, when an op splits its batch of ``n`` samples: ``n > 1``, the op's
-    largest array holds at least ``GRAIN`` elements (``elements``) and gradients
+    of them, when an op splits its batch of ``n`` samples: ``n > 1`` and gradients
     record, outside any ``parallel_map`` call. Otherwise the one block of that
-    whole slice: below the grain a pool round trip costs more than the second core saves."""
-    if n < 2 or elements < GRAIN or not _GRAD_ENABLED.get() or _IN_MAP.get():
+    whole slice."""
+    if n < 2 or not _GRAD_ENABLED.get() or _IN_MAP.get():
         return [slice(0, size)]
     k = min(size, most or size, len(os.sched_getaffinity(0)))
     return [slice(size * i // k, size * (i + 1) // k) for i in range(k)]

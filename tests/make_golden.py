@@ -43,13 +43,13 @@ def summary(a: np.ndarray) -> tuple[float, ...]:
 
 
 def predictor(model: B.DepthNet) -> E.Predictor:
-    """The float64 ``model`` as an ``evaluate`` predictor. ``evaluate`` builds
-    float32 images, so the image is cast to float64, and the output is mapped
-    into the normalized depth range (1, 10): an untrained model's raw output
-    lies below 1, where every prediction is clipped to ``d_max``."""
+    """``model_predictor(model)`` with its output mapped into the normalized depth
+    range (1, 10): an untrained model's raw output lies below 1, where every
+    prediction is clipped to ``d_max``."""
+    forward = E.model_predictor(model)
 
     def predict(image: T.Tensor, sample: D.DepthSample) -> T.Tensor:
-        return T.affine(T.sigmoid(model.forward(T.Tensor(image.data, dtype=np.float64))), 9.0, 1.0)
+        return T.affine(T.sigmoid(forward(image, sample)), 9.0, 1.0)
 
     return predict
 

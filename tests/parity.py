@@ -10,8 +10,9 @@ two checkouts on one machine, each through its own ``src``:
 
     PYTHONPATH=<checkout>/src python tests/parity.py
 
-A train step runs every GEMM on one BLAS thread, so on a host where its ops
-split the value is the same with numpy's OpenBLAS pinned to one thread or not.
+Every recorded op of a batch of 4 splits its batch, so on a host of more than
+one core with numpy's bundled OpenBLAS a train step runs every GEMM on one BLAS
+thread, and its numbers are the same with OpenBLAS pinned to one thread or not.
 Without a ``test_`` prefix pytest does not collect this file.
 """
 

@@ -337,10 +337,9 @@ class TestDepthNet:
     def test_step_is_bitwise_the_same_on_1_2_and_4_cores(self, monkeypatch, gtype, dtype):
         """A whole ``guidedepth-tiny`` step (the train prediction, the loss terms
         and every parameter gradient) and the eval forward after it hash the
-        same whether the batch-wide ops split over 1, 2 or 4 cores. ``GRAIN``
-        is 1, so every op of more than one sample splits, and BLAS is held at
-        one thread, as it is inside a split op's blocks."""
-        monkeypatch.setattr(T, "GRAIN", 1)
+        same whether the batch-wide ops split over 1, 2 or 4 cores. Every
+        recorded op of more than one sample splits, and BLAS is held at one
+        thread, as it is inside a split op's blocks."""
         rng = np.random.default_rng(110)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 32, 48)), dtype=dtype)
         y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 32, 48)), dtype=dtype)

@@ -505,3 +505,23 @@ class TestProtocolReference:
         E.evaluate(predict, vga_scenes[:1], (96, 128), crop_kind="nyu", flip_average=True)
         assert calls["inside"] > 0
         assert calls["outside"] == 0
+
+    def test_float64_model_scores_as_its_float32_twin(self):
+        """``evaluate`` builds float32 images and ``model_predictor`` casts each
+        to the model's dtype, so a float64 model runs and scores what the
+        float32 model of its seed does, up to float32 rounding."""
+        samples = D.generate_dataset(1, 100, 64, 96)
+        image = E._resize(samples[0].image.data, 32, 48)
+        got = {}
+        for dt in (np.float32, np.float64):
+            model = B.build_model(B.preset_config("guidedepth-tiny"), seed=3, dtype=dt)
+            with T.no_grad():
+                model.forward(Tensor(image, dtype=dt), train=True)  # fills the BN running statistics
+            model.head.bias.data[...] = 3.0
+            predict = E.model_predictor(model)
+            assert predict(Tensor(image), samples[0]).dtype == dt  # from a float32 image
+            got[dt] = E.evaluate(predict, samples, (32, 48))
+        for f in ("rmse", "rel", "log10"):
+            assert getattr(got[np.float64], f) == pytest.approx(getattr(got[np.float32], f), rel=1e-5, abs=0), f
+        for f in ("d1", "d2", "d3"):
+            assert abs(getattr(got[np.float64], f) - getattr(got[np.float32], f)) <= 1e-3, f  # a few of 6,144 pixels

@@ -813,6 +813,17 @@ class TestErrorsNameTheOp:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             T.spatial_map(x, np.ones((2, rows)), np.ones((3, cols)))
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((4,), (3, 5)), ((2, 4), (5,)), ((2, 4, 1), (3, 5)), ((2, 4), (3, 5, 1))],
+        ids=["1d-rows", "1d-cols", "3d-rows", "3d-cols"],
+    )
+    def test_spatial_map_with_maps_that_are_not_2d(self, rows, cols):
+        x = randn((1, 1, 4, 5))
+        want = f"spatial_map: maps {rows}/{cols} do not fit input (1, 1, 4, 5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            T.spatial_map(x, np.ones(rows), np.ones(cols))
+
     def test_repr_names_shape_dtype_and_grad_flag(self):
         assert repr(T.Tensor(np.zeros((1, 2, 3, 4), np.float32))) == "Tensor(shape=(1, 2, 3, 4), dtype=float32)"
         assert repr(randn((2, 1, 1, 1))) == "Tensor(shape=(2, 1, 1, 1), dtype=float64, requires_grad=True)"
@@ -1219,6 +1230,17 @@ def _conv_of_case(gated, kernel):
     return run
 
 
+def _squeeze_and_excite_case(n, dtype, rng):
+    """The gate of a decoder stage: a pooled (n, 64, 1, 1) through a 1x1 conv to
+    16 channels, ``relu``, a 1x1 conv back to 64 and ``sigmoid``."""
+    pooled, w1, b1, w2, b2 = (
+        T.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+        for shape in ((n, 64, 1, 1), (16, 64, 1, 1), (1, 16, 1, 1), (64, 16, 1, 1), (1, 64, 1, 1))
+    )
+    hidden = T.relu(T.conv2d(pooled, w1, b1, 1, 0))
+    return T.sigmoid(T.conv2d(hidden, w2, b2, 1, 0)), [pooled, w1, b1, w2, b2]
+
+
 _SPLIT_CASES = {
     "conv-3x3": _conv_case(16, 3, 1),
     "conv-3x3-stride-2": _conv_case(16, 3, 2),
@@ -1239,14 +1261,9 @@ _SPLIT_CASES = {
     "add-accum-broadcast": _add_case,
     "conv-of-batch-norm": _conv_of_case(False, 3),
     "conv-of-gated-batch-norm": _conv_of_case(True, 1),
+    "squeeze-and-excite": _squeeze_and_excite_case,
 }
 _UNSPLIT_CASES = {"batch_norm_relu-c1"}  # one block of channels
-
-
-@pytest.fixture
-def low_grain(monkeypatch):
-    """Every op of more than one sample splits, so the small shapes here split too."""
-    monkeypatch.setattr(T, "GRAIN", 1)
 
 
 def _pool_calls(monkeypatch):
@@ -1260,25 +1277,12 @@ def _leaf(rng, shape, dtype=np.float32):
     return T.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
 
 
-# each on a batch of 4 whose largest array holds 4 * 8 * 32 * w elements
-_GRAIN_CASES = {
-    "conv-3x3": lambda rng, w: T.conv2d(_leaf(rng, (4, 8, 32, w)), _leaf(rng, (8, 8, 3, 3)), _leaf(rng, (1, 8, 1, 1)), 1, 1),
-    "batch_norm_relu": lambda rng, w: T.batch_norm_relu(
-        _leaf(rng, (4, 8, 32, w)), _leaf(rng, (1, 8, 1, 1)), _leaf(rng, (1, 8, 1, 1)), T.RunningStats.for_channels(8)
-    ),
-    "mul-gate": lambda rng, w: T.mul(_leaf(rng, (4, 8, 32, w)), _leaf(rng, (4, 8, 1, 1))),
-    "concat_channels": lambda rng, w: T.concat_channels(_leaf(rng, (4, 4, 32, w)), _leaf(rng, (4, 4, 32, w))),
-    "global_avg_pool": lambda rng, w: T.global_avg_pool(_leaf(rng, (4, 8, 32, w))),
-    "spatial_map": lambda rng, w: T.bilinear_resize(_leaf(rng, (4, 8, 32, w)), 16, w // 2),
-}
-
-
 @pytest.mark.threads
 class TestSplitOps:
-    """While gradients record, an op of more than one sample and at least
-    ``GRAIN`` elements splits its batch over ``parallel_map``. The split must
-    give bitwise the numbers of the serial run, which an op takes inside a
-    ``parallel_map`` call, with BLAS at one thread in both."""
+    """While gradients record, an op of more than one sample splits its batch
+    over ``parallel_map``, however small its arrays. The split must give bitwise
+    the numbers of the serial run, which an op takes inside a ``parallel_map``
+    call, with BLAS at one thread in both."""
 
     @staticmethod
     def _run(case, n, dtype):
@@ -1290,7 +1294,7 @@ class TestSplitOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("op", list(_SPLIT_CASES))
-    def test_split_is_bitwise_the_serial_run(self, two_cores, low_grain, monkeypatch, op, n, dtype):
+    def test_split_is_bitwise_the_serial_run(self, two_cores, monkeypatch, op, n, dtype):
         case = _SPLIT_CASES[op]
         blas = T._openblas()
         with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
@@ -1307,7 +1311,7 @@ class TestSplitOps:
         "co, only_bias", [(1, False), (6, False), (1, True), (6, True)], ids=["1", "6", "1-only-bias", "6-only-bias"]
     )
     def test_split_conv_bias_gradient_is_the_whole_batch_sum(
-        self, two_cores, low_grain, monkeypatch, co, dtype, only_bias
+        self, two_cores, monkeypatch, co, dtype, only_bias
     ):
         """A split conv's bias gradient is bitwise numpy's sum of the output
         gradient over (n, h, w), for one output channel or several, also when
@@ -1324,7 +1328,7 @@ class TestSplitOps:
         assert b.grad.dtype == dtype and np.array_equal(b.grad, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         assert (x.grad is None and w.grad is None) == only_bias
 
-    def test_split_over_eight_workers_under_contention(self, low_grain, monkeypatch):
+    def test_split_over_eight_workers_under_contention(self, monkeypatch):
         """More blocks than cores, with the interpreter switching threads as often
         as it can: a conv, a batch norm and a resize in a chain still give
         bitwise the serial numbers."""
@@ -1354,7 +1358,7 @@ class TestSplitOps:
             assert np.array_equal(a, b), f"array {k}"
 
     @pytest.mark.parametrize("op", list(_SPLIT_CASES))
-    def test_batch_of_one_and_no_grad_never_reach_the_pool(self, two_cores, low_grain, monkeypatch, op):
+    def test_batch_of_one_and_no_grad_never_reach_the_pool(self, two_cores, monkeypatch, op):
         def refuse(*args):
             raise AssertionError("submitted to the pool")
 
@@ -1364,20 +1368,7 @@ class TestSplitOps:
             out, _ = _SPLIT_CASES[op](4, np.float32, np.random.default_rng(92))
         assert not out.requires_grad
 
-    @pytest.mark.parametrize("at_grain", [False, True])
-    @pytest.mark.parametrize("op", list(_GRAIN_CASES))
-    def test_split_starts_at_the_grain(self, two_cores, monkeypatch, op, at_grain):
-        """At the real ``GRAIN``: a recorded batch-4 op whose largest array holds
-        ``GRAIN`` elements splits, and one a column narrower stays on the calling
-        thread, forward and backward."""
-        w = T.GRAIN // (4 * 8 * 32) - (not at_grain)
-        assert T.GRAIN % (4 * 8 * 32) == 0
-        maps = _pool_calls(monkeypatch)
-        out = _GRAIN_CASES[op](np.random.default_rng(108), w)
-        T.backward(T.sum_all(out))
-        assert bool(maps) == (at_grain and T._openblas() is not None)
-
-    def test_split_ops_never_call_the_module_parallel_map(self, two_cores, low_grain, monkeypatch):
+    def test_split_ops_never_call_the_module_parallel_map(self, two_cores, monkeypatch):
         """A tracer rebinds ``tensor.parallel_map`` as it does every public
         function; a split op reaches the pool through the map ``_each`` bound at
         import, so the tracer records the op once and not each of its blocks."""
@@ -1400,7 +1391,7 @@ class TestSplitOps:
         return cuts
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
-    def test_blocks_are_one_per_core_within_each_ops_cap(self, low_grain, monkeypatch, cores):
+    def test_blocks_are_one_per_core_within_each_ops_cap(self, monkeypatch, cores):
         """Batch norm cuts its c channels into min(c // 2, cores) contiguous blocks
         covering them all, at least 2 channels each unless there is one block; a
         conv cuts its samples into at most ``CONV_WORKERS`` blocks."""
@@ -1421,7 +1412,7 @@ class TestSplitOps:
         assert len(blocks) == min(cores, T.CONV_WORKERS) <= T.CONV_WORKERS
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
-    def test_batch_of_one_no_grad_below_grain_and_in_a_map_are_one_block(self, low_grain, monkeypatch, cores):
+    def test_batch_of_one_no_grad_and_in_a_map_are_one_block(self, monkeypatch, cores):
         """Each of these gives every op the one block ``slice(0, size)``: the
         batch norm's 5 channels, the conv's samples."""
         cuts = self._cuts(monkeypatch, cores)
@@ -1437,18 +1428,6 @@ class TestSplitOps:
         with T.no_grad():
             run(4)
         T.parallel_map(lambda _: run(4), [None])
-        monkeypatch.setattr(T, "GRAIN", 4 * 16 * 11 * 9 + 1)  # one more element than the largest array
-        run(4)
-
-    def test_squeeze_and_excite_convs_never_reach_the_pool(self, two_cores, monkeypatch):
-        """The gate's 1x1 convs run on (4, c, 1, 1): far below the grain."""
-        rng = np.random.default_rng(109)
-        maps = _pool_calls(monkeypatch)
-        pooled = _leaf(rng, (4, 64, 1, 1))
-        hidden = T.relu(T.conv2d(pooled, _leaf(rng, (16, 64, 1, 1)), _leaf(rng, (1, 16, 1, 1))))
-        gate = T.sigmoid(T.conv2d(hidden, _leaf(rng, (64, 16, 1, 1)), _leaf(rng, (1, 64, 1, 1))))
-        T.backward(T.sum_all(gate))
-        assert maps == []
 
 
 class TestFiniteness:
