@@ -56,7 +56,8 @@ norm) into one contiguous block per core (at most ``CONV_WORKERS`` for a conv)
 and runs one block per worker:
 
 - ``conv2d``: the forward, the crop-and-bias copy into the output, and the
-  backward's one pass of weight and input gradients;
+  backward's one pass of weight and input gradients, which walks each sample
+  in bands of whole input rows (``BAND``);
 - ``batch_norm_relu`` (channels): the statistics, the output, the packing of
   its 1-bit mask and the backward;
 - ``mul``: the forward and the rule;
@@ -491,10 +492,17 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * kh * kw is at most this
-# A split conv2d uses at most this many workers. Each holds a padded sample, a matmul buffer and a
-# gradient stack, so with one a core a step's peak memory grew about 17 MiB a core past two; the cost
-# is that on a host of more than 2 cores a conv still runs on 2.
+# A split conv2d uses at most this many workers, each with its own padded sample and matmul buffer in
+# the forward and dilated gradient grid and band buffer in the backward. With one a core a guidedepth
+# step peaked at 131.8 MiB on 4 and 8 cores against 126.1 on 2 (181 MiB while each worker held a
+# whole-frame gradient stack, which set this cap); the cost is that on a host of more than 2 cores a
+# conv still runs on 2.
 CONV_WORKERS = 2
+# conv2d's backward walks each sample in bands of max(1, BAND // width) whole input rows. On a 2-vCPU
+# AVX-512 VM a band's input gradient is bitwise that of one whole-frame GEMM at 1,024 columns (not at
+# 512, for some 3-channel convs), and alternating train steps at 1,024 and 2,048 took a median 0.98 of
+# the 2,048 time per pair.
+BAND = 1024
 
 
 def _taps(flat: np.ndarray, kh: int, kw: int, row: int, stride: int, m: int) -> list[np.ndarray]:
@@ -535,34 +543,45 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     padded copy, stacked operand or matmul buffer exists, and each sample
     runs the GEMMs of a batch of one.
 
-    The backward shifts the gradient, not
-    the input (kn2row, arXiv 1709.03395): per sample, plane ``t`` of a zeroed
-    stack ``G`` of ``kh * kw`` flat padded inputs holds the output gradient in
-    tap ``t``'s slice; a 1x1, stride-1, unpadded conv's one plane is the
-    output gradient itself. With ``W`` the weight as ``(kh * kw * c_out, c_in)`` and
-    ``X`` the sample's flat padded input, ``dx_flat = W.T @ G`` and, per tap,
-    ``dW += G @ X.T``. Stacked, ``dW = sum over n of g_grid @ X_0.T`` with the
-    gradient zero-padded to the grid is 2-3x faster. At stride ``s``, ``G`` is
-    ``s**2`` times sparser, so strided per-tap convs multiply mostly zeros.
+    The backward shifts the gradient, not the input (kn2row, arXiv
+    1709.03395): plane ``t`` of a gradient stack ``G`` holds, at each input
+    position, the output gradient that tap ``t`` carries there, so with ``W``
+    the weight as ``(kh * kw * c_out, c_in)`` and ``X`` the input,
+    ``dx = W.T @ G`` and, per tap, ``dW += G @ X.T``. Only the input's own rows
+    and columns take a gradient, and ``G`` is built for them one band of whole
+    rows at a time, ``max(1, BAND // w)`` rows a band. Per sample, ``g[s]`` is
+    copied once into a zeroed dilated grid, at rows ``stride * i + kh - 1`` and
+    columns ``stride * j + kw - 1``. Plane ``(k, l)`` of input rows ``[r0, r1)``
+    is then the window of that grid at rows ``[r0, r1) + p + kh - 1 - k`` and
+    columns ``[0, w) + p + kw - 1 - l``, copied into one reused band buffer.
+    Per band, one ``W.T @ G_band`` writes the band's rows of ``dx`` straight
+    into the C-contiguous ``(n, c_in, h, w)`` gradient, and one
+    ``G_band @ X_band.T`` is added into the sample's ``dW``; no whole-frame
+    stack, padded input or padded ``dx`` exists. A 1x1, stride-1, unpadded
+    conv's one plane is ``g[s]`` itself, taken whole as one band. Stacked,
+    ``dW = sum over n of g_grid @ X_0.T`` with the gradient zero-padded to the
+    grid is 2-3x faster, and the bands give only ``dx``. At stride ``s``,
+    ``G`` is ``s**2`` times sparser, so strided per-tap convs multiply mostly
+    zeros.
 
     The graph keeps ``weight.data`` and, only when the weight takes a gradient,
     ``_kept(x)``, but neither the padded input nor the stacked operand: the
     backward reads the input one sample at a time, through the slice argument of
     ``_kept(x)`` (a batch norm output or a gated product is rebuilt one sample at
-    a time), and builds them again from it, so a rebuilt input never exists whole
-    beside ``dx``. The forward frees its padded sample and matmul buffer before
-    the crop copy. A grid with no junk columns (``wp == ow``, as in a 1x1
-    unpadded conv) takes the bias in place and is itself the output, so it is
-    not copied.
+    a time), and a stacked conv builds its padded sample and operand again from
+    it, so a rebuilt input never exists whole beside ``dx``. The forward frees
+    its padded sample and matmul buffer before the crop copy. A grid with no
+    junk columns (``wp == ow``, as in a 1x1 unpadded conv) takes the bias in
+    place and is itself the output, so it is not copied.
 
     When the op splits (see the module docstring), its samples are cut into one
     block per core, at most ``CONV_WORKERS``, on ``parallel_map``: each block
-    has its own padded sample, matmul buffer and gradient stack, and writes its
-    own rows of ``grid``, of the output and of ``dx``. The backward runs one
-    pass per block, which fills each sample's gradient stack once for both
-    gradients; ``sum`` adds the per-sample weight gradient products in sample
-    order. The bias gradient is one ``g.sum(axis=(0, 2, 3))`` on the calling
-    thread.
+    has its own padded sample and matmul buffer in the forward, its own dilated
+    grid and band buffer in the backward, and writes its own rows of ``grid``,
+    of the output and of ``dx``. The backward runs one pass per block, which
+    walks each sample's bands once for both gradients; ``sum`` adds the
+    per-sample weight gradient products in sample order. The bias gradient is
+    one ``g.sum(axis=(0, 2, 3))`` on the calling thread.
     """
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
@@ -629,33 +648,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     def back(g):
         direct = kh * kw == stride == 1 and not p  # a gradient stack's one plane is the whole of g[s]
         wg = wd.transpose(2, 3, 0, 1).reshape(-1, ci)  # (kh * kw * co, ci), rows as in a gradient stack
-        dxf = np.empty((n, ci, rows * wp), dtype=dt) if rx.requires_grad else None
-        stack = dxf is not None or (keep_x is not None and not stacked)  # a pass fills gradient stacks
+        dx = np.empty((n, ci, h * w), dtype=dt) if rx.requires_grad else None
+        stack = dx is not None or (keep_x is not None and not stacked)  # a pass walks gradient bands
+        nb = h if direct else max(1, min(h, BAND // w))  # input rows a band
+        bands = [(r, min(r + nb, h)) for r in range(0, h, nb)]
 
         def grads(blk):
             """Each sample's weight gradient product, in sample order, and its input gradient into
-            ``dxf``, each when taken. The input is read a sample at a time, so a rebuilt one never exists whole."""
+            ``dx``, each when taken. The input is read a sample at a time, so a rebuilt one never exists whole."""
             dws = []
-            xfs = None if keep_x is None else padded(keep_x(slice(s, s + 1))[0] for s in range(blk.start, blk.stop))
+            xfs = None
+            if keep_x is not None:
+                xs = (keep_x(slice(s, s + 1))[0] for s in range(blk.start, blk.stop))
+                xfs = padded(xs) if stacked else (xi.reshape(ci, -1) for xi in xs)
             if stack and not direct:
-                gs = np.zeros((kh * kw, co, rows * wp), dtype=dt)
-                slots = [v[t].reshape(co, oh, wp)[..., :ow] for t, v in enumerate(_taps(gs, kh, kw, wp, stride, m))]
-                gs = gs.reshape(-1, rows * wp)
+                a, b = p + kh - 1, p + kw - 1  # the row and column of the grid where tap (0, 0)'s window starts
+                dil = np.zeros((co, h + p + max(p, kh - 1), w + p + max(p, kw - 1)), dtype=dt)
+                put = dil[:, kh - 1 :: stride, kw - 1 :: stride][:, :oh, :ow]
+                wins = [dil[:, a - k : a - k + h, b - l : b - l + w] for k in range(kh) for l in range(kw)]
+                buf = np.empty((kh * kw * co, nb, w), dtype=dt)
             for s in range(blk.start, blk.stop):
                 xf = None if xfs is None else next(xfs)
                 if stacked and xf is not None:
                     dws.append(np.pad(g[s], ((0, 0), (0, 0), (0, wp - ow))).reshape(co, m) @ operands(xf)[0].T)
+                    xf = None  # the bands take no weight gradient
                 if not stack:
                     continue
-                if direct:
-                    gs = np.ascontiguousarray(g[s]).reshape(co, -1)
-                else:
-                    for slot in slots:
-                        slot[...] = g[s]
-                if xf is not None and not stacked:
-                    dws.append(gs @ xf.T)
-                if dxf is not None:
-                    np.matmul(wg.T, gs, out=dxf[s])
+                if not direct:
+                    put[...] = g[s]
+                dw = None
+                for r0, r1 in bands:
+                    if direct:
+                        gb = g[s].reshape(co, -1)
+                    else:
+                        for t, win in enumerate(wins):
+                            buf[t * co : (t + 1) * co, : r1 - r0] = win[:, r0:r1]
+                        gb = buf[:, : r1 - r0].reshape(-1, (r1 - r0) * w)
+                    cols = slice(r0 * w, r1 * w)
+                    if xf is not None:
+                        d = gb @ xf[:, cols].T
+                        dw = d if dw is None else np.add(dw, d, out=dw)
+                    if dx is not None:
+                        np.matmul(wg.T, gb, out=dx[s, :, cols])
+                if dw is not None:
+                    dws.append(dw)
             return dws
 
         if rb.requires_grad:
@@ -667,8 +703,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 _accum(rw, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             else:
                 _accum(rw, dw.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
-        if dxf is not None:
-            _accum(rx, dxf.reshape(n, ci, rows, wp)[:, :, p : p + h, p : p + w])
+        if dx is not None:
+            _accum(rx, dx.reshape(n, ci, h, w))
 
     return _track(out_data, back, x, weight, bias)
 

@@ -430,22 +430,22 @@ class TestDepthNet:
 
     @pytest.mark.threads
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
-    def test_train_step_peaks_at_most_150_mib(self, monkeypatch, cores):
+    def test_train_step_peaks_at_most_136_mib(self, monkeypatch, cores):
         """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. The
         peak follows the graph of the test above: a conv's backward rebuilds a
         batch norm input only while it runs, and keeping those inputs makes the
         peak 171 MiB; keeping every op's inputs and each batch norm's float
-        output, 201 MiB. A per-tap conv's backward pads its input one sample at
-        a time (with the 201 MiB graph, padding the whole batch at once made
-        213 MiB). On one core it peaks at 129.1 MiB. A split conv uses at most
-        two workers, and on 2 to 8 cores the step peaks at 149.4 MiB, in the
-        backward of the last stage's ``s_res.conv3``: a split conv backward
-        takes both gradients in one pass, so each worker's gradient stack,
-        padded input sample and, while it is copied in, rebuilt input sample
-        sit beside ``dx`` (146.4 MiB when the two workers' rebuilt samples do
-        not overlap). With one worker a core it made 163.6 MiB on 3 cores and
-        181 MiB on 4 and 8. A weight gradient pass run before ``dx`` existed
-        made 142.9 MiB on two workers, but filled each gradient stack twice."""
+        output, 201 MiB. A conv's backward builds its gradient stack one band of
+        input rows at a time, so a worker holds a dilated gradient grid and one
+        band buffer (about 3 MiB at the last stage) and no whole-frame stack or
+        padded input sample. The step peaks at 126.1 MiB on 1 to 3 cores, in the
+        rule of the last stage's squeeze-and-excite product: the (4, 64, 96, 128)
+        gradient of the concatenated features and the product of the output
+        gradient with those features that it sums for the gate. On 4 and 8 cores
+        that rule splits 4 ways, and the step peaks at 122.9-123.1 MiB in the
+        backward of that stage's ``s_res.conv3`` (64 -> 32, 3x3). With one
+        whole-frame stack a worker the step peaked in that conv's backward, at
+        129.1 MiB on one core and 146.4-149.3 MiB on 2 to 8."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         rng = np.random.default_rng(41)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
@@ -457,7 +457,7 @@ class TestDepthNet:
 
         step()  # warms the resize matrices
         _, _, peak = traced(step)
-        assert peak <= 150 * 2**20, f"train step peaks at {peak / 2**20:.1f} MiB"
+        assert peak <= 136 * 2**20, f"train step peaks at {peak / 2**20:.1f} MiB"
 
     def test_eval_forward_peaks_at_most_13_mib(self):
         """A batch-1 eval forward of ``guidedepth`` at 96x128 frees each conv's

@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics, gradient oracles, graph behavior, GDT1 files."""
 
 import contextlib
+import itertools
 import os
 import re
 import sys
@@ -15,6 +16,11 @@ import pytest
 from guidedepth import gdt
 from guidedepth import tensor as T
 from helpers import check_grads, conv2d_reference, finite_diff_grad, graph_bytes, graph_objects, rel_err, traced
+
+
+# conv2d's backward band widths: the default, one input row, and 40 columns, which leave a short last band
+# on every shape of the naive-loop reference tests (rows of 6 to 10 columns, 6 to 9 rows)
+BANDS = (T.BAND, 1, 40)
 
 
 def randn(shape, seed=0, dtype=np.float64, requires_grad=True):
@@ -156,7 +162,7 @@ class TestConv2d:
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 1), (1, 3)], ids=["1x1", "3x3", "3x1", "1x3"])
-    def test_matches_naive_loop_reference(self, kernel, stride, padding):
+    def test_matches_naive_loop_reference(self, monkeypatch, kernel, stride, padding):
         """Forward, dx, dW and db against plain loops, to 1e-12 of each result's largest entry.
 
         3 input channels stack all taps of every kernel but 1x1 into one operand.
@@ -166,10 +172,15 @@ class TestConv2d:
 
         At stride 2 or 3 the shapes leave trailing input rows or columns unread,
         e.g. column 7 of (2, 3, 9, 8) at stride 2, padding 0.
+
+        Every shape fits in one backward band of ``BAND`` columns, so each runs
+        again in bands of one input row and in bands of 40 columns, which leave
+        a short last band on every shape (``BANDS``).
         """
         cases = [(23, (2, 3, 9, 8), 4), (24, (3, 5, 7, 10), 2), (27, (2, 10, 6, 7), 3), (28, (2, 11, 6, 7), 2),
                  (26, (2, 40, 7, 6), 3)]
-        for seed, shape, co in cases:
+        for band, (seed, shape, co) in itertools.product(BANDS, cases):
+            monkeypatch.setattr(T, "BAND", band)
             x = randn(shape, seed=seed)
             w = randn((co, shape[1], *kernel), seed=seed + 100)
             b = randn((1, co, 1, 1), seed=seed + 200)
@@ -180,16 +191,19 @@ class TestConv2d:
             for name, got, ref in zip(("y", "dx", "dw", "db"), (y.data, x.grad, w.grad, b.grad), want):
                 assert got.shape == ref.shape, name
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-                assert err < 1e-12, f"{name} {shape}: relative error {err:.2e}"
+                assert err < 1e-12, f"{name} {shape}, band {band}: relative error {err:.2e}"
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("wanted", [("x",), ("w",), ("b",), ("x", "w", "b")], ids=["dx", "dw", "db", "all"])
-    def test_each_requested_gradient_matches_naive_loop_reference(self, wanted, stride, padding):
+    def test_each_requested_gradient_matches_naive_loop_reference(self, monkeypatch, wanted, stride, padding):
         """A backward asked for only some gradients computes those, to 1e-12 of
         each result's largest entry, and leaves the others ``None``. 3 channels
-        take the stacked layout of a 3x3 conv, 11 and 40 the per-tap one."""
-        for seed, shape, co in [(40, (2, 3, 9, 8), 4), (41, (2, 11, 7, 6), 3), (42, (2, 40, 6, 7), 2)]:
+        take the stacked layout of a 3x3 conv, 11 and 40 the per-tap one; each
+        runs in the backward bands of ``BANDS``."""
+        cases = [(40, (2, 3, 9, 8), 4), (41, (2, 11, 7, 6), 3), (42, (2, 40, 6, 7), 2)]
+        for band, (seed, shape, co) in itertools.product(BANDS, cases):
+            monkeypatch.setattr(T, "BAND", band)
             x = randn(shape, seed=seed, requires_grad="x" in wanted)
             w = randn((co, shape[1], 3, 3), seed=seed + 100, requires_grad="w" in wanted)
             b = randn((1, co, 1, 1), seed=seed + 200, requires_grad="b" in wanted)
@@ -203,7 +217,7 @@ class TestConv2d:
                     continue
                 assert t.grad.shape == ref.shape, name
                 err = np.max(np.abs(t.grad - ref)) / np.max(np.abs(ref))
-                assert err < 1e-12, f"d{name} {shape}: relative error {err:.2e}"
+                assert err < 1e-12, f"d{name} {shape}, band {band}: relative error {err:.2e}"
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("ci", [3, 16])
@@ -256,8 +270,9 @@ class TestConv2d:
         assert held - y.data.nbytes < operand, f"graph holds {held} bytes"
 
     def test_padded_conv_graph_keeps_no_padded_input(self):
-        """The backward pads ``x`` again, so after a grad-recording padded 3x3
-        conv the graph holds its output and less than half a padded input."""
+        """The backward reads ``x`` unpadded, band by band, so after a
+        grad-recording padded 3x3 conv the graph holds its output and less than
+        half a padded input."""
         rng = np.random.default_rng(35)
         x = T.Tensor(rng.standard_normal((4, 32, 96, 128)).astype(np.float32), requires_grad=True)
         w = T.Tensor(0.1 * rng.standard_normal((32, 32, 3, 3)).astype(np.float32), requires_grad=True)
@@ -266,6 +281,27 @@ class TestConv2d:
         y, held, _ = traced(lambda: T.conv2d(x, w, b, 1, 1))
         assert y.requires_grad
         assert held - y.data.nbytes < padded / 2, f"graph holds {held - y.data.nbytes} bytes beside its output"
+
+    @pytest.mark.threads
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_backward_peaks_below_one_whole_frame_gradient_stack(self, monkeypatch, cores):
+        """The backward of a grad-recording (4, 64, 96, 128) -> 32 3x3 conv, and of
+        the product that hands it its gradient, allocates ``dx`` (the input's size) and
+        the output gradient (the output's size). Each worker's dilated gradient grid
+        and band buffer come to about 3 MiB (21.2 MiB on one core, 24.1 on two), so
+        the backward peaks below those two plus one whole-frame gradient stack of
+        9 * 32 rows of a padded frame: with one such stack a worker it made 36.2 MiB
+        on one core and 53.5 on two."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        rng = np.random.default_rng(43)
+        x = T.Tensor(rng.standard_normal((4, 64, 96, 128)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(0.1 * rng.standard_normal((32, 64, 3, 3)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros((1, 32, 1, 1), np.float32), requires_grad=True)
+        y = T.conv2d(x, w, b, 1, 1)
+        loss = T.sum_all(T.mul(y, T.Tensor(rng.standard_normal(y.shape).astype(np.float32))))
+        stack = 9 * 32 * 99 * 130 * 4  # 96 + 2 padding rows + 1 that keeps the last tap's slice in bounds
+        _, _, peak = traced(lambda: T.backward(loss))
+        assert peak < x.data.nbytes + y.data.nbytes + stack, f"backward peaks at {peak / 2**20:.1f} MiB"
 
     def test_forward_builds_no_window_matrix(self):
         """A 3x3 window matrix of the input alone would be 9x its bytes."""
@@ -1327,6 +1363,31 @@ class TestSplitOps:
         assert maps or T._openblas() is None
         assert b.grad.dtype == dtype and np.array_equal(b.grad, g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         assert (x.grad is None and w.grad is None) == only_bias
+
+    def test_multi_band_conv_backward_is_bitwise_the_same_on_1_2_and_4_cores(self, monkeypatch):
+        """A (4, 32, 96, 128) -> 32 3x3 conv's backward walks each sample in several
+        bands at the default ``BAND`` (the ``guidedepth-tiny`` step of the core-count
+        test in ``test_blocks.py`` fits in one), and its ``dx`` and ``dW`` are bitwise
+        the same however many blocks its samples are cut into."""
+        assert 96 * 128 > 2 * T.BAND
+        rng = np.random.default_rng(116)
+        x0 = rng.standard_normal((4, 32, 96, 128)).astype(np.float32)
+        w0 = (0.1 * rng.standard_normal((32, 32, 3, 3))).astype(np.float32)
+        g = rng.standard_normal((4, 32, 96, 128)).astype(np.float32)
+
+        def grads(cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            x, w = T.Tensor(x0, requires_grad=True), T.Tensor(w0, requires_grad=True)
+            y = T.conv2d(x, w, T.Tensor(np.zeros((1, 32, 1, 1), np.float32)), 1, 1)
+            T.backward(T.sum_all(T.mul(y, T.Tensor(g))))
+            return x.grad, w.grad
+
+        blas = T._openblas()
+        with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
+            (dx, dw), *others = [grads(cores) for cores in (1, 2, 4)]
+        for cores, (dx_c, dw_c) in zip((2, 4), others):
+            assert np.array_equal(dx_c, dx), f"dx on {cores} cores"
+            assert np.array_equal(dw_c, dw), f"dW on {cores} cores"
 
     def test_split_over_eight_workers_under_contention(self, monkeypatch):
         """More blocks than cores, with the interpreter switching threads as often
