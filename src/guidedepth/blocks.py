@@ -205,7 +205,9 @@ class GuidedUpsampler(Module):
         if self.s_guide is not None and getattr(guide, "shape", None) != want:
             raise ValueError(f"GuidedUpsampler: guide must be {want}, got {getattr(guide, 'shape', None)}, z {z.shape}")
         h_up = bilinear_resize(z, 2 * h, 2 * w)
-        # only h_up stays alive until the residual add: no local holds the joint or gated features
+        # only h_up stays alive until the residual add: no local holds the joint or gated features, and while
+        # recording their readers keep rebuilds of them, so the joint features are freed once the SE has read
+        # them, and the gated ones once s_res.conv3 has
         h_res = self.s_res.forward(self.se.forward(self._joint(h_up, guide, train)), train)
         return self.reduce.forward(add(h_up, h_res))
 

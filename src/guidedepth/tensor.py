@@ -24,11 +24,14 @@ rebuild are one kind of function: of a sample slice ``s``, all samples by
 default, returning those samples of the array. A rebuild recomputes them
 bitwise from arrays its node keeps anyway; while the producer's node is live,
 ``_kept`` hands out that rebuild instead of the output array (recomputation
-instead of storage, Chen et al., arXiv 1604.06174). Two ops offer one:
-``batch_norm_relu``, from its input and per-channel vectors, and ``mul`` when
-both operands require grad and so are both kept. So a batch norm output that a
-conv reads, or a gated product, is freed during the forward and built again, a
-block or a sample at a time, when its reader's rule runs.
+instead of storage, Chen et al., arXiv 1604.06174). Three ops offer one:
+``batch_norm_relu``, from its input and per-channel vectors; ``mul`` when both
+operands require grad and so are both kept; and ``concat_channels`` when both
+its inputs' live nodes offer one, from those two rebuilds, so that its rebuild
+never holds an array nothing else keeps. So a batch norm output that a conv
+reads, the joint features of a guided decoder stage (two batch norm outputs
+concatenated) and their gated product are freed during the forward and built
+again, a block or a sample at a time, when a reader's rule runs.
 
 ``backward`` collects the nodes reachable from the loss, runs their rules
 newest first and releases each node once its rule has run, so each forward
@@ -52,8 +55,8 @@ BLAS, use the cores. ``evaluate`` maps its passes with it.
 The batch-wide ops of a training step split their batch over it too. An op
 splits while gradients record, outside any ``parallel_map`` call, when its batch
 has more than one sample. It then cuts its samples (its channels, for batch
-norm) into one contiguous block per core (at most ``CONV_WORKERS`` for a conv)
-and runs one block per worker:
+norm) into one contiguous block per core (at most ``CONV_WORKERS`` for a conv
+or a product) and runs one block per worker:
 
 - ``conv2d``: the forward, the crop-and-bias copy into the output, and the
   backward's one pass of weight and input gradients, which walks each sample
@@ -245,15 +248,21 @@ def _track(
     return out
 
 
+def _rebuild(t: Tensor) -> Callable[..., np.ndarray] | None:
+    """The rebuild of the node that made ``t`` while that node is live, else ``None``."""
+    node = t._rec.node
+    return None if node is None or node is _CONSUMED else node[3]
+
+
 def _kept(t: Tensor) -> Callable[..., np.ndarray]:
     """A function of a sample slice ``s``, all samples by default, returning
     ``t.data[s]``, for a rule to capture: the rebuild of the node that made ``t``
     while that node is live, otherwise one that holds ``t.data`` and returns a view
     of it. A rebuild computes just the samples ``s``, with the per-element ops of
     the whole one, so a reader can take its input one block or sample at a time."""
-    node = t._rec.node
-    if node is not None and node is not _CONSUMED and node[3] is not None:
-        return node[3]
+    rebuild = _rebuild(t)
+    if rebuild is not None:
+        return rebuild
     data = t.data
     return lambda s=slice(None): data[s]
 
@@ -352,7 +361,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     only samples ``s`` of each operand: a block's gradient sums only over its own
     samples, and the rebuild of ``s`` is the product of the operands' ``s``. An
     operand's gradient, one ``_split`` each, is ``g`` times the other operand
-    summed with ``keepdims`` over the dims the operand broadcast along."""
+    summed with ``keepdims`` over the dims the operand broadcast along. That sum
+    (the squeeze-and-excite gate's gradient) takes one sample at a time, so the
+    full-size product it sums, and the other operand when that is rebuilt, never
+    exist for a whole block; numpy sums each sample in the order a block's sum would."""
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     if a.shape[0] != b.shape[0]:
@@ -363,7 +375,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
     n, dt = shape[0], a.data.dtype
     ra, rb, a_shape, b_shape = a._rec, b._rec, a.shape, b.shape
-    blocks = _blocks(n, n)
+    blocks = _blocks(n, n, most=CONV_WORKERS)
     keep_b = _kept(b) if ra.requires_grad else None  # the gradient of a reads b, and that of b reads a
     keep_a = _kept(a) if rb.requires_grad else None
 
@@ -376,7 +388,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             def grad(blk, o):  # run by the _split below, within this iteration
                 if not axes:
                     return np.multiply(g[blk], keep(blk), out=o)
-                return np.multiply(g[blk], keep(blk)).sum(axis=axes, keepdims=True, out=o)
+                o = np.empty((blk.stop - blk.start, *s[1:]), dtype=dt) if o is None else o
+                for i in range(blk.stop - blk.start):  # one sample at a time: see the docstring
+                    one = slice(blk.start + i, blk.start + i + 1)
+                    np.multiply(g[one], keep(one)).sum(axis=axes, keepdims=True, out=o[i : i + 1])
+                return o
 
             _accum(r, _split(grad, blocks, s, dt))
 
@@ -469,6 +485,10 @@ def _sum_over(a: Tensor, count: int) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+    """``a`` and ``b`` stacked along channels. While both inputs' nodes are live and
+    offer rebuilds, so does this op's: the concatenation of theirs, which keeps
+    alive no array that those nodes do not keep anyway. Otherwise it offers none,
+    since a rebuild would hold its inputs' arrays for as long as a reader holds it."""
     na, ca, ha, wa = a.shape
     nb, cb, hb, wb = b.shape
     if (na, ha, wa) != (nb, hb, wb):
@@ -483,7 +503,13 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         _accum(ra, g[:, :ca])
         _accum(rb, g[:, ca:])
 
-    return _track(out, back, a, b)
+    keep_a, keep_b = _rebuild(a), _rebuild(b)
+
+    def rebuild(s=slice(None)):  # the samples ``s``
+        return np.concatenate([keep_a(s), keep_b(s)], axis=1)
+
+    both = keep_a is not None and keep_b is not None
+    return _track(out, back, a, b, rebuild=rebuild if both else None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +522,9 @@ STACK_MAX_K = 32  # conv2d stacks all taps into one matmul operand while c_in * 
 # the forward and dilated gradient grid and band buffer in the backward. With one a core a guidedepth
 # step peaked at 131.8 MiB on 4 and 8 cores against 126.1 on 2 (181 MiB while each worker held a
 # whole-frame gradient stack, which set this cap); the cost is that on a host of more than 2 cores a
-# conv still runs on 2.
+# conv still runs on 2. A split mul uses as many: each worker of its rule holds one sample's rebuilt
+# joint features and their product with the gradient (6 MiB at the last stage), and with one worker a
+# sample the step peaked at up to 118.6 MiB on 4 patched cores against 106.6 in that rule on 2.
 CONV_WORKERS = 2
 # conv2d's backward walks each sample in bands of max(1, BAND // width) whole input rows. On a 2-vCPU
 # AVX-512 VM a band's input gradient is bitwise that of one whole-frame GEMM at 1,024 columns (not at

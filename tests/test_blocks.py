@@ -16,7 +16,7 @@ from guidedepth import gdt
 from guidedepth import losses as L
 from guidedepth import tensor as T
 from guidedepth.evaluate import depth_to_normalized, evaluate, model_predictor
-from helpers import check_grads, directional_grad_check, graph_bytes, perturb_params, traced
+from helpers import check_grads, directional_grad_check, graph_bytes, graph_objects, perturb_params, traced
 
 
 def rand_image(shape, seed=0, dtype=np.float64):
@@ -385,36 +385,62 @@ class TestDepthNet:
         evaluate(model_predictor(model), D.generate_dataset(3, 115, 48, 64), (32, 48))
         assert asked == ({cores} if T._openblas() else set())
 
-    def test_graph_after_forward_and_loss_holds_at_most_120_mib(self):
+    def test_graph_after_forward_and_loss_holds_at_most_96_mib(self):
         """The graph links grad records, so it keeps only the arrays backward
         rules read: each train-mode batch norm keeps the conv output it reads
         and a 1-bit mask of its own output, and each conv keeps its input but
         not a padded copy of it. A conv whose input is a batch norm output, or
         the squeeze-and-excite product, keeps the producer's rebuild instead,
-        so that output is freed once its readers ran, as is one that only a
-        concat or an add reads, or a stage output that only a resize reads.
-        Keeping those conv inputs makes 161 MiB; keeping every op's inputs and
-        each batch norm's float output 195 MiB (230 MiB with the padded conv
-        inputs too)."""
+        and so does that product for its joint features, the concatenation of
+        two batch norm outputs. So each of those outputs is freed once its
+        readers ran, as is one that only an add reads, or a stage output that
+        only a resize reads. It holds 90.2 MiB (109.7 MiB while the product
+        kept the joint features). Keeping the conv inputs makes 161 MiB; keeping
+        every op's inputs and each batch norm's float output 195 MiB (230 MiB
+        with the padded conv inputs too)."""
         rng = np.random.default_rng(38)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
         x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
         y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 96, 128)), dtype=np.float32)
         loss = L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"]
         held = graph_bytes(loss) / 2**20
-        assert held <= 120, f"graph holds {held:.1f} MiB after forward and loss"
+        assert held <= 96, f"graph holds {held:.1f} MiB after forward and loss"
+
+    @pytest.mark.parametrize("gtype", ["image", "laplacian"])
+    def test_graph_after_forward_and_loss_holds_no_joint_features(self, monkeypatch, gtype):
+        """Each guided stage's concatenated features are rebuilt by their readers,
+        so after forward and loss the graph holds no array of their shape."""
+        shapes, concat = [], B.concat_channels
+
+        def recorded(a, b):
+            out = concat(a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(B, "concat_channels", recorded)
+        rng = np.random.default_rng(162)
+        model = B.build_model(B.ModelConfig("guidedepth", gtype), seed=0)
+        x = T.Tensor(rng.uniform(0, 1, (4, 3, 96, 128)), dtype=np.float32)
+        y = T.Tensor(rng.uniform(0.1, 1, (4, 1, 96, 128)), dtype=np.float32)
+        loss = L.loss_terms(y, model.forward(x, train=True), L.LossConfig())["total"]
+        held = {obj.shape for obj in graph_objects(loss) if isinstance(obj, np.ndarray)}
+        assert len(set(shapes)) == 3
+        assert held.isdisjoint(shapes), f"the graph holds arrays of shapes {sorted(held & set(shapes))}"
 
     @pytest.mark.threads
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
-    def test_train_forward_and_loss_peaks_at_most_119_mib(self, monkeypatch, cores):
+    def test_train_forward_and_loss_peaks_at_most_99_mib(self, monkeypatch, cores):
         """Forward and loss of ``guidedepth``, batch 4 at 96x128, while recording.
         A conv pads and multiplies one sample at a time, a batch norm builds its
         output in one array, and a ``StackedConv`` drops its input once its
         first conv has read it: 129.4 MiB without those. A 1x1 conv adds its
-        bias in place: 115.9 MiB without that. It peaks at 112.9 MiB on one
-        core and 113.0 MiB on 2 to 8, since a split conv uses at most two
+        bias in place: 115.9 MiB without that. The joint features of each
+        guided stage are freed once the squeeze-and-excite product has read
+        them: 112.9-113.0 MiB while they were kept. It peaks at 93.4 MiB on
+        one core, in the last stage's ``reduce`` conv, and 93.5 MiB on 2 to 8,
+        in that stage's ``s_res.conv3``, since a split conv uses at most two
         workers, each with its own padded sample and matmul buffer (117.7 to
-        119.2 MiB on 3 to 8 cores with one worker a core)."""
+        119.2 MiB on 3 to 8 cores with one worker a core, joint features kept)."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         rng = np.random.default_rng(42)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
@@ -426,26 +452,32 @@ class TestDepthNet:
 
         forward_and_loss()  # warms the resize matrices
         _, _, peak = traced(forward_and_loss)
-        assert peak <= 119 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
+        assert peak <= 99 * 2**20, f"forward and loss peak at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.threads
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
-    def test_train_step_peaks_at_most_136_mib(self, monkeypatch, cores):
+    def test_train_step_peaks_at_most_118_mib(self, monkeypatch, cores):
         """Forward, loss and backward of ``guidedepth``, batch 4 at 96x128. The
-        peak follows the graph of the test above: a conv's backward rebuilds a
+        peak follows the graph of the tests above: a conv's backward rebuilds a
         batch norm input only while it runs, and keeping those inputs makes the
         peak 171 MiB; keeping every op's inputs and each batch norm's float
         output, 201 MiB. A conv's backward builds its gradient stack one band of
         input rows at a time, so a worker holds a dilated gradient grid and one
         band buffer (about 3 MiB at the last stage) and no whole-frame stack or
-        padded input sample. The step peaks at 126.1 MiB on 1 to 3 cores, in the
-        rule of the last stage's squeeze-and-excite product: the (4, 64, 96, 128)
-        gradient of the concatenated features and the product of the output
-        gradient with those features that it sums for the gate. On 4 and 8 cores
-        that rule splits 4 ways, and the step peaks at 122.9-123.1 MiB in the
-        backward of that stage's ``s_res.conv3`` (64 -> 32, 3x3). With one
-        whole-frame stack a worker the step peaked in that conv's backward, at
-        129.1 MiB on one core and 146.4-149.3 MiB on 2 to 8."""
+        padded input sample. The joint features are rebuilt a sample at a time
+        by both of their readers: the last stage's ``s_res.conv3`` (64 -> 32,
+        3x3), through the squeeze-and-excite product's rebuild, and that
+        product's rule, which sums the gate's gradient one sample at a time. The
+        step peaks at 100.6 MiB on one core, in both of those rules, and on 2 to
+        8 cores at up to 106.6 MiB in the product's rule (each of its two
+        workers holding one sample's rebuilt features and their product with
+        the gradient, beside the 12 MiB gradient of the features) and up to
+        112.3 MiB in that conv's backward, whose two workers each rebuild a
+        sample while holding the last. While the product kept the joint
+        features it peaked at 122.9-126.1 MiB, in its rule on 1 to 3 cores, the
+        gate's gradient summing a whole block's product. With one whole-frame
+        stack a conv worker the step peaked in that conv's backward, at 129.1
+        MiB on one core and 146.4-149.3 MiB on 2 to 8."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         rng = np.random.default_rng(41)
         model = B.build_model(B.preset_config("guidedepth"), seed=0)
@@ -457,7 +489,7 @@ class TestDepthNet:
 
         step()  # warms the resize matrices
         _, _, peak = traced(step)
-        assert peak <= 136 * 2**20, f"train step peaks at {peak / 2**20:.1f} MiB"
+        assert peak <= 118 * 2**20, f"train step peaks at {peak / 2**20:.1f} MiB"
 
     def test_eval_forward_peaks_at_most_13_mib(self):
         """A batch-1 eval forward of ``guidedepth`` at 96x128 frees each conv's

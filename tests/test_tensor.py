@@ -459,8 +459,9 @@ class TestRebuild:
             lambda dt: _bn_relu(70, dt),
             lambda dt: T.mul(randn((2, 3, 4, 5), seed=73, dtype=dt), randn((2, 3, 4, 5), seed=74, dtype=dt)),
             lambda dt: T.mul(randn((2, 3, 4, 5), seed=75, dtype=dt), randn((2, 3, 1, 1), seed=76, dtype=dt)),
+            lambda dt: T.concat_channels(_bn_relu(117, dt), _bn_relu(120, dt, (2, 2, 6, 5))),
         ],
-        ids=["batch_norm_relu", "mul", "mul-broadcast"],
+        ids=["batch_norm_relu", "mul", "mul-broadcast", "concat_channels"],
     )
     def test_rebuild_is_bitwise_the_output(self, op, dtype):
         out = op(dtype)
@@ -476,8 +477,9 @@ class TestRebuild:
             lambda dt: T.mul(randn((3, 2, 4, 5), seed=99, dtype=dt), randn((3, 2, 1, 1), seed=100, dtype=dt)),
             lambda dt: T.mul(randn((3, 2, 1, 1), seed=101, dtype=dt), randn((3, 2, 4, 5), seed=102, dtype=dt)),
             lambda dt: T.mul(_bn_relu(103, dt, (3, 4, 6, 5)), randn((3, 4, 1, 1), seed=106, dtype=dt)),
+            lambda dt: T.concat_channels(_bn_relu(123, dt, (3, 4, 6, 5)), _bn_relu(126, dt, (3, 2, 6, 5))),
         ],
-        ids=["batch_norm_relu", "mul", "mul-gate", "mul-gate-first", "mul-of-batch-norm"],
+        ids=["batch_norm_relu", "mul", "mul-gate", "mul-gate-first", "mul-of-batch-norm", "concat_channels"],
     )
     def test_sliced_rebuild_is_bitwise_the_whole_one(self, op, dtype):
         """A reader may take a rebuilt input one sample at a time."""
@@ -499,6 +501,53 @@ class TestRebuild:
         """Only one operand is kept, so the product cannot be built again."""
         out = T.mul(randn((2, 3, 4, 5), seed=77), randn((2, 3, 4, 5), seed=78, requires_grad=False))
         assert out._rec.node[3] is None
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda: (randn((2, 3, 6, 5), seed=129), _bn_relu(130, np.float64)),
+            lambda: (_bn_relu(133, np.float64), randn((2, 3, 6, 5), seed=136)),
+            lambda: (T.relu(randn((2, 3, 6, 5), seed=137)), _bn_relu(138, np.float64)),
+            lambda: (_bn_relu(141, np.float64), T.relu(randn((2, 3, 6, 5), seed=144))),
+        ],
+        ids=["leaf-first", "leaf-second", "plain-output-first", "plain-output-second"],
+    )
+    def test_concat_with_an_input_that_offers_no_rebuild_has_none(self, inputs):
+        """A rebuild would hold the data of a leaf or of an output its node
+        keeps no rebuild for, so the concat keeps no rebuild either."""
+        a, b = inputs()
+        out = T.concat_channels(a, b)
+        assert out.requires_grad and out._rec.node[3] is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_gradient_of_a_rebuilt_concat_is_the_whole_batch_sum(self, dtype):
+        """The rule sums the gate's gradient one sample at a time over the rebuilt
+        joint features: bitwise numpy's sum of ``g * joint`` over (h, w) for the
+        whole batch, and the features' gradient is ``g * gate``."""
+        joint = T.concat_channels(_bn_relu(145, dtype, (3, 4, 6, 5)), _bn_relu(148, dtype, (3, 2, 6, 5)))
+        gate = randn((3, 6, 1, 1), seed=151, dtype=dtype)
+        copy = joint.data.copy()
+        out = T.mul(joint, gate)
+        g = np.random.default_rng(152).standard_normal(out.shape).astype(dtype)
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(gate.grad, np.multiply(g, copy).sum(axis=(2, 3), keepdims=True))
+        assert np.array_equal(joint.grad, g * gate.data)
+
+    def test_gate_rule_over_a_rebuilt_operand_peaks_below_that_operand(self, monkeypatch):
+        """The squeeze-and-excite product's rule over rebuilt (4, 64, 96, 128) joint
+        features, on one core: beyond the gradients it hands on, it holds one
+        sample's rebuilt features and their product with the output gradient
+        (6 MiB), never the whole rebuilt operand or a product of its size (12 MiB
+        while the gate's gradient summed one block's product)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        joint = T.concat_channels(_bn_relu(153, np.float32, (4, 32, 96, 128)), _bn_relu(156, np.float32, (4, 32, 96, 128)))
+        assert joint._rec.node[3] is not None
+        gate = randn((4, 64, 1, 1), seed=159, dtype=np.float32)
+        out = T.mul(joint, gate)
+        g = np.random.default_rng(160).standard_normal(out.shape).astype(np.float32)
+        _, held, peak = traced(lambda: out._rec.node[2](g))
+        assert joint.grad is not None and gate.grad is not None
+        assert peak - held < joint.data.nbytes, f"the rule peaks {(peak - held) / 2**20:.1f} MiB beyond its gradients"
 
     @pytest.mark.threads
     def test_batch_norm_output_read_only_by_a_conv_freed_during_forward(self):
@@ -1277,6 +1326,16 @@ def _squeeze_and_excite_case(n, dtype, rng):
     return T.sigmoid(T.conv2d(hidden, w2, b2, 1, 0)), [pooled, w1, b1, w2, b2]
 
 
+def _gated_concat_case(n, dtype, rng):
+    """The squeeze-and-excite product of a guided decoder stage: two batch norm
+    outputs concatenated, so the joint features are rebuilt, times a gate pooled
+    from them. The rule reads the rebuilt features one sample at a time for the
+    gate's gradient."""
+    (a, leaves_a), (b, leaves_b) = _bn_case(4)(n, dtype, rng), _bn_case(2)(n, dtype, rng)
+    joint = T.concat_channels(a, b)
+    return T.mul(joint, T.sigmoid(T.global_avg_pool(joint))), leaves_a + leaves_b
+
+
 _SPLIT_CASES = {
     "conv-3x3": _conv_case(16, 3, 1),
     "conv-3x3-stride-2": _conv_case(16, 3, 2),
@@ -1298,6 +1357,7 @@ _SPLIT_CASES = {
     "conv-of-batch-norm": _conv_of_case(False, 3),
     "conv-of-gated-batch-norm": _conv_of_case(True, 1),
     "squeeze-and-excite": _squeeze_and_excite_case,
+    "mul-gate-of-rebuilt-concat": _gated_concat_case,
 }
 _UNSPLIT_CASES = {"batch_norm_relu-c1"}  # one block of channels
 
@@ -1341,6 +1401,22 @@ class TestSplitOps:
         assert bool(maps) == (n > 1 and op not in _UNSPLIT_CASES and blas is not None)
         for k, (a, b) in enumerate(zip(split, serial)):
             assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} of {op}, n={n}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    def test_gate_of_a_rebuilt_concat_is_bitwise_the_serial_run_on_1_to_4_cores(self, monkeypatch, cores, dtype):
+        """The product reads its joint features through the concat's rebuild, and
+        its rule sums the gate's gradient over them one sample at a time: on any
+        number of cores, as many blocks as ``_blocks`` gives it, bitwise the serial run."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out, _ = _gated_concat_case(4, dtype, np.random.default_rng(161))
+        assert out._rec.node[1][0].node[3] is not None  # the joint features' record offers a rebuild
+        blas = T._openblas()
+        with T._one_blas_thread(*blas) if blas else contextlib.nullcontext():
+            serial = T.parallel_map(lambda _: self._run(_gated_concat_case, 4, dtype), [None])[0]
+            split = self._run(_gated_concat_case, 4, dtype)
+        for k, (a, b) in enumerate(zip(split, serial)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"array {k} on {cores} cores"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -1455,7 +1531,7 @@ class TestSplitOps:
     def test_blocks_are_one_per_core_within_each_ops_cap(self, monkeypatch, cores):
         """Batch norm cuts its c channels into min(c // 2, cores) contiguous blocks
         covering them all, at least 2 channels each unless there is one block; a
-        conv cuts its samples into at most ``CONV_WORKERS`` blocks."""
+        conv and a product cut their samples into at most ``CONV_WORKERS`` blocks."""
         cuts = self._cuts(monkeypatch, cores)
         rng = np.random.default_rng(112)
         for c in range(1, 10):
@@ -1471,6 +1547,9 @@ class TestSplitOps:
         [blocks] = cuts
         assert blocks == [slice(9 * i // len(blocks), 9 * (i + 1) // len(blocks)) for i in range(len(blocks))]
         assert len(blocks) == min(cores, T.CONV_WORKERS) <= T.CONV_WORKERS
+        cuts.clear()
+        _mul_case(4, True)(9, np.float32, rng)
+        assert cuts == [blocks]
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8])
     def test_batch_of_one_no_grad_and_in_a_map_are_one_block(self, monkeypatch, cores):
